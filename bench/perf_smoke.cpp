@@ -1,5 +1,5 @@
 // CI perf-smoke: a minutes-not-hours regression canary for the zero-copy
-// serve path. Five probes, all real sockets on loopback:
+// serve path. Four probes, all real sockets on loopback:
 //
 //   1. Large-frame server push — the serve-path direction — measured twice:
 //      legacy copy-into-frame handoff vs zero-copy ext+lease handoff
@@ -13,15 +13,7 @@
 //      compressible workload must at least halve its wire bytes, and the
 //      random workload must ship raw (bail-out) with zero user-space
 //      payload copies on the compression-off pass.
-//   4. An engine sweep (DESIGN.md §15): zero-copy server push under epoll
-//      vs io_uring at 1/4/16 concurrent connections, recording throughput
-//      and getrusage CPU-per-MB per point. The zero-copy invariant
-//      (copied payload bytes == 0) is gated under both engines; the
-//      throughput/CPU deltas are recorded, not gated — on a CI runner
-//      with one core the CPU-vs-connections profile is the signal, not
-//      absolute MB/s. io_uring-unavailable is recorded with its reason
-//      and the probe still passes with the epoll half.
-//   5. An overload sweep (DESIGN.md §16): offered load at 1x/2x/4x of a
+//   4. An overload sweep (DESIGN.md §16): offered load at 1x/2x/4x of a
 //      byte-budgeted supplier's capacity (admitted-inflight budget fits a
 //      single chunk; the disk model paces service), recording shed rate
 //      and served-request p99 per point. Two gates: every merge completes
@@ -37,8 +29,6 @@
 // would read downstream as "the missing probes regressed to zero" — and
 // the exit code is 1. Perf deltas on probes that did run are recorded,
 // not gated, because shared CI runners are too noisy for hard thresholds.
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -56,7 +46,6 @@
 #include "jbs/net_merger.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
-#include "transport/io_uring_loop.h"
 #include "transport/transport.h"
 
 using namespace jbs;
@@ -300,98 +289,6 @@ CompressSweepResult CompressSweepRun(bool compress_on,
   return result;
 }
 
-struct EnginePoint {
-  double mbs = 0;
-  double cpu_ms_per_mb = 0;
-  uint64_t copied = 0;
-};
-
-/// One engine-sweep point: `conns` concurrent clients each pull
-/// `rounds_per_conn` zero-copy frames of `frame_bytes` from one server
-/// running `engine`. Records aggregate throughput and process CPU
-/// (getrusage user+system) per MB moved.
-bool EnginePushPoint(net::Engine engine, int conns, size_t frame_bytes,
-                     int rounds_per_conn, EnginePoint* out, std::string* err) {
-  auto transport = net::MakeTcpTransport({.engine = engine, .num_loops = 2});
-  auto server = transport->CreateServer();
-  if (!server.ok()) {
-    *err = "CreateServer: " + server.status().ToString();
-    return false;
-  }
-  const auto src =
-      std::make_shared<const std::vector<uint8_t>>(frame_bytes, 0xab);
-  net::ServerEndpoint::Handlers handlers;
-  handlers.on_frame = [&](net::ConnId conn, Frame) {
-    Frame out_frame;
-    out_frame.type = 2;
-    out_frame.ext = {src->data(), src->size()};
-    out_frame.lease = std::shared_ptr<const void>(src, src->data());
-    (void)(*server)->SendAsync(conn, std::move(out_frame));
-  };
-  if (Status st = (*server)->Start(handlers); !st.ok()) {
-    *err = "server Start: " + st.ToString();
-    return false;
-  }
-  std::vector<std::shared_ptr<net::Connection>> clients;
-  for (int c = 0; c < conns; ++c) {
-    auto conn = transport->Connect("127.0.0.1", (*server)->port());
-    if (!conn.ok()) {
-      *err = "Connect: " + conn.status().ToString();
-      return false;
-    }
-    clients.push_back(std::move(conn).value());
-  }
-  Mutex err_mu;
-  std::string thread_err;
-  ResetPayloadCopyBytes();
-  rusage before{};
-  getrusage(RUSAGE_SELF, &before);
-  const auto start = Clock::now();
-  std::vector<std::thread> pullers;
-  for (auto& client : clients) {
-    pullers.emplace_back([&, client] {
-      Frame request;
-      request.type = 1;
-      request.payload.resize(1);
-      for (int i = 0; i < rounds_per_conn; ++i) {
-        if (Status st = client->Send(request); !st.ok()) {
-          MutexLock lock(err_mu);
-          thread_err = "Send: " + st.ToString();
-          return;
-        }
-        auto reply = client->Receive();
-        if (!reply.ok()) {
-          MutexLock lock(err_mu);
-          thread_err = "Receive: " + reply.status().ToString();
-          return;
-        }
-      }
-    });
-  }
-  for (auto& puller : pullers) puller.join();
-  const double secs = SecondsSince(start);
-  rusage after{};
-  getrusage(RUSAGE_SELF, &after);
-  out->copied = PayloadCopyBytes();
-  (*server)->Stop();
-  if (!thread_err.empty()) {
-    *err = thread_err;
-    return false;
-  }
-  const auto cpu_secs = [](const rusage& a, const rusage& b) {
-    const auto tv = [](const timeval& t) {
-      return static_cast<double>(t.tv_sec) +
-             static_cast<double>(t.tv_usec) * 1e-6;
-    };
-    return tv(b.ru_utime) - tv(a.ru_utime) + tv(b.ru_stime) - tv(a.ru_stime);
-  }(before, after);
-  const double mb = static_cast<double>(frame_bytes) * rounds_per_conn *
-                    conns / (1 << 20);
-  out->mbs = secs > 0 ? mb / secs : 0;
-  out->cpu_ms_per_mb = mb > 0 ? cpu_secs * 1e3 / mb : 0;
-  return true;
-}
-
 struct OverloadResult {
   uint64_t requests = 0;  // includes shed requests
   uint64_t shed = 0;
@@ -486,7 +383,7 @@ int main(int argc, char** argv) {
   // --- Probe 1: large-frame server push, copy vs zero-copy -------------
   constexpr size_t kFrameBytes = 1 << 20;
   constexpr int kRounds = 200;
-  bench::PrintHeader("perf-smoke 1/5: server push, 1MB frames x 200",
+  bench::PrintHeader("perf-smoke 1/4: server push, 1MB frames x 200",
                      "zero-copy serve path (DESIGN.md §13)");
   uint64_t copied = 0;
   (void)PushThroughputMBs(false, kFrameBytes, 32, &copied,
@@ -556,7 +453,7 @@ int main(int argc, char** argv) {
     }
     handles.push_back(*handle);
   }
-  bench::PrintHeader("perf-smoke 2/5: reduced Figs. 4/5 sweep",
+  bench::PrintHeader("perf-smoke 2/4: reduced Figs. 4/5 sweep",
                      "serialized vs pipelined 2x4, 4 MOFs x 2 reducers");
   probe_err.clear();
   (void)SweepThroughputMBs(true, 2, 4, handles, &probe_err);  // warmup
@@ -580,7 +477,7 @@ int main(int argc, char** argv) {
   fs::remove_all(dir);
 
   // --- Probe 3: negotiated wire compression sweep -----------------------
-  bench::PrintHeader("perf-smoke 3/5: wire compression sweep",
+  bench::PrintHeader("perf-smoke 3/4: wire compression sweep",
                      "zipf-skewed vs random payloads, compression off/on");
   const fs::path cdir = fs::temp_directory_path() /
                         ("perf_smoke_wc_" + std::to_string(::getpid()));
@@ -670,74 +567,8 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(cdir);
 
-  // --- Probe 4: engine sweep, epoll vs io_uring -------------------------
-  bench::PrintHeader("perf-smoke 4/5: engine sweep (DESIGN.md §15)",
-                     "zero-copy push, epoll vs io_uring x 1/4/16 conns");
-  const Status uring = net::UringAvailable();
-  registry.GetGauge("perf_smoke_uring_available")
-      ->Set(uring.ok() ? 1.0 : 0.0);
-  if (!uring.ok()) {
-    std::printf("io_uring unavailable (%s): epoll half only\n",
-                uring.ToString().c_str());
-  }
-  std::vector<net::Engine> engines{net::Engine::kEpoll};
-  if (uring.ok()) engines.push_back(net::Engine::kIoUring);
-  constexpr int kConnPoints[] = {1, 4, 16};
-  constexpr size_t kSweepFrame = 256 * 1024;
-  constexpr int kSweepRounds = 64;
-  for (const net::Engine engine : engines) {
-    const char* name = net::EngineName(engine);
-    EnginePoint warm;
-    probe_err.clear();
-    (void)EnginePushPoint(engine, 2, kSweepFrame, 16, &warm, &probe_err);
-    double first_cpu = 0, last_cpu = 0;
-    for (const int conns : kConnPoints) {
-      EnginePoint point;
-      probe_err.clear();
-      if (!EnginePushPoint(engine, conns, kSweepFrame, kSweepRounds, &point,
-                           &probe_err)) {
-        std::printf("FAIL: engine sweep (%s, %d conns) could not run: %s\n",
-                    name, conns, probe_err.c_str());
-        probes_ok = false;
-        continue;
-      }
-      const std::string conns_label = std::to_string(conns);
-      registry
-          .GetGauge("perf_smoke_engine_push_mbs",
-                    {{"engine", name}, {"conns", conns_label}})
-          ->Set(point.mbs);
-      registry
-          .GetGauge("perf_smoke_engine_cpu_ms_per_mb",
-                    {{"engine", name}, {"conns", conns_label}})
-          ->Set(point.cpu_ms_per_mb);
-      registry
-          .GetGauge("perf_smoke_engine_copied_bytes",
-                    {{"engine", name}, {"conns", conns_label}})
-          ->Set(static_cast<double>(point.copied));
-      bench::PrintRow({std::string(name) + " x" + conns_label,
-                       bench::Fmt(point.mbs, "%.0fMB/s"),
-                       bench::Fmt(point.cpu_ms_per_mb, "%.2fms/MB"),
-                       std::to_string(point.copied) + "B copied"});
-      // The zero-copy invariant is engine-independent: neither data plane
-      // may stage payload bytes through user space on the serve path.
-      if (point.copied != 0) {
-        std::printf("FAIL: %s engine copied %llu payload bytes\n", name,
-                    static_cast<unsigned long long>(point.copied));
-        ok = false;
-      }
-      if (conns == kConnPoints[0]) first_cpu = point.cpu_ms_per_mb;
-      last_cpu = point.cpu_ms_per_mb;
-    }
-    // CPU flatness across the connection sweep: ~1.0 means the engine's
-    // per-MB cost does not grow with connection count.
-    if (first_cpu > 0) {
-      registry.GetGauge("perf_smoke_engine_cpu_flatness", {{"engine", name}})
-          ->Set(last_cpu / first_cpu);
-    }
-  }
-
-  // --- Probe 5: overload sweep, 1x/2x/4x offered load -------------------
-  bench::PrintHeader("perf-smoke 5/5: overload sweep (DESIGN.md §16)",
+  // --- Probe 4: overload sweep, 1x/2x/4x offered load -------------------
+  bench::PrintHeader("perf-smoke 4/4: overload sweep (DESIGN.md §16)",
                      "admission budget = 1 chunk, 1/2/4 concurrent mergers");
   const fs::path odir = fs::temp_directory_path() /
                         ("perf_smoke_ol_" + std::to_string(::getpid()));

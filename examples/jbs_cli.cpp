@@ -8,10 +8,12 @@
 // where S is one of: local | http | http-jvm | jbs-tcp | jbs-rdma.
 // Everything runs in-process on a MiniDFS under a temp directory; the
 // point is exercising the whole stack from a shell.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 
 #include "baseline/plugin.h"
@@ -34,6 +36,9 @@ struct CliOptions {
   std::string shuffle = "jbs-tcp";
   bool compress = false;
 };
+
+constexpr const char* kShuffleNames[] = {"local", "http", "http-jvm",
+                                         "jbs-tcp", "jbs-rdma"};
 
 int Usage() {
   std::fprintf(
@@ -69,6 +74,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       if (!v) return false;
       options->shuffle = v;
+      if (std::find(std::begin(kShuffleNames), std::end(kShuffleNames),
+                    options->shuffle) == std::end(kShuffleNames)) {
+        std::fprintf(stderr, "unknown shuffle: %s\n", v);
+        return false;
+      }
     } else if (arg == "--compress") {
       options->compress = true;
     } else {

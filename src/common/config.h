@@ -84,9 +84,6 @@ inline constexpr const char* kHealthPenaltyMs =
     "jbs.netmerger.health.penalty_ms";
 inline constexpr const char* kHealthPenaltyMaxMs =
     "jbs.netmerger.health.penalty_max_ms";
-// Zero-copy serve-path knobs.
-inline constexpr const char* kSendfileMinBytes =
-    "jbs.mofsupplier.sendfile.min_bytes";
 // Negotiated wire-compression knobs (see DESIGN.md §14).
 inline constexpr const char* kWireCompressEnabled = "jbs.wire.compress.enabled";
 inline constexpr const char* kWireCompressMinBytes =
@@ -108,7 +105,6 @@ inline constexpr const char* kAdmissionAcquireTimeoutMs =
 inline constexpr const char* kPushbackRetryBudget =
     "jbs.netmerger.pushback.retry_budget";
 // Thread-per-core execution-model knobs (see DESIGN.md §15).
-inline constexpr const char* kTransportEngine = "jbs.transport.engine";
 inline constexpr const char* kTransportLoops = "jbs.transport.loops";
 inline constexpr const char* kServeShards = "jbs.mofsupplier.serve.shards";
 inline constexpr const char* kMapSlotsPerNode = "mapred.map.slots";

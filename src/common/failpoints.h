@@ -1,9 +1,9 @@
 // Named, runtime-armed failpoints for the syscall boundaries the chaos
 // harness cannot reach from outside the process: open(2)/pread in the fd
-// cache and prefetch stage, sendfile, io_uring SQE submission, BufferPool
-// acquisition. Each site asks `JBS_FAILPOINT("name")` whether to misbehave;
-// an armed failpoint scripts the site to return EIO/ENOSPC/EMFILE/short
-// reads deterministically (seeded when probabilistic).
+// cache and prefetch stage, and BufferPool acquisition. Each site asks
+// `JBS_FAILPOINT("name")` whether to misbehave; an armed failpoint scripts
+// the site to return EIO/ENOSPC/EMFILE/short reads deterministically
+// (seeded when probabilistic).
 //
 // Arming is programmatic (`failpoints::Arm("fdcache.open", "emfile*3")`) or
 // via the JBS_FAILPOINTS environment variable, parsed lazily on the first
@@ -19,8 +19,8 @@
 //   %P  fire with probability P percent (seeded: JBS_FAILPOINTS_SEED or
 //       SetSeed(); deterministic run to run for a fixed seed)
 //
-// Entries are ';' or ','-separated. `false` is for boolean sites (io_uring
-// chain submission) that fall back rather than error.
+// Entries are ';' or ','-separated. `false` is for boolean sites (DataCache
+// acquisition) that degrade rather than error.
 //
 // Compiled out in release builds: with JBS_FAILPOINTS_ENABLED unset the
 // macro expands to a constexpr no-op Action, the `if (fp)` at every site

@@ -1,10 +1,6 @@
 #include "common/framing.h"
 
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
-#include <cstring>
 
 #include "common/bytes.h"
 
@@ -24,45 +20,6 @@ void AddPayloadCopyBytes(uint64_t n) {
 
 void ResetPayloadCopyBytes() {
   g_payload_copy_bytes.store(0, std::memory_order_relaxed);
-}
-
-Status Frame::Flatten() {
-  if (ext.empty() && !file.valid()) {
-    lease.reset();
-    return Status::Ok();
-  }
-  payload.reserve(payload.size() + ext.size() +
-                  static_cast<size_t>(file.length));
-  if (!ext.empty()) {
-    payload.insert(payload.end(), ext.begin(), ext.end());
-    AddPayloadCopyBytes(ext.size());
-    ext = {};
-  }
-  if (file.valid()) {
-    const size_t start = payload.size();
-    payload.resize(start + static_cast<size_t>(file.length));
-    size_t done = 0;
-    while (done < file.length) {
-      const ssize_t n =
-          ::pread(file.fd, payload.data() + start + done,
-                  static_cast<size_t>(file.length) - done,
-                  static_cast<off_t>(file.offset + done));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        payload.resize(start);
-        return IoError(std::string("flatten pread: ") + std::strerror(errno));
-      }
-      if (n == 0) {
-        payload.resize(start);
-        return IoError("flatten pread: unexpected EOF");
-      }
-      done += static_cast<size_t>(n);
-    }
-    AddPayloadCopyBytes(file.length);
-    file = {};
-  }
-  lease.reset();
-  return Status::Ok();
 }
 
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>& out) {

@@ -9,11 +9,9 @@
 // payload is the concatenation of
 //   payload  — small owned bytes (protocol headers, control messages)
 //   ext      — a borrowed view over buffer(s) kept alive by `lease`
-//   file     — optional trailing bytes served straight from a file
-//              descriptor (sendfile fast path)
 // so the serve path hands a DataCache buffer to the transport without
-// copying it. Receivers always produce contiguous frames (ext/file empty);
-// the wire format is identical either way.
+// copying it. Receivers always produce contiguous frames (ext empty); the
+// wire format is identical either way.
 #pragma once
 
 #include <cstdint>
@@ -26,57 +24,35 @@
 
 namespace jbs {
 
-/// Trailing frame bytes sourced from an fd at send time (sendfile(2) on
-/// the TCP path; transports without file support Flatten() first). The fd
-/// is borrowed — the frame's `lease` must keep it open.
-struct FileSegment {
-  int fd = -1;
-  uint64_t offset = 0;
-  uint64_t length = 0;
-
-  bool valid() const { return fd >= 0 && length > 0; }
-};
-
 struct Frame {
   uint8_t type = 0;
   std::vector<uint8_t> payload;
   /// Borrowed payload tail. Valid only while `lease` is held; senders may
   /// read it until the last queued reference drops, nobody may write it.
   std::span<const uint8_t> ext{};
-  /// Ownership token for `ext` and `file`: released when the final sender
-  /// reference is destroyed (last byte on the socket, or the connection
-  /// died with the frame still queued). Typically wraps a PooledBuffer —
-  /// its release returns the buffer to the DataCache — or an FdCache
-  /// handle keeping a MOF fd open.
+  /// Ownership token for `ext`: released when the final sender reference
+  /// is destroyed (last byte on the socket, or the connection died with
+  /// the frame still queued). Typically wraps a PooledBuffer — its release
+  /// returns the buffer to the DataCache.
   std::shared_ptr<const void> lease;
-  FileSegment file{};
 
-  /// Total wire payload length: payload + ext + file bytes.
-  size_t payload_size() const {
-    return payload.size() + ext.size() + static_cast<size_t>(file.length);
-  }
-
-  /// Materializes ext/file into owned `payload` bytes (pread for the file
-  /// part) and drops the lease. Counts the copied bytes against
-  /// PayloadCopyBytes(). Needed by transports without scatter-gather or
-  /// sendfile support; the zero-copy paths never call it.
-  Status Flatten();
+  /// Total wire payload length: payload + ext bytes.
+  size_t payload_size() const { return payload.size() + ext.size(); }
 };
 
-/// Serializes a frame (header + payload + ext; `file` must be empty or
-/// flattened first) into `out`. Copies the whole payload — legacy path,
-/// counted by PayloadCopyBytes().
+/// Serializes a frame (header + payload + ext) into `out`. Copies the
+/// whole payload — legacy path, counted by PayloadCopyBytes().
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>& out);
 
 /// Writes the 5-byte wire header (u32 payload_length | u8 type) for
-/// `frame` into `out[0..5)`, covering payload + ext + file bytes.
+/// `frame` into `out[0..5)`, covering payload + ext bytes.
 void EncodeFrameHeader(const Frame& frame, uint8_t out[5]);
 
 constexpr size_t kFrameHeaderSize = 5;  // u32 length + u8 type
 
 /// Serve-path copy accounting: a process-wide count of payload bytes
 /// memcpy'd in user space on the send side (legacy EncodeFrame/EncodeData
-/// copies, Frame::Flatten, transport fallbacks). The zero-copy serve path
+/// copies). The zero-copy serve path
 /// leaves it untouched — tests reset it, run a serve, and assert zero;
 /// MofSupplier exports it as the `jbs_serve_bytes_copied_total` gauge.
 uint64_t PayloadCopyBytes();

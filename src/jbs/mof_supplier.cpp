@@ -96,10 +96,6 @@ MofSupplier::MofSupplier(Options options)
       metrics_->GetCounter("jbs_mofsupplier_group_switches_total", base);
   disconnect_purges_c_ =
       metrics_->GetCounter("jbs_mofsupplier_disconnect_purges_total", base);
-  sendfile_chunks_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_sendfile_chunks_total", base);
-  sendfile_bytes_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_sendfile_bytes_total", base);
   crc_cache_hits_c_ =
       metrics_->GetCounter("jbs_mofsupplier_crc_cache_hits_total", base);
   crc_cache_misses_c_ =
@@ -154,18 +150,6 @@ uint32_t MofSupplier::ChunkDataCrc(const FetchRequest& request,
   }
   crc_cache_misses_c_->Increment();
   return crc;
-}
-
-bool MofSupplier::LookupChunkCrc(const FetchRequest& request, uint64_t length,
-                                 uint32_t* crc) {
-  const CrcKey key{request.map_task, request.partition, request.offset,
-                   length};
-  ServeShard& shard = MemoShardOf(key);
-  MutexLock lock(shard.crc_mu);
-  const uint32_t* cached = shard.crc_cache.Get(key);
-  if (cached == nullptr) return false;
-  *crc = *cached;
-  return true;
 }
 
 void MofSupplier::StampChunkCrc(FetchDataHeader* header,
@@ -622,49 +606,6 @@ void MofSupplier::ChargeDiskModel(int fd, uint64_t offset, size_t bytes) {
   std::this_thread::sleep_until(ready);
 }
 
-bool MofSupplier::TrySendfileReply(const PendingRequest& pending,
-                                   const mr::MofHandle& handle,
-                                   FetchDataHeader header,
-                                   uint64_t disk_offset, uint64_t chunk) {
-  if (options_.sendfile_min_bytes == 0 ||
-      chunk < options_.sendfile_min_bytes) {
-    return false;
-  }
-  if (!endpoint_->supports_file_segments()) return false;
-  if (options_.chunk_crc) {
-    // The CRC needs the bytes; only a memoized chunk can skip the
-    // read-back. A miss takes the pooled path once and memoizes there.
-    uint32_t data_crc = 0;
-    if (!LookupChunkCrc(pending.request, chunk, &data_crc)) return false;
-    header.flags |= kChunkHasCrc;
-    header.crc32 = ChunkWireCrc(header, data_crc);
-  }
-  auto file = PathShardOf(handle.data_path.string())
-                  .fd_cache.Open(handle.data_path.string());
-  if (!file.ok()) return false;  // let the pooled path report the failure
-  // The kernel still reads the platters; charge the same modeled disk
-  // time the pooled path would pay, so sendfile's measured win is the
-  // skipped copies, not a free disk.
-  ChargeDiskModel(file->fd(), disk_offset, static_cast<size_t>(chunk));
-  ReadyReply ready;
-  ready.conn = pending.conn;
-  // The fd-cache handle rides as the frame's lease: eviction or
-  // invalidation can't close the descriptor while the event thread is
-  // still sendfile()-ing from it. Read the fd before moving the handle —
-  // argument evaluation order is unspecified.
-  const int fd = file->fd();
-  ready.frame = EncodeDataFile(
-      header, fd, disk_offset, chunk,
-      std::make_shared<FdCache::Handle>(std::move(file).value()));
-  ready.chunk = chunk;
-  ready.wire = chunk;
-  ready.enqueued = pending.enqueued;
-  sendfile_chunks_c_->Increment();
-  sendfile_bytes_c_->Increment(chunk);
-  (void)ConnShardOf(pending.conn).send_queue.Push(std::move(ready));
-  return true;
-}
-
 bool MofSupplier::WireCompressEligible(const PendingRequest& pending,
                                        const FetchDataHeader& header,
                                        uint64_t chunk) const {
@@ -774,9 +715,7 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   }
   // Wire-compression gate. A memoized compressed chunk is served straight
   // from the memo — no disk read at all. A memoized bail-out falls through
-  // to the raw path with the sendfile fast path intact. A miss must read
-  // the bytes first, so it takes the pooled path (sendfile can't — the
-  // compressor needs the data in user space).
+  // to the raw path; a miss reads the bytes and compresses them there.
   bool want_compress = false;
   if (WireCompressEligible(pending, header, chunk)) {
     std::shared_ptr<const std::vector<uint8_t>> memo;
@@ -795,10 +734,6 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
         want_compress = true;
         break;
     }
-  }
-  if (!want_compress && chunk > 0 &&
-      TrySendfileReply(pending, handle, header, disk_offset, chunk)) {
-    return;
   }
   // DataCache buffer: bounds in-flight disk reads *and* bytes parked on
   // the socket, since the buffer now travels with the frame until the

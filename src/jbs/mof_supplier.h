@@ -14,10 +14,7 @@
 //     the transport's event thread. The chunk bytes are
 //     never copied into the frame: the pooled buffer rides along as the
 //     frame's lease and returns to the DataCache only after the transport
-//     has put its last byte on the wire. Chunks above
-//     `sendfile_min_bytes` whose CRC is already memoized skip the pooled
-//     buffer entirely and go out via sendfile(2) straight from the MOF
-//     descriptor.
+//     has put its last byte on the wire.
 //
 // Disk reads for request N+1 therefore overlap the network transmit of
 // request N (Fig. 5), and DataCache exhaustion — which now includes
@@ -66,15 +63,6 @@ class MofSupplier final : public mr::ShuffleServer {
     size_t crc_cache_entries = 4096;  // per-chunk data-CRC memo (LRU), so
                                       // a retransmitted chunk re-reads the
                                       // disk but never re-hashes the bytes
-    // Sendfile fast path: chunks at least this large are served straight
-    // from the MOF descriptor (sendfile(2) on the transport's event
-    // thread) instead of being pread into a pooled buffer — no disk-stage
-    // read, no user-space payload bytes at all. Taken only when the
-    // transport supports file segments (TCP) and, with chunk_crc on, when
-    // the chunk's data CRC is already memoized (a CRC needs the bytes; a
-    // memo miss reads through the pooled path once and memoizes). 0
-    // disables the fast path entirely.
-    uint64_t sendfile_min_bytes = 0;
     // Negotiated wire compression: chunks served to clients that advertised
     // kCapWireCompression in their hello are LZSS-compressed in the
     // prefetch stage when at least `wire_compress_min_bytes` long and not
@@ -82,7 +70,7 @@ class MofSupplier final : public mr::ShuffleServer {
     // in an LRU (like the CRC memo — compress once per chunk across
     // retransmits); chunks whose compressed size exceeds
     // `chunk * wire_compress_min_ratio` are memoized as incompressible and
-    // ship raw (keeping the sendfile fast path). Off by default: the knob
+    // ship raw. Off by default: the knob
     // trades supplier CPU for wire bytes, which only pays on compressible
     // workloads.
     bool wire_compress = false;
@@ -188,9 +176,9 @@ class MofSupplier final : public mr::ShuffleServer {
 
   /// One ready reply travelling from the prefetch stage to the send stage.
   /// Data replies carry a pre-encoded scatter-gather frame whose lease
-  /// (pooled buffer or fd-cache handle) keeps the chunk bytes alive until
-  /// the transport has put them on the wire; error replies carry just the
-  /// FetchError.
+  /// (pooled buffer or memoized compressed chunk) keeps the chunk bytes
+  /// alive until the transport has put them on the wire; error replies
+  /// carry just the FetchError.
   struct ReadyReply {
     net::ConnId conn = 0;
     bool is_error = false;
@@ -242,20 +230,9 @@ class MofSupplier final : public mr::ShuffleServer {
   /// immutable once published, so a cached value never goes stale).
   uint32_t ChunkDataCrc(const FetchRequest& request,
                         std::span<const uint8_t> data);
-  /// Memo-only probe: true (and `*crc` set) on a hit, no hashing and no
-  /// disk touch on a miss. The sendfile gate — a chunk whose CRC is not
-  /// memoized can't go out via sendfile without a read-back.
-  bool LookupChunkCrc(const FetchRequest& request, uint64_t length,
-                      uint32_t* crc);
   /// Stamps `header` with the full wire CRC (kChunkHasCrc) when enabled.
   void StampChunkCrc(FetchDataHeader* header, const FetchRequest& request,
                      std::span<const uint8_t> data);
-  /// PrefetchOne's sendfile fast path. Returns true if the reply was
-  /// queued as a file-segment frame; false means "take the pooled path"
-  /// (gate not met — never an error).
-  bool TrySendfileReply(const PendingRequest& pending,
-                        const mr::MofHandle& handle, FetchDataHeader header,
-                        uint64_t disk_offset, uint64_t chunk);
   /// True if this chunk should be considered for wire compression: the
   /// peer advertised the capability, the chunk clears the min-size gate,
   /// and the segment isn't already block-compressed on disk.
@@ -406,8 +383,6 @@ class MofSupplier final : public mr::ShuffleServer {
   MetricCounter* group_switches_c_ = nullptr;
   MetricCounter* errors_c_ = nullptr;
   MetricCounter* disconnect_purges_c_ = nullptr;
-  MetricCounter* sendfile_chunks_c_ = nullptr;
-  MetricCounter* sendfile_bytes_c_ = nullptr;
   MetricHistogram* request_latency_ms_h_ = nullptr;
   // Overload-control series: jbs_supplier_shed_total broken out by the
   // admission decision that shed the request (queue / inflight_bytes /

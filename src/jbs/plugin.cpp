@@ -7,7 +7,6 @@ JbsShufflePlugin::JbsShufflePlugin(Options options) : options_(options) {
     case TransportKind::kTcp: {
       net::TcpTransportOptions topts;
       topts.max_frame_bytes = options_.max_frame_bytes;
-      topts.engine = options_.engine;
       topts.num_loops = options_.transport_loops;
       transport_ = net::MakeTcpTransport(topts);
       break;
@@ -64,8 +63,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
   options.health_penalty_ms = conf.GetInt(conf::kHealthPenaltyMs, 200);
   options.health_penalty_max_ms =
       conf.GetInt(conf::kHealthPenaltyMaxMs, 10000);
-  options.sendfile_min_bytes =
-      static_cast<uint64_t>(conf.GetSize(conf::kSendfileMinBytes, 0));
   options.max_frame_bytes = static_cast<size_t>(
       conf.GetSize(conf::kMaxFrameBytes, 64 * 1024 * 1024));
   options.wire_compress = conf.GetBool(conf::kWireCompressEnabled, false);
@@ -85,8 +82,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
       static_cast<int>(conf.GetInt(conf::kAdmissionAcquireTimeoutMs, 100));
   options.pushback_retry_budget =
       static_cast<int>(conf.GetInt(conf::kPushbackRetryBudget, 32));
-  options.engine =
-      net::ParseEngine(conf.GetOr(conf::kTransportEngine, "epoll"));
   options.transport_loops =
       static_cast<int>(conf.GetInt(conf::kTransportLoops, 1));
   options.serve_shards =
@@ -112,7 +107,6 @@ std::unique_ptr<mr::ShuffleServer> JbsShufflePlugin::CreateServer(
   sopts.pipelined = options_.pipelined;
   sopts.chunk_crc = options_.chunk_crc;
   sopts.crc_cache_entries = options_.crc_cache_entries;
-  sopts.sendfile_min_bytes = options_.sendfile_min_bytes;
   sopts.wire_compress = options_.wire_compress;
   sopts.wire_compress_min_bytes = options_.wire_compress_min_bytes;
   sopts.wire_compress_min_ratio = options_.wire_compress_min_ratio;

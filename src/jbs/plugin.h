@@ -44,10 +44,8 @@ struct JbsOptions {
   int health_penalize_after = 3;     // <= 0 disables the penalty box
   int64_t health_penalty_ms = 200;
   int64_t health_penalty_max_ms = 10000;
-  // Zero-copy serve path (DESIGN.md §13): supplier sendfile threshold
-  // (0 = pooled buffers only) and the per-connection inbound frame cap
-  // enforced by both transports against the untrusted length prefix.
-  uint64_t sendfile_min_bytes = 0;
+  // Per-connection inbound frame cap enforced by both transports against
+  // the untrusted length prefix.
   size_t max_frame_bytes = 64 * 1024 * 1024;
   // Negotiated wire compression (DESIGN.md §14): the supplier compresses
   // eligible chunks for peers that advertised the capability, and the
@@ -63,11 +61,10 @@ struct JbsOptions {
   double admission_datacache_watermark = 0;
   int admission_acquire_timeout_ms = 100;
   int pushback_retry_budget = 32;
-  // Thread-per-core execution model (DESIGN.md §15): TCP server event-loop
-  // engine, loop-shard count (0 = per core, capped at 8), and MofSupplier
-  // serve shards (0 = per core; connections pin to the shard matching
-  // their accepting loop).
-  net::Engine engine = net::Engine::kEpoll;
+  // Thread-per-core execution model (DESIGN.md §15): TCP server epoll
+  // loop-shard count (0 = per core, capped at 8) and MofSupplier serve
+  // shards (0 = per core; connections pin to the shard matching their
+  // accepting loop).
   int transport_loops = 1;
   int serve_shards = 1;
 };

@@ -81,14 +81,6 @@ Frame EncodeDataZeroCopy(const FetchDataHeader& header,
   return frame;
 }
 
-Frame EncodeDataFile(const FetchDataHeader& header, int fd, uint64_t offset,
-                     uint64_t length, std::shared_ptr<const void> fd_lease) {
-  Frame frame = EncodeDataHeaderOnly(header);
-  frame.file = FileSegment{fd, offset, length};
-  frame.lease = std::move(fd_lease);
-  return frame;
-}
-
 std::optional<FetchDataHeader> DecodeData(const Frame& frame,
                                           std::span<const uint8_t>* data) {
   if (frame.type != kFetchData || frame.payload.size() < kDataHeaderSize) {
@@ -103,8 +95,7 @@ std::optional<FetchDataHeader> DecodeData(const Frame& frame,
   header.flags = GetU32(p + 24);
   header.crc32 = GetU32(p + 28);
   // Received frames are contiguous; a locally built zero-copy frame keeps
-  // its chunk bytes in `ext` (a file segment cannot be viewed — Flatten
-  // first).
+  // its chunk bytes in `ext`.
   if (frame.payload.size() == kDataHeaderSize && !frame.ext.empty()) {
     *data = frame.ext;
   } else {

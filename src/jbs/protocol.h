@@ -118,13 +118,6 @@ Frame EncodeDataZeroCopy(const FetchDataHeader& header,
                          std::span<const uint8_t> data,
                          std::shared_ptr<const void> lease);
 
-/// Sendfile data frame: the chunk bytes come straight from `fd` at
-/// `offset` (a MOF file kept open by `fd_lease`, e.g. an FdCache handle).
-/// Transports without file-segment support Flatten() it — correct, but
-/// the copy is counted.
-Frame EncodeDataFile(const FetchDataHeader& header, int fd, uint64_t offset,
-                     uint64_t length, std::shared_ptr<const void> fd_lease);
-
 /// Decodes header; `data` is set to the payload bytes after it (view into
 /// the frame's payload).
 std::optional<FetchDataHeader> DecodeData(const Frame& frame,

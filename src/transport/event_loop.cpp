@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "transport/io_uring_loop.h"
 
 namespace jbs::net {
 
@@ -20,8 +19,11 @@ uint32_t ToEpollEvents(bool want_read, bool want_write) {
   if (want_write) events |= EPOLLOUT;
   return events;
 }
-}  // namespace
 
+// Writes one u64 to an eventfd, retrying EINTR: a signal landing between
+// RunInLoop's enqueue and the wakeup write must not strand the task until
+// the next unrelated wakeup (or until Stop's join, which would stretch
+// shutdown by the poll timeout).
 void EventfdSignal(int fd) {
   const uint64_t one = 1;
   ssize_t n;
@@ -31,12 +33,11 @@ void EventfdSignal(int fd) {
   // EAGAIN means the 64-bit counter is already non-zero: the loop has a
   // pending wakeup, which is all we needed.
 }
+}  // namespace
 
-EpollEventLoop::EpollEventLoop() = default;
+EventLoop::~EventLoop() { Stop(); }
 
-EpollEventLoop::~EpollEventLoop() { Stop(); }
-
-Status EpollEventLoop::Start() {
+Status EventLoop::Start() {
   epoll_fd_ = Fd(::epoll_create1(0));
   if (!epoll_fd_.valid()) return IoError("epoll_create1 failed");
   wake_fd_ = Fd(::eventfd(0, EFD_NONBLOCK));
@@ -56,7 +57,7 @@ Status EpollEventLoop::Start() {
   return Status::Ok();
 }
 
-void EpollEventLoop::Stop() {
+void EventLoop::Stop() {
   if (!running_.exchange(false)) {
     if (thread_.joinable()) thread_.join();
     return;
@@ -71,7 +72,7 @@ void EpollEventLoop::Stop() {
   pending_.clear();
 }
 
-Status EpollEventLoop::Add(int fd, bool want_read, bool want_write,
+Status EventLoop::Add(int fd, bool want_read, bool want_write,
                            FdCallback callback) {
   epoll_event ev{};
   ev.events = ToEpollEvents(want_read, want_write);
@@ -83,7 +84,7 @@ Status EpollEventLoop::Add(int fd, bool want_read, bool want_write,
   return Status::Ok();
 }
 
-Status EpollEventLoop::Modify(int fd, bool want_read, bool want_write) {
+Status EventLoop::Modify(int fd, bool want_read, bool want_write) {
   epoll_event ev{};
   ev.events = ToEpollEvents(want_read, want_write);
   ev.data.fd = fd;
@@ -93,12 +94,12 @@ Status EpollEventLoop::Modify(int fd, bool want_read, bool want_write) {
   return Status::Ok();
 }
 
-void EpollEventLoop::Remove(int fd) {
+void EventLoop::Remove(int fd) {
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
   callbacks_.erase(fd);
 }
 
-void EpollEventLoop::RunInLoop(std::function<void()> fn) {
+void EventLoop::RunInLoop(std::function<void()> fn) {
   {
     MutexLock lock(pending_mu_);
     pending_.push_back(std::move(fn));
@@ -106,7 +107,7 @@ void EpollEventLoop::RunInLoop(std::function<void()> fn) {
   EventfdSignal(wake_fd_.get());
 }
 
-void EpollEventLoop::DrainPending() {
+void EventLoop::DrainPending() {
   std::vector<std::function<void()>> work;
   {
     MutexLock lock(pending_mu_);
@@ -115,7 +116,7 @@ void EpollEventLoop::DrainPending() {
   for (auto& fn : work) fn();
 }
 
-void EpollEventLoop::Loop() {
+void EventLoop::Loop() {
   std::array<epoll_event, 64> events{};
   while (running_.load(std::memory_order_relaxed)) {
     const int n = ::epoll_wait(epoll_fd_.get(), events.data(),
@@ -151,25 +152,6 @@ void EpollEventLoop::Loop() {
     DrainPending();
   }
   DrainPending();
-}
-
-std::unique_ptr<EventLoop> MakeEventLoop(Engine requested, Engine* selected) {
-  if (requested == Engine::kIoUring) {
-    Status avail = UringAvailable();
-    if (avail.ok()) {
-      if (selected != nullptr) *selected = Engine::kIoUring;
-      return std::make_unique<UringEventLoop>();
-    }
-    // One warning per process: every loop shard of every endpoint would
-    // otherwise repeat the same line.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      JBS_WARN << "io_uring engine unavailable, falling back to epoll: "
-               << avail.message();
-    }
-  }
-  if (selected != nullptr) *selected = Engine::kEpoll;
-  return std::make_unique<EpollEventLoop>();
 }
 
 }  // namespace jbs::net

@@ -1,24 +1,12 @@
-// Event-loop abstraction for the TCP server endpoint. Two engines
-// implement the same contract (DESIGN.md §15):
-//
-//  - EpollEventLoop: the §IV-B readiness model ("Both client and server
-//    use the epoll interface to monitor and detect events from concurrent
-//    connections"). One thread runs the loop; other threads inject work
-//    via RunInLoop (eventfd wakeup).
-//  - UringEventLoop (io_uring_loop.h): completion-based io_uring rings.
-//    Readiness callbacks are emulated with re-armed single-shot
-//    IORING_OP_POLL_ADD so the endpoint's flush logic is engine-agnostic,
-//    and file-backed frames can bypass sendfile via linked
-//    READ_FIXED→SEND SQE chains on registered buffers (SubmitFileChain).
-//
-// MakeEventLoop() selects at runtime and falls back to epoll (with a
-// logged reason) when the kernel or seccomp policy rejects io_uring.
+// Event loop for the TCP server endpoint (DESIGN.md §15): the §IV-B
+// readiness model ("Both client and server use the epoll interface to
+// monitor and detect events from concurrent connections"). One thread runs
+// the loop; other threads inject work via RunInLoop (eventfd wakeup).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -26,7 +14,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "transport/engine.h"
 #include "transport/socket_util.h"
 
 namespace jbs::net {
@@ -39,81 +26,36 @@ class EventLoop {
   static constexpr uint32_t kError = 4;
 
   using FdCallback = std::function<void(uint32_t events)>;
-  /// Completion callback for SubmitFileChain: `sent` bytes reached the
-  /// socket before `st` (everything on success, a prefix on failure).
-  using ChainCallback = std::function<void(Status st, uint64_t sent)>;
 
   EventLoop() = default;
-  virtual ~EventLoop() = default;
+  ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Starts the loop thread.
-  virtual Status Start() = 0;
+  Status Start();
 
   /// Stops and joins the loop thread; all registrations dropped, along
   /// with any tasks injected too late for the loop's final drain.
-  virtual void Stop() = 0;
+  void Stop() EXCLUDES(pending_mu_);
 
   /// Registers a (nonblocking) fd. Callbacks run on the loop thread.
   /// Must be called from the loop thread or before Start().
-  virtual Status Add(int fd, bool want_read, bool want_write,
-                     FdCallback callback) = 0;
+  Status Add(int fd, bool want_read, bool want_write, FdCallback callback);
 
   /// Changes interest set. Loop thread only.
-  virtual Status Modify(int fd, bool want_read, bool want_write) = 0;
+  Status Modify(int fd, bool want_read, bool want_write);
 
   /// Unregisters (does not close). Loop thread only.
-  virtual void Remove(int fd) = 0;
+  void Remove(int fd);
 
   /// Schedules `fn` to run on the loop thread; wakes the loop. Any thread.
-  virtual void RunInLoop(std::function<void()> fn) = 0;
+  void RunInLoop(std::function<void()> fn) EXCLUDES(pending_mu_);
 
-  virtual bool InLoopThread() const = 0;
-
-  /// Engine actually running (after any construction-time fallback).
-  virtual Engine engine() const = 0;
-
-  /// True when SubmitFileChain can move file bytes to a socket without a
-  /// user-space round trip between the read and the send.
-  virtual bool SupportsFileChain() const { return false; }
-
-  /// Submits a kernel-linked pread→send chain moving `length` bytes of
-  /// `file_fd` starting at `offset` to `sock`. Loop thread only; at most
-  /// one chain in flight per socket (the endpoint must not write to
-  /// `sock` until `done` fires, or bytes would interleave). `done` runs
-  /// on the loop thread — possibly inline on immediate failure. Returns
-  /// false when the engine has no chain support (caller falls back to
-  /// sendfile); once true is returned, `done` is guaranteed to fire
-  /// unless the loop stops first.
-  virtual bool SubmitFileChain(int sock, int file_fd, uint64_t offset,
-                               uint64_t length, ChainCallback done) {
-    (void)sock;
-    (void)file_fd;
-    (void)offset;
-    (void)length;
-    (void)done;
-    return false;
-  }
-};
-
-class EpollEventLoop final : public EventLoop {
- public:
-  EpollEventLoop();
-  ~EpollEventLoop() override;
-
-  Status Start() override;
-  void Stop() override EXCLUDES(pending_mu_);
-  Status Add(int fd, bool want_read, bool want_write,
-             FdCallback callback) override;
-  Status Modify(int fd, bool want_read, bool want_write) override;
-  void Remove(int fd) override;
-  void RunInLoop(std::function<void()> fn) override EXCLUDES(pending_mu_);
-  bool InLoopThread() const override {
+  bool InLoopThread() const {
     return std::this_thread::get_id() == loop_thread_id_;
   }
-  Engine engine() const override { return Engine::kEpoll; }
 
  private:
   void Loop();
@@ -130,23 +72,5 @@ class EpollEventLoop final : public EventLoop {
   Mutex pending_mu_;
   std::vector<std::function<void()>> pending_ GUARDED_BY(pending_mu_);
 };
-
-/// Probes whether this process can create an io_uring right now. Returns
-/// Ok, or a status whose message is the fallback reason (old kernel,
-/// seccomp EPERM, sysctl kernel.io_uring_disabled, or the
-/// JBS_DISABLE_IO_URING env override used by fallback tests).
-Status UringAvailable();
-
-/// Builds a loop for `requested`, falling back to epoll with one logged
-/// warning per process when io_uring is unavailable. `selected`, when
-/// non-null, reports the engine actually built.
-std::unique_ptr<EventLoop> MakeEventLoop(Engine requested,
-                                         Engine* selected = nullptr);
-
-/// Writes one u64 to an eventfd, retrying EINTR: a signal landing between
-/// RunInLoop's enqueue and the wakeup write must not strand the task
-/// until the next unrelated wakeup (or until Stop's join, which would
-/// deadlock-ish stretch shutdown by the poll timeout).
-void EventfdSignal(int fd);
 
 }  // namespace jbs::net

@@ -69,15 +69,9 @@ class FaultInjectingTransport::FlakyConnection final : public Connection {
     auto frame = inner_->Receive(deadline);
     if (chaos.action == Action::kCorrupt && frame.ok() &&
         frame->payload_size() > 0) {
-      // One flipped bit anywhere in the *logical* payload — header fields
-      // and data bytes alike — exactly the fault the chunk CRC must
-      // catch. Received frames are contiguous today, but a scatter-gather
-      // frame (borrowed ext/file tail) is materialized first so the bit
-      // picker ranges over every payload byte.
-      if ((!frame->ext.empty() || frame->file.valid()) &&
-          !frame->Flatten().ok()) {
-        return IoError("chaos: failed to materialize frame for corruption");
-      }
+      // One flipped bit anywhere in the payload — header fields and data
+      // bytes alike — exactly the fault the chunk CRC must catch. Received
+      // frames are contiguous, so `payload` holds every byte.
       const uint64_t bit =
           chaos.entropy % (static_cast<uint64_t>(frame->payload.size()) * 8);
       frame->payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));

@@ -79,17 +79,6 @@ class RdmaConnection final : public Connection {
 
   Status Send(const Frame& frame, const Deadline& deadline) override
       EXCLUDES(send_mu_) {
-    if (frame.file.valid()) {
-      // No sendfile analogue on the verbs wire: materialize, then send.
-      Frame flat;
-      flat.type = frame.type;
-      flat.payload = frame.payload;
-      flat.ext = frame.ext;
-      flat.lease = frame.lease;
-      flat.file = frame.file;
-      JBS_RETURN_IF_ERROR(flat.Flatten());
-      return Send(flat, deadline);
-    }
     if (frame.payload_size() > ring_->buffer_size()) {
       return InvalidArgument("frame exceeds transport buffer size");
     }
@@ -319,7 +308,6 @@ class RdmaServerEndpoint final : public ServerEndpoint {
         if (it == conns_.end()) continue;
         qp = it->second.qp;
       }
-      if (frame.file.valid() && !frame.Flatten().ok()) continue;
       if (qp->PostSend(next_send_wr_++, frame.type, frame.payload,
                        frame.ext)
               .ok()) {

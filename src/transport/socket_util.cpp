@@ -5,16 +5,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#include "common/framing.h"
 
 namespace jbs::net {
 
@@ -26,30 +22,6 @@ std::string Errno(const char* what) {
 // Iovec batch bound per sendmsg call; far below IOV_MAX (1024) but enough
 // to gather many frames' header+payload pairs in one syscall.
 constexpr int kMaxIovecs = 64;
-
-// Degraded SendFileAll: pread chunks into a stack buffer and send them.
-// The extra user-space copy is counted against PayloadCopyBytes.
-Status SendFileFallback(int sock, int file_fd, uint64_t offset,
-                        uint64_t length, const Deadline& deadline) {
-  uint8_t buf[64 * 1024];
-  uint64_t done = 0;
-  while (done < length) {
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(sizeof(buf), length - done));
-    const ssize_t n =
-        ::pread(file_fd, buf, want, static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoError(Errno("pread"));
-    }
-    if (n == 0) return IoError("sendfile fallback: unexpected EOF");
-    JBS_RETURN_IF_ERROR(
-        SendAll(sock, {buf, static_cast<size_t>(n)}, deadline));
-    AddPayloadCopyBytes(static_cast<uint64_t>(n));
-    done += static_cast<uint64_t>(n);
-  }
-  return Status::Ok();
-}
 }  // namespace
 
 void Fd::Reset() {
@@ -250,34 +222,6 @@ Status SendAllV(int fd, std::span<const std::span<const uint8_t>> bufs,
       ++next;
       head_off = 0;
     }
-  }
-  return Status::Ok();
-}
-
-Status SendFileAll(int sock, int file_fd, uint64_t offset, uint64_t length,
-                   const Deadline& deadline) {
-  const bool bounded = !deadline.infinite();
-  uint64_t done = 0;
-  while (done < length) {
-    if (bounded) JBS_RETURN_IF_ERROR(WaitWritable(sock, deadline));
-    off_t off = static_cast<off_t>(offset + done);
-    const ssize_t n = ::sendfile(sock, file_fd, &off,
-                                 static_cast<size_t>(length - done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!bounded) JBS_RETURN_IF_ERROR(WaitWritable(sock, Deadline()));
-        continue;
-      }
-      if (errno == EINVAL || errno == ENOSYS || errno == EOVERFLOW) {
-        // sendfile not applicable to this fd pair: degrade to read+send.
-        return SendFileFallback(sock, file_fd, offset + done, length - done,
-                                deadline);
-      }
-      return IoError(Errno("sendfile"));
-    }
-    if (n == 0) return IoError("sendfile: unexpected EOF");
-    done += static_cast<uint64_t>(n);
   }
   return Status::Ok();
 }

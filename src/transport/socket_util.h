@@ -74,13 +74,6 @@ JBS_BLOCKING Status SendAll(int fd, std::span<const uint8_t> data,
 JBS_BLOCKING Status SendAllV(int fd, std::span<const std::span<const uint8_t>> bufs,
                 const Deadline& deadline = Deadline());
 
-/// Sends `length` bytes of `file_fd` starting at `offset` over socket
-/// `sock` via sendfile(2), resuming partial transfers. Falls back to a
-/// pread+send loop (counted by PayloadCopyBytes) when sendfile is not
-/// applicable to the fd pair. The file's own offset is not touched.
-Status SendFileAll(int sock, int file_fd, uint64_t offset, uint64_t length,
-                   const Deadline& deadline = Deadline());
-
 /// Reads exactly `out.size()` bytes. kUnavailable on clean peer close at a
 /// frame boundary (0 bytes read so far), kIoError otherwise. With a finite
 /// deadline each read is poll(2)-guarded: a silent peer fails with

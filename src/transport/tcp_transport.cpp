@@ -4,26 +4,22 @@
 // buffers out asynchronously.
 //
 // The send path is zero-copy (DESIGN.md §13): outbound frames keep their
-// payload in place — a small owned head plus a borrowed `ext` view and/or
-// a `file` segment — and the wire is fed with sendmsg(2) iovecs and
-// sendfile(2), resuming partial writes across iovec boundaries. A frame's
-// buffer lease drops when its last byte is accepted by the kernel or the
-// connection dies with the frame still queued.
+// payload in place — a small owned head plus a borrowed `ext` view — and
+// the wire is fed with sendmsg(2) iovecs, resuming partial writes across
+// iovec boundaries. A frame's buffer lease drops when its last byte is
+// accepted by the kernel or the connection dies with the frame still
+// queued.
 //
 // Execution model (DESIGN.md §15): the endpoint runs `num_loops` shards,
-// each one event loop (epoll or io_uring) owning a disjoint set of
-// connections. A connection is pinned to the shard that registered it for
-// its whole lifetime — its decoder, outbound queue, and counters are only
-// ever touched from that shard's loop thread, so the per-byte path takes
-// no locks; shard counters are relaxed atomics aggregated by stats(). On
-// the io_uring engine, a frame's file segment is moved by a kernel-linked
-// READ_FIXED→SEND chain instead of sendfile (see io_uring_loop.h).
+// each one epoll event loop owning a disjoint set of connections. A
+// connection is pinned to the shard that registered it for its whole
+// lifetime — its decoder, outbound queue, and counters are only ever
+// touched from that shard's loop thread, so the per-byte path takes no
+// locks; shard counters are relaxed atomics aggregated by stats().
 #include "transport/tcp_transport.h"
 
-#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -37,7 +33,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/failpoints.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/percore.h"
@@ -75,10 +70,6 @@ class TcpConnection final : public Connection {
     MutexLock lock(send_mu_);
     if (!alive_) return Unavailable("connection closed");
     Status st = SendAllV(fd_.get(), bufs, deadline);
-    if (st.ok() && frame.file.valid()) {
-      st = SendFileAll(fd_.get(), frame.file.fd, frame.file.offset,
-                       frame.file.length, deadline);
-    }
     if (!st.ok()) {
       alive_ = false;
       return st;
@@ -156,11 +147,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
     n = std::min(n, kMaxShards);
     shards_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      auto shard = std::make_unique<Shard>();
-      Engine selected = Engine::kEpoll;
-      shard->loop = MakeEventLoop(options_.engine, &selected);
-      engine_ = selected;  // identical across shards
-      shards_.push_back(std::move(shard));
+      shards_.push_back(std::make_unique<Shard>());
     }
     auto listener = ListenTcp(/*port=*/0);
     JBS_RETURN_IF_ERROR(listener.status());
@@ -168,16 +155,16 @@ class TcpServerEndpoint final : public ServerEndpoint {
     port_ = listener->second;
     JBS_RETURN_IF_ERROR(SetNonBlocking(listen_fd_.get()));
     for (auto& shard : shards_) {
-      Status st = shard->loop->Start();
+      Status st = shard->loop.Start();
       if (!st.ok()) {
-        for (auto& started : shards_) started->loop->Stop();
+        for (auto& started : shards_) started->loop.Stop();
         return st;
       }
     }
     // The listener lives on shard 0; accepted connections are dealt
     // round-robin across all shards. Registration must happen on the
     // loop thread.
-    EventLoop& loop0 = *shards_[0]->loop;
+    EventLoop& loop0 = shards_[0]->loop;
     std::promise<Status> done;
     loop0.RunInLoop([this, &loop0, &done] {
       done.set_value(loop0.Add(listen_fd_.get(), /*read=*/true,
@@ -189,10 +176,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
 
   uint16_t port() const override { return port_; }
 
-  bool supports_file_segments() const override { return true; }
-
-  std::string engine_name() const override { return EngineName(engine_); }
-
   Status SendAsync(ConnId conn, Frame frame) override {
     if (stopped_.load(std::memory_order_acquire)) {
       return Unavailable("endpoint stopped");
@@ -201,15 +184,14 @@ class TcpServerEndpoint final : public ServerEndpoint {
     if (index >= shards_.size()) return Status::Ok();  // unknown conn: drop
     Shard& shard = *shards_[index];
     // The frame is NOT flattened into a wire buffer: its owned payload is
-    // moved, its ext/file travel as views, and the lease rides along until
+    // moved, its ext travels as a view, and the lease rides along until
     // the flush path finishes with the bytes.
     OutFrame out;
     EncodeFrameHeader(frame, out.header);
     out.payload = std::move(frame.payload);
     out.ext = frame.ext;
-    out.file = frame.file;
-    // Last: once the lease moves, frame's ext/file views have no
-    // ownership token behind them (jbs-lease-lifetime).
+    // Last: once the lease moves, frame's ext view has no ownership token
+    // behind it (jbs-lease-lifetime).
     out.lease = std::move(frame.lease);
     auto enqueue = [this, &shard, conn, out = std::move(out)]() mutable {
       auto it = shard.conns.find(conn);
@@ -223,23 +205,19 @@ class TcpServerEndpoint final : public ServerEndpoint {
     // synchronously: if the peer half-closed right after its request, the
     // EOF must find the reply already queued, not parked behind it in the
     // pending-task list.
-    if (shard.loop->InLoopThread()) {
+    if (shard.loop.InLoopThread()) {
       enqueue();
     } else {
-      shard.loop->RunInLoop(std::move(enqueue));
+      shard.loop.RunInLoop(std::move(enqueue));
     }
     return Status::Ok();
   }
 
   void Stop() override {
     if (stopped_.exchange(true)) return;
-    // Loop Stop resolves in-flight io_uring chains (their done callbacks
-    // run on the exiting loop thread), so draining conns empty out before
-    // the maps are cleared.
-    for (auto& shard : shards_) shard->loop->Stop();
+    for (auto& shard : shards_) shard->loop.Stop();
     for (auto& shard : shards_) {
       shard->conns.clear();  // drops every queued OutFrame and its lease
-      shard->draining.clear();
     }
     listen_fd_.Reset();
   }
@@ -258,29 +236,17 @@ class TcpServerEndpoint final : public ServerEndpoint {
 
  private:
   /// One queued outbound frame, scatter-gather form. Wire order:
-  ///   header | payload | ext | spill-or-file
-  /// `mem_sent` tracks progress through the in-memory part (header,
-  /// payload, ext, spill); `file_sent` through the sendfile part. `spill`
-  /// is empty unless sendfile had to degrade to pread+send.
+  ///   header | payload | ext
+  /// `sent` tracks progress through the concatenation.
   struct OutFrame {
     uint8_t header[kFrameHeaderSize];
     std::vector<uint8_t> payload;
     std::span<const uint8_t> ext;
     std::shared_ptr<const void> lease;
-    FileSegment file;
-    std::vector<uint8_t> spill;
-    size_t mem_sent = 0;
-    uint64_t file_sent = 0;
-    /// A kernel-linked read→send chain owns the socket until it resolves;
-    /// the flush path must not write around it.
-    bool chain_inflight = false;
+    size_t sent = 0;
 
-    size_t mem_size() const {
-      return kFrameHeaderSize + payload.size() + ext.size() + spill.size();
-    }
-    uint64_t file_remaining() const { return file.length - file_sent; }
-    bool done() const {
-      return mem_sent == mem_size() && file_remaining() == 0;
+    size_t size() const {
+      return kFrameHeaderSize + payload.size() + ext.size();
     }
   };
 
@@ -295,15 +261,11 @@ class TcpServerEndpoint final : public ServerEndpoint {
   };
 
   /// One thread-per-core slice of the endpoint: a loop plus every piece
-  /// of state its pinned connections touch. `conns`/`draining` are loop
-  /// thread only; counters are per-core and aggregated at scrape.
+  /// of state its pinned connections touch. `conns` is loop thread only;
+  /// counters are per-core and aggregated at scrape.
   struct Shard {
-    std::unique_ptr<EventLoop> loop;
+    EventLoop loop;
     std::unordered_map<ConnId, ConnState> conns;
-    /// Connections closed while an io_uring chain still references their
-    /// fd: destroying the Fd would let the kernel finish the chain into a
-    /// recycled descriptor. Parked here until the chain resolves.
-    std::unordered_map<ConnId, ConnState> draining;
     PerCoreCounter connections_accepted;
     PerCoreCounter frames_received;
     PerCoreCounter frames_sent;
@@ -339,7 +301,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
         // shared_ptr, not a move capture: if the target loop stops before
         // draining its task queue, the dropped closure still closes raw.
         auto fd = std::make_shared<Fd>(Fd(raw));
-        shard.loop->RunInLoop([this, &shard, id, fd] {
+        shard.loop.RunInLoop([this, &shard, id, fd] {
           RegisterConn(shard, id, std::move(*fd));
         });
       }
@@ -352,11 +314,11 @@ class TcpServerEndpoint final : public ServerEndpoint {
     auto [it, inserted] =
         shard.conns.emplace(id, ConnState(std::move(fd),
                                           options_.max_frame_bytes));
-    Status st = shard.loop->Add(it->second.fd.get(), /*read=*/true,
-                                /*write=*/false,
-                                [this, &shard, id](uint32_t events) {
-                                  OnConnEvent(shard, id, events);
-                                });
+    Status st = shard.loop.Add(it->second.fd.get(), /*read=*/true,
+                               /*write=*/false,
+                               [this, &shard, id](uint32_t events) {
+                                 OnConnEvent(shard, id, events);
+                               });
     if (!st.ok()) {
       shard.conns.erase(it);
       return;
@@ -399,13 +361,8 @@ class TcpServerEndpoint final : public ServerEndpoint {
           return false;
         }
         state.peer_half_closed = true;
-        // With a chain in flight the completion resumes the flush; poking
-        // EPOLLOUT meanwhile would spin on a writable socket we must not
-        // write to.
-        const bool chained = state.out_queue.front().chain_inflight;
-        state.want_write = !chained;
-        shard.loop->Modify(state.fd.get(), /*read=*/false,
-                           /*write=*/!chained);
+        state.want_write = true;
+        shard.loop.Modify(state.fd.get(), /*read=*/false, /*write=*/true);
         return true;
       }
       if (!state.decoder.Feed({chunk, static_cast<size_t>(n)}).ok()) {
@@ -426,245 +383,76 @@ class TcpServerEndpoint final : public ServerEndpoint {
     return true;
   }
 
-  /// Appends frame's unsent in-memory slices to `iov`. Returns bytes
-  /// gathered.
-  static size_t GatherMem(const OutFrame& frame, iovec* iov, int& cnt) {
-    size_t gathered = 0;
+  /// Appends frame's unsent slices to `iov`.
+  static void Gather(const OutFrame& frame, iovec* iov, int& cnt) {
     size_t pos = 0;
     const std::span<const uint8_t> parts[] = {
-        {frame.header, kFrameHeaderSize},
-        frame.payload,
-        frame.ext,
-        frame.spill};
+        {frame.header, kFrameHeaderSize}, frame.payload, frame.ext};
     for (const auto& part : parts) {
       if (cnt >= kFlushIovecs) break;
       const size_t end = pos + part.size();
-      if (frame.mem_sent < end && !part.empty()) {
-        const size_t skip = frame.mem_sent > pos ? frame.mem_sent - pos : 0;
+      if (frame.sent < end && !part.empty()) {
+        const size_t skip = frame.sent > pos ? frame.sent - pos : 0;
         iov[cnt].iov_base = const_cast<uint8_t*>(part.data() + skip);
         iov[cnt].iov_len = part.size() - skip;
-        gathered += iov[cnt].iov_len;
         ++cnt;
       }
       pos = end;
     }
-    return gathered;
   }
 
+  /// Streams queued frames out until the queue drains or the socket
+  /// would block: each round gathers unsent slices across frames into one
+  /// sendmsg(2), then retires the frames it completed.
   void FlushWrites(Shard& shard, ConnId id) {
     auto it = shard.conns.find(id);
     if (it == shard.conns.end()) return;
     ConnState& state = it->second;
-    if (!state.out_queue.empty() && state.out_queue.front().chain_inflight) {
-      return;  // the chain's completion callback resumes this flush
-    }
-    bool blocked = false;
-    while (!state.out_queue.empty() && !blocked) {
-      // Phase 1: gather in-memory slices across queued frames into one
-      // sendmsg. Stop at a frame with unfinished file bytes — its
-      // sendfile part must precede any later frame's bytes.
+    while (!state.out_queue.empty()) {
       iovec iov[kFlushIovecs];
       int cnt = 0;
       for (const OutFrame& frame : state.out_queue) {
-        GatherMem(frame, iov, cnt);
-        if (frame.file_remaining() > 0 || cnt >= kFlushIovecs) break;
+        Gather(frame, iov, cnt);
+        if (cnt >= kFlushIovecs) break;
       }
-      if (cnt > 0) {
-        msghdr msg{};
-        msg.msg_iov = iov;
-        msg.msg_iovlen = static_cast<size_t>(cnt);
-        const ssize_t n =
-            ::sendmsg(state.fd.get(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
-        if (n < 0) {
-          // EINTR: nothing was transferred (sendmsg is all-or-error per
-          // call); loop and regather — mem_sent is untouched, so no byte
-          // is double-counted and the connection must not be failed.
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            blocked = true;
-          } else {
-            CloseConn(shard, id);
-            return;
-          }
-        } else {
-          shard.bytes_sent.Add(static_cast<uint64_t>(n));
-          // Advance mem_sent across the queue and retire finished frames.
-          size_t written = static_cast<size_t>(n);
-          while (written > 0 && !state.out_queue.empty()) {
-            OutFrame& front = state.out_queue.front();
-            const size_t take =
-                std::min(written, front.mem_size() - front.mem_sent);
-            front.mem_sent += take;
-            written -= take;
-            if (front.done()) {
-              state.out_queue.pop_front();
-              queued_frames_.fetch_sub(1, std::memory_order_relaxed);
-            } else if (front.mem_sent == front.mem_size()) {
-              break;  // mem done, file pending: phase 2's job
-            }
-          }
-        }
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = static_cast<size_t>(cnt);
+      const ssize_t n =
+          ::sendmsg(state.fd.get(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) {
+        // EINTR: nothing was transferred (sendmsg is all-or-error per
+        // call); loop and regather — `sent` is untouched, so no byte is
+        // double-counted and the connection must not be failed.
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        CloseConn(shard, id);
+        return;
       }
-      // Phase 2: front frame's file segment — an io_uring read→send chain
-      // when the engine has one, else sendfile(2).
-      if (!blocked && !state.out_queue.empty()) {
+      shard.bytes_sent.Add(static_cast<uint64_t>(n));
+      // Advance `sent` across the queue and retire finished frames.
+      size_t written = static_cast<size_t>(n);
+      while (written > 0 && !state.out_queue.empty()) {
         OutFrame& front = state.out_queue.front();
-        if (front.mem_sent == front.mem_size() &&
-            front.file_remaining() > 0) {
-          if (shard.loop->SupportsFileChain() &&
-              StartFileChain(shard, id, state, front)) {
-            return;  // resumed by the chain completion
-          }
-          if (!SendFileStep(shard, id, state, front, blocked)) return;
-        } else if (cnt == 0) {
-          break;  // nothing sendable (shouldn't happen)
-        }
+        const size_t take = std::min(written, front.size() - front.sent);
+        front.sent += take;
+        written -= take;
+        if (front.sent < front.size()) break;
+        state.out_queue.pop_front();
+        queued_frames_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    it = shard.conns.find(id);
-    if (it == shard.conns.end()) return;  // closed during the flush
-    ConnState& after = it->second;
-    if (after.out_queue.empty() && after.peer_half_closed) {
+    if (state.out_queue.empty() && state.peer_half_closed) {
       // Replies drained to a half-closed peer: now the connection is done.
       CloseConn(shard, id);
       return;
     }
-    const bool need_write = !after.out_queue.empty();
-    if (need_write != after.want_write) {
-      after.want_write = need_write;
-      shard.loop->Modify(after.fd.get(), /*read=*/!after.peer_half_closed,
-                         /*write=*/need_write);
+    const bool need_write = !state.out_queue.empty();
+    if (need_write != state.want_write) {
+      state.want_write = need_write;
+      shard.loop.Modify(state.fd.get(), /*read=*/!state.peer_half_closed,
+                        /*write=*/need_write);
     }
-  }
-
-  /// Hands the front frame's file remainder to the loop's kernel-linked
-  /// read→send chain. Returns false if the loop refused (caller falls
-  /// back to sendfile). While the chain is in flight the socket belongs
-  /// to it: write interest is dropped and FlushWrites bails early.
-  bool StartFileChain(Shard& shard, ConnId id, ConnState& state,
-                      OutFrame& front) {
-    if (state.want_write) {
-      state.want_write = false;
-      shard.loop->Modify(state.fd.get(), /*read=*/!state.peer_half_closed,
-                         /*write=*/false);
-    }
-    front.chain_inflight = true;
-    const bool accepted = shard.loop->SubmitFileChain(
-        state.fd.get(), front.file.fd, front.file.offset + front.file_sent,
-        front.file_remaining(),
-        [this, &shard, id](Status st, uint64_t sent) {
-          OnChainDone(shard, id, st, sent);
-        });
-    if (!accepted) front.chain_inflight = false;
-    return accepted;
-  }
-
-  /// Chain completion, on the shard's loop thread (possibly during loop
-  /// shutdown). Exactly one invocation per accepted chain.
-  void OnChainDone(Shard& shard, ConnId id, const Status& st,
-                   uint64_t sent) {
-    auto parked = shard.draining.find(id);
-    if (parked != shard.draining.end()) {
-      // Connection died mid-chain; its fd and leases were parked to keep
-      // the kernel from writing into a recycled descriptor. Release now.
-      shard.draining.erase(parked);
-      return;
-    }
-    auto it = shard.conns.find(id);
-    if (it == shard.conns.end()) return;
-    ConnState& state = it->second;
-    if (state.out_queue.empty() || !state.out_queue.front().chain_inflight) {
-      return;  // defensive; chains resolve before their frame can retire
-    }
-    OutFrame& front = state.out_queue.front();
-    front.chain_inflight = false;
-    shard.bytes_sent.Add(sent);
-    front.file_sent += sent;
-    if (!st.ok()) {
-      CloseConn(shard, id);
-      return;
-    }
-    state.out_queue.pop_front();  // chain sent the full remainder
-    queued_frames_.fetch_sub(1, std::memory_order_relaxed);
-    FlushWrites(shard, id);
-  }
-
-  /// One sendfile(2) attempt for the front frame. Returns false if the
-  /// connection was closed; sets `blocked` on EAGAIN. On fds sendfile
-  /// rejects, degrades once to a pread into `spill` (counted as copied
-  /// bytes) and lets phase 1 send it.
-  bool SendFileStep(Shard& shard, ConnId id, ConnState& state,
-                    OutFrame& front, bool& blocked) {
-    for (;;) {
-      off_t off = static_cast<off_t>(front.file.offset + front.file_sent);
-      ssize_t n;
-      if (const auto fp = JBS_FAILPOINT("tcp.sendfile")) {
-        // kError injects an errno; any other armed action simulates the
-        // n == 0 truncated-file verdict.
-        n = fp.kind == failpoints::Action::Kind::kError ? -1 : 0;
-        errno = fp.err;
-      } else {
-        n = ::sendfile(state.fd.get(), front.file.fd, &off,
-                       static_cast<size_t>(front.file_remaining()));
-      }
-      if (n < 0) {
-        // EINTR before any byte moved: retry; `off` is recomputed from
-        // file_sent, so an interrupted attempt cannot double-advance.
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          blocked = true;
-          return true;
-        }
-        if (errno == EINVAL || errno == ENOSYS || errno == EOVERFLOW) {
-          return SpillFile(shard, id, front);
-        }
-        CloseConn(shard, id);
-        return false;
-      }
-      if (n == 0) {
-        // File truncated under us; the frame can never complete.
-        CloseConn(shard, id);
-        return false;
-      }
-      shard.bytes_sent.Add(static_cast<uint64_t>(n));
-      front.file_sent += static_cast<uint64_t>(n);
-      if (front.file_remaining() == 0) {
-        state.out_queue.pop_front();
-        queued_frames_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-  }
-
-  /// Fallback when sendfile is not applicable: pread the remaining file
-  /// bytes into the frame's spill buffer (so phase 1 streams them) and
-  /// clear the file segment.
-  bool SpillFile(Shard& shard, ConnId id, OutFrame& front) {
-    const size_t start = front.spill.size();
-    const size_t want = static_cast<size_t>(front.file_remaining());
-    front.spill.resize(start + want);
-    size_t done = 0;
-    while (done < want) {
-      ssize_t n;
-      if (const auto fp = JBS_FAILPOINT("tcp.spill_pread")) {
-        n = -1;
-        errno = fp.err;
-      } else {
-        n = ::pread(
-            front.file.fd, front.spill.data() + start + done, want - done,
-            static_cast<off_t>(front.file.offset + front.file_sent + done));
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        CloseConn(shard, id);
-        return false;
-      }
-      done += static_cast<size_t>(n);
-    }
-    AddPayloadCopyBytes(want);
-    front.file = {};
-    front.file_sent = 0;
-    return true;
   }
 
   void CloseConn(Shard& shard, ConnId id) {
@@ -672,15 +460,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
     if (it == shard.conns.end()) return;
     queued_frames_.fetch_sub(it->second.out_queue.size(),
                              std::memory_order_relaxed);
-    shard.loop->Remove(it->second.fd.get());
-    if (!it->second.out_queue.empty() &&
-        it->second.out_queue.front().chain_inflight) {
-      // An io_uring chain still references this fd in the kernel. Park
-      // the state (fd + leases) until OnChainDone releases it; closing
-      // now would hand the descriptor number to the next accept and let
-      // the chain write file bytes into a stranger's socket.
-      shard.draining.emplace(id, std::move(it->second));
-    }
+    shard.loop.Remove(it->second.fd.get());
     shard.conns.erase(it);  // queued OutFrames die here, releasing leases
     if (handlers_.on_disconnect) handlers_.on_disconnect(id);
   }
@@ -688,7 +468,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
   const TcpTransportOptions options_;
   Handlers handlers_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  Engine engine_ = Engine::kEpoll;
   Fd listen_fd_;
   uint16_t port_ = 0;
   // Accept runs only on shard 0's loop thread.

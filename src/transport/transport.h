@@ -1,7 +1,7 @@
 // Portable transport layer (§IV). One abstract API with two backends:
 //
 //   - TcpTransport: real nonblocking sockets; the server side multiplexes
-//     all connections with one epoll event thread and queues outbound
+//     connections over epoll event-loop shards and queues outbound
 //     frames for asynchronous transmission (§IV-B's event-driven model).
 //   - SoftRdmaTransport: a verbs-style emulation (queue pairs, completion
 //     queues, rdma_cm-style event channel) preserving the §IV-A
@@ -21,7 +21,6 @@
 #include "common/framing.h"
 #include "common/status.h"
 #include "transport/deadline.h"
-#include "transport/engine.h"
 
 namespace jbs::net {
 
@@ -76,7 +75,7 @@ class ServerEndpoint {
   /// from any thread.
   ///
   /// Zero-copy contract (DESIGN.md §13): after SendAsync accepts a frame,
-  /// the bytes behind `frame.ext`/`frame.file` belong to the endpoint —
+  /// the bytes behind `frame.ext` belong to the endpoint —
   /// the caller must not write them and must not assume they are still
   /// readable. The frame's lease is released when the last byte reaches
   /// the socket or the connection dies with the frame still queued,
@@ -92,16 +91,6 @@ class ServerEndpoint {
     frame.lease = std::move(lease);
     return SendAsync(conn, std::move(frame));
   }
-
-  /// True when this endpoint can transmit Frame::file segments directly
-  /// (sendfile or an io_uring read→send chain). When false, callers should
-  /// serve from buffers instead; an endpoint receiving a file frame anyway
-  /// must Flatten() it.
-  virtual bool supports_file_segments() const { return false; }
-
-  /// Engine actually serving (after any io_uring→epoll fallback); empty
-  /// for endpoints without an event-loop engine (soft_rdma, fakes).
-  virtual std::string engine_name() const { return ""; }
 
   /// Stops the event thread and closes all connections.
   virtual void Stop() = 0;
@@ -139,14 +128,11 @@ struct TcpTransportOptions {
   /// 4-byte length prefix is attacker-controlled; a frame announcing more
   /// than this fails the connection instead of attempting the allocation.
   size_t max_frame_bytes = 64 * 1024 * 1024;
-  /// Server event-loop engine (DESIGN.md §15). io_uring falls back to
-  /// epoll, with a logged reason, when the kernel or seccomp refuses it.
-  Engine engine = Engine::kEpoll;
-  /// Server loop shards (thread-per-core data plane). Each accepted
-  /// connection is pinned to one shard for its lifetime; shard state is
-  /// thread-local to its loop, so no cross-core locks sit on the serve
-  /// path. 0 = one shard per available core (capped at 8); default 1
-  /// preserves the single-loop §IV-B model.
+  /// Server epoll loop shards (thread-per-core data plane, DESIGN.md §15).
+  /// Each accepted connection is pinned to one shard for its lifetime;
+  /// shard state is thread-local to its loop, so no cross-core locks sit
+  /// on the serve path. 0 = one shard per available core (capped at 8);
+  /// default 1 preserves the single-loop §IV-B model.
   int num_loops = 1;
 };
 

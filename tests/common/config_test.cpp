@@ -49,6 +49,12 @@ struct SizeCase {
   int64_t expected;
 };
 
+// Without this gtest prints the raw bytes of the case, pointer included,
+// so the discovered test names would change from run to run.
+void PrintTo(const SizeCase& c, std::ostream* os) {
+  *os << c.text << " -> " << c.expected;
+}
+
 class ParseSizeTest : public ::testing::TestWithParam<SizeCase> {};
 
 TEST_P(ParseSizeTest, Parses) {

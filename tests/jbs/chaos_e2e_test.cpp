@@ -22,7 +22,6 @@
 #include "jbs/net_merger.h"
 #include "mapred/ifile.h"
 #include "transport/fault_injection.h"
-#include "transport/io_uring_loop.h"
 
 namespace jbs {
 namespace {
@@ -48,14 +47,14 @@ std::vector<mr::Record> Drain(mr::RecordStream& stream) {
   return records;
 }
 
-class ChaosE2ETest : public ::testing::TestWithParam<net::Engine> {
+class ChaosE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
            ("chaos_e2e_" + std::to_string(::getpid()) + "_" +
-            net::EngineName(GetParam()));
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.engine = GetParam(), .num_loops = 2});
+    transport_ = net::MakeTcpTransport({.num_loops = 2});
     flaky_ = std::make_unique<net::FaultInjectingTransport>(transport_.get());
     BuildMofs();
     published_.resize(kNodes);
@@ -161,7 +160,7 @@ class ChaosE2ETest : public ::testing::TestWithParam<net::Engine> {
   std::vector<uint16_t> ports_;
 };
 
-TEST_P(ChaosE2ETest, ShuffleSurvivesCorruptionAndSupplierDeath) {
+TEST_F(ChaosE2ETest, ShuffleSurvivesCorruptionAndSupplierDeath) {
   const uint64_t seed = ChaosSeed();
   std::cout << "[chaos] seed = 0x" << std::hex << seed << std::dec
             << " (override with JBS_CHAOS_SEED)" << std::endl;
@@ -266,7 +265,7 @@ TEST_P(ChaosE2ETest, ShuffleSurvivesCorruptionAndSupplierDeath) {
   after.Stop();
 }
 
-TEST_P(ChaosE2ETest, CorruptCompressedChunksDetectedByCrcAndRetried) {
+TEST_F(ChaosE2ETest, CorruptCompressedChunksDetectedByCrcAndRetried) {
   // Compressed-chunk corruption phase: with wire compression negotiated on
   // every connection, a storm that flips a bit in each received frame is
   // hitting compressed payloads. The chunk CRC folds over the *compressed*
@@ -299,7 +298,7 @@ TEST_P(ChaosE2ETest, CorruptCompressedChunksDetectedByCrcAndRetried) {
   merger.Stop();
 }
 
-TEST_P(ChaosE2ETest, CorruptionStormAloneCannotPoisonTheMerge) {
+TEST_F(ChaosE2ETest, CorruptionStormAloneCannotPoisonTheMerge) {
   // Tighter variant without the kill: every receive in the storm is
   // corrupted, and the output must still match — isolating the CRC path
   // from the failover path.
@@ -320,19 +319,6 @@ TEST_P(ChaosE2ETest, CorruptionStormAloneCannotPoisonTheMerge) {
   EXPECT_GT(merger.merger_stats().chunks_corrupt, 0u);
   merger.Stop();
 }
-
-// Chaos survival must hold under both server engines: fault injection,
-// CRC rejection, and failover sit above the event loop, so a divergence
-// here means the io_uring data plane broke a delivery guarantee.
-std::vector<net::Engine> ServedEngines() {
-  std::vector<net::Engine> engines{net::Engine::kEpoll};
-  if (net::UringAvailable().ok()) engines.push_back(net::Engine::kIoUring);
-  return engines;
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, ChaosE2ETest,
-                         ::testing::ValuesIn(ServedEngines()),
-                         [](const auto& p) { return net::EngineName(p.param); });
 
 }  // namespace
 }  // namespace jbs

@@ -275,42 +275,12 @@ TEST_F(MofSupplierTest, ServePathCopiesZeroPayloadBytes) {
   supplier.Stop();
 }
 
-TEST_F(MofSupplierTest, SendfileFastPathServesIdenticalBytes) {
-  MofSupplier::Options options;
-  options.transport = transport_.get();
-  options.buffer_size = 4096;
-  options.buffer_count = 8;
-  options.chunk_crc = false;  // no CRC gate: every big chunk may sendfile
-  options.sendfile_min_bytes = 1024;
-  MofSupplier supplier(options);
-  ASSERT_TRUE(supplier.Start().ok());
-  auto handle = MakeMof(0, 1, 50);
-  ASSERT_TRUE(supplier.PublishMof(handle).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  const uint64_t copied_before = PayloadCopyBytes();
-  auto segment = Fetch(**conn, 0, 0, 3000);
-  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
-  auto reader = mr::MofReader::Open(handle);
-  std::vector<uint8_t> expected;
-  ASSERT_TRUE(reader->ReadSegment(0, expected).ok());
-  EXPECT_EQ(*segment, expected);
-  EXPECT_EQ(PayloadCopyBytes(), copied_before);
-  const MetricLabels labels{{"server", "mofsupplier"}};
-  EXPECT_GT(supplier.metrics()
-                .GetCounter("jbs_mofsupplier_sendfile_chunks_total", labels)
-                ->value(),
-            0u);
-  supplier.Stop();
-}
-
-TEST_F(MofSupplierTest, SendfileGatedByCrcMemo) {
+TEST_F(MofSupplierTest, RetransmitSweepHitsCrcMemo) {
   MofSupplier::Options options;
   options.transport = transport_.get();
   options.buffer_size = 4096;
   options.buffer_count = 8;
   options.chunk_crc = true;
-  options.sendfile_min_bytes = 1024;
   MofSupplier supplier(options);
   ASSERT_TRUE(supplier.Start().ok());
   auto handle = MakeMof(0, 1, 50);
@@ -318,21 +288,22 @@ TEST_F(MofSupplierTest, SendfileGatedByCrcMemo) {
   auto conn = transport_->Connect("127.0.0.1", supplier.port());
   ASSERT_TRUE(conn.ok());
   const MetricLabels labels{{"server", "mofsupplier"}};
-  auto* sendfile_chunks = supplier.metrics().GetCounter(
-      "jbs_mofsupplier_sendfile_chunks_total", labels);
+  auto* hits = supplier.metrics().GetCounter(
+      "jbs_mofsupplier_crc_cache_hits_total", labels);
 
-  // First sweep: CRC memo is cold, so every chunk must take the pooled
-  // read-back path (a sendfile serve could not stamp a CRC).
+  // First sweep: the memo is cold, so every chunk is hashed once.
   auto first = Fetch(**conn, 0, 0, 3000);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(sendfile_chunks->value(), 0u);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const uint64_t hits_after_first = hits->value();
 
-  // Retransmit sweep: CRCs are memoized, big chunks flip to sendfile and
-  // the bytes still match.
+  // Retransmit sweep: same chunks, so every CRC comes from the memo, the
+  // bytes still match, and the serve path still copies nothing.
+  const uint64_t copied_before = PayloadCopyBytes();
   auto second = Fetch(**conn, 0, 0, 3000);
-  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(*second, *first);
-  EXPECT_GT(sendfile_chunks->value(), 0u);
+  EXPECT_GT(hits->value(), hits_after_first);
+  EXPECT_EQ(PayloadCopyBytes(), copied_before);
   supplier.Stop();
 }
 

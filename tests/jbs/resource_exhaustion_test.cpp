@@ -1,8 +1,7 @@
 // Resource-exhaustion survival driven by the failpoint layer (DESIGN.md
-// §16): scripted EIO/ENOSPC/EMFILE and short reads at the syscall
-// boundaries — fd-cache open(2), the prefetch-stage pread, sendfile and
-// its spill fallback, io_uring chain submission, DataCache acquisition —
-// must be absorbed at the lowest layer that can recover them, and a full
+// §16): scripted EIO/EMFILE and short reads at the syscall boundaries —
+// fd-cache open(2), the prefetch-stage pread, DataCache acquisition — must
+// be absorbed at the lowest layer that can recover them, and a full
 // shuffle must complete byte-identical to the fault-free run. The whole
 // suite needs JBS_FAILPOINTS=ON (the `failpoints` preset) and skips
 // otherwise; failpoints are process-global, so every reference run happens
@@ -18,7 +17,7 @@
 #include "jbs/mof_supplier.h"
 #include "jbs/net_merger.h"
 #include "mapred/ifile.h"
-#include "transport/io_uring_loop.h"
+#include "transport/transport.h"
 
 namespace jbs {
 namespace {
@@ -34,7 +33,7 @@ std::vector<mr::Record> Drain(mr::RecordStream& stream) {
   return records;
 }
 
-class ResourceExhaustionTest : public ::testing::TestWithParam<net::Engine> {
+class ResourceExhaustionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!failpoints::Enabled()) {
@@ -43,10 +42,9 @@ class ResourceExhaustionTest : public ::testing::TestWithParam<net::Engine> {
     failpoints::DisarmAll();
     dir_ = fs::temp_directory_path() /
            ("resource_exhaustion_" + std::to_string(::getpid()) + "_" +
-            net::EngineName(GetParam()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.engine = GetParam(), .num_loops = 2});
+    transport_ = net::MakeTcpTransport({.num_loops = 2});
   }
   void TearDown() override {
     failpoints::DisarmAll();
@@ -110,7 +108,7 @@ class ResourceExhaustionTest : public ::testing::TestWithParam<net::Engine> {
 
 // --- fd-cache errno classification (unit level) ---
 
-TEST_P(ResourceExhaustionTest, EmfileEvictsOldestDescriptorAndRetries) {
+TEST_F(ResourceExhaustionTest, EmfileEvictsOldestDescriptorAndRetries) {
   FdCache cache(4);
   const fs::path a = dir_ / "a";
   const fs::path b = dir_ / "b";
@@ -127,7 +125,7 @@ TEST_P(ResourceExhaustionTest, EmfileEvictsOldestDescriptorAndRetries) {
   EXPECT_EQ(cache.size(), 1u);  // `a` was sacrificed
 }
 
-TEST_P(ResourceExhaustionTest, EmfileWithNothingToEvictIsResourceExhausted) {
+TEST_F(ResourceExhaustionTest, EmfileWithNothingToEvictIsResourceExhausted) {
   FdCache cache(4);  // empty: no victim to free
   const fs::path a = dir_ / "a";
   { std::ofstream(a) << "aa"; }
@@ -143,7 +141,7 @@ TEST_P(ResourceExhaustionTest, EmfileWithNothingToEvictIsResourceExhausted) {
 
 // --- prefetch-stage pread faults ---
 
-TEST_P(ResourceExhaustionTest, MidStreamPreadEioRecoveredServerSide) {
+TEST_F(ResourceExhaustionTest, MidStreamPreadEioRecoveredServerSide) {
   shuffle::MofSupplier* supplier = Boot({}, {MakeMof(0)});
   const std::vector<mr::MofLocation> locs = {
       {0, 0, "127.0.0.1", supplier->port()}};
@@ -167,7 +165,7 @@ TEST_P(ResourceExhaustionTest, MidStreamPreadEioRecoveredServerSide) {
   merger.Stop();
 }
 
-TEST_P(ResourceExhaustionTest, ShortReadsAreTransparentlyCompleted) {
+TEST_F(ResourceExhaustionTest, ShortReadsAreTransparentlyCompleted) {
   shuffle::MofSupplier* supplier = Boot({}, {MakeMof(0)});
   const std::vector<mr::MofLocation> locs = {
       {0, 0, "127.0.0.1", supplier->port()}};
@@ -185,7 +183,7 @@ TEST_P(ResourceExhaustionTest, ShortReadsAreTransparentlyCompleted) {
   merger.Stop();
 }
 
-TEST_P(ResourceExhaustionTest, PersistentPreadFailureFailsOverToReplica) {
+TEST_F(ResourceExhaustionTest, PersistentPreadFailureFailsOverToReplica) {
   const mr::MofHandle mof = MakeMof(0);
   shuffle::MofSupplier* primary = Boot({}, {mof});
   shuffle::MofSupplier* replica = Boot({}, {mof});
@@ -213,7 +211,7 @@ TEST_P(ResourceExhaustionTest, PersistentPreadFailureFailsOverToReplica) {
 
 // --- DataCache exhaustion -> kErrorBusy pushback ---
 
-TEST_P(ResourceExhaustionTest, DataCacheExhaustionShedsWithBusyPushback) {
+TEST_F(ResourceExhaustionTest, DataCacheExhaustionShedsWithBusyPushback) {
   shuffle::MofSupplier* supplier = Boot({}, {MakeMof(0)});
   const std::vector<mr::MofLocation> locs = {
       {0, 0, "127.0.0.1", supplier->port()}};
@@ -239,91 +237,9 @@ TEST_P(ResourceExhaustionTest, DataCacheExhaustionShedsWithBusyPushback) {
   merger.Stop();
 }
 
-// --- sendfile serve path faults ---
-
-TEST_P(ResourceExhaustionTest, SendfileFaultDegradesToSpillTransparently) {
-  shuffle::MofSupplier::Options sopts;
-  sopts.sendfile_min_bytes = 1;  // every memoized chunk rides sendfile
-  shuffle::MofSupplier* supplier = Boot(sopts, {MakeMof(0)});
-  const std::vector<mr::MofLocation> locs = {
-      {0, 0, "127.0.0.1", supplier->port()}};
-  // The reference fetch also memoizes every chunk CRC, which is the
-  // sendfile gate — the second fetch actually exercises the fast path.
-  const std::vector<mr::Record> expected = Reference(locs);
-
-  // sendfile rejects the fd once (EINVAL, e.g. a filesystem without
-  // splice support): the transport must degrade that frame to a pread
-  // spill and keep the bytes flowing — invisible to the merger.
-  ASSERT_TRUE(failpoints::Arm("tcp.sendfile", "einval*1").ok());
-  if (GetParam() == net::Engine::kIoUring) {
-    // Force the uring file chain out of the way so the fault lands on the
-    // sendfile step deterministically.
-    ASSERT_TRUE(failpoints::Arm("uring.submit", "false").ok());
-  }
-  shuffle::NetMerger merger(MergerOptions());
-  auto stream = merger.FetchAndMerge(0, locs);
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_TRUE(Drain(**stream) == expected);
-  EXPECT_EQ(failpoints::FireCount("tcp.sendfile"), 1u);
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 0u);
-  merger.Stop();
-}
-
-TEST_P(ResourceExhaustionTest, SpillEnospcClosesConnAndMergerRetries) {
-  shuffle::MofSupplier::Options sopts;
-  sopts.sendfile_min_bytes = 1;
-  shuffle::MofSupplier* supplier = Boot(sopts, {MakeMof(0)});
-  const std::vector<mr::MofLocation> locs = {
-      {0, 0, "127.0.0.1", supplier->port()}};
-  const std::vector<mr::Record> expected = Reference(locs);
-
-  // Both rungs of the degradation ladder fail once — sendfile rejects the
-  // fd AND the spill pread hits ENOSPC-grade trouble. The transport's only
-  // honest move is closing the connection; the merger's transient retry
-  // must then refetch on a fresh dial and still merge byte-identical.
-  ASSERT_TRUE(failpoints::Arm("tcp.sendfile", "einval*1").ok());
-  ASSERT_TRUE(failpoints::Arm("tcp.spill_pread", "enospc*1").ok());
-  if (GetParam() == net::Engine::kIoUring) {
-    ASSERT_TRUE(failpoints::Arm("uring.submit", "false").ok());
-  }
-  shuffle::NetMerger merger(MergerOptions());
-  auto stream = merger.FetchAndMerge(0, locs);
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_TRUE(Drain(**stream) == expected);
-  EXPECT_EQ(failpoints::FireCount("tcp.spill_pread"), 1u);
-  EXPECT_GE(merger.merger_stats().fetch_retries, 1u);
-  merger.Stop();
-}
-
-TEST_P(ResourceExhaustionTest, UringSubmitFailureFallsBackToSendfile) {
-  if (GetParam() != net::Engine::kIoUring) {
-    GTEST_SKIP() << "io_uring-only fallback path";
-  }
-  shuffle::MofSupplier::Options sopts;
-  sopts.sendfile_min_bytes = 1;
-  shuffle::MofSupplier* supplier = Boot(sopts, {MakeMof(0)});
-  const std::vector<mr::MofLocation> locs = {
-      {0, 0, "127.0.0.1", supplier->port()}};
-  const std::vector<mr::Record> expected = Reference(locs);
-
-  // Every chain submission is refused (as on a ring without linked-SQE
-  // support): file frames must fall back to classic sendfile and the
-  // shuffle complete untouched.
-  ASSERT_TRUE(failpoints::Arm("uring.submit", "false").ok());
-  shuffle::NetMerger merger(MergerOptions());
-  auto stream = merger.FetchAndMerge(0, locs);
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_TRUE(Drain(**stream) == expected);
-  if (failpoints::HitCount("uring.submit") == 0) {
-    GTEST_SKIP() << "ring lacks chain support; submit path never reached";
-  }
-  EXPECT_GT(failpoints::FireCount("uring.submit"), 0u);
-  merger.Stop();
-}
-
 // --- EMFILE storm across a replicated multi-node shuffle ---
 
-TEST_P(ResourceExhaustionTest, EmfileStormDuringShuffleSurvives) {
+TEST_F(ResourceExhaustionTest, EmfileStormDuringShuffleSurvives) {
   constexpr int kNodes = 3;
   // 3 primary MOFs per node: strictly more than the 2-entry fd cache, so
   // the storm run keeps cycling files through the cache and reaching
@@ -390,16 +306,6 @@ TEST_P(ResourceExhaustionTest, EmfileStormDuringShuffleSurvives) {
   EXPECT_EQ(shed, 0u);
   merger.Stop();
 }
-
-std::vector<net::Engine> ServedEngines() {
-  std::vector<net::Engine> engines{net::Engine::kEpoll};
-  if (net::UringAvailable().ok()) engines.push_back(net::Engine::kIoUring);
-  return engines;
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, ResourceExhaustionTest,
-                         ::testing::ValuesIn(ServedEngines()),
-                         [](const auto& p) { return net::EngineName(p.param); });
 
 }  // namespace
 }  // namespace jbs

@@ -16,7 +16,6 @@
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
 #include "mapred/mof.h"
-#include "transport/io_uring_loop.h"
 #include "transport/transport.h"
 
 namespace jbs::shuffle {
@@ -24,23 +23,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The compression protocol must behave identically under both server
-// engines — the codec sits above the transport, so any divergence is an
-// engine bug, not a codec one.
-std::vector<net::Engine> ServedEngines() {
-  std::vector<net::Engine> engines{net::Engine::kEpoll};
-  if (net::UringAvailable().ok()) engines.push_back(net::Engine::kIoUring);
-  return engines;
-}
-
-class WireCompressTest : public ::testing::TestWithParam<net::Engine> {
+class WireCompressTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
            ("wire_compress_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.engine = GetParam(), .num_loops = 2});
+    transport_ = net::MakeTcpTransport({.num_loops = 2});
   }
   void TearDown() override {
     suppliers_.clear();
@@ -172,7 +162,7 @@ class WireCompressTest : public ::testing::TestWithParam<net::Engine> {
   std::vector<std::unique_ptr<MofSupplier>> suppliers_;
 };
 
-TEST_P(WireCompressTest, AdvertisedClientGetsCompressedByteIdenticalChunks) {
+TEST_F(WireCompressTest, AdvertisedClientGetsCompressedByteIdenticalChunks) {
   MofSupplier* supplier = MakeSupplier();
   auto handle = MakeCompressibleMof(0, 2, 60);
   ASSERT_TRUE(supplier->PublishMof(handle).ok());
@@ -194,7 +184,7 @@ TEST_P(WireCompressTest, AdvertisedClientGetsCompressedByteIdenticalChunks) {
   supplier->Stop();
 }
 
-TEST_P(WireCompressTest, HellolessClientStillGetsRawChunks) {
+TEST_F(WireCompressTest, HellolessClientStillGetsRawChunks) {
   // Backward compatibility: an old (v1) client never sends a hello, so the
   // supplier must serve it exactly as before — raw chunks, valid CRCs.
   MofSupplier* supplier = MakeSupplier();
@@ -211,7 +201,7 @@ TEST_P(WireCompressTest, HellolessClientStillGetsRawChunks) {
   supplier->Stop();
 }
 
-TEST_P(WireCompressTest, KnobOffIgnoresAdvertisement) {
+TEST_F(WireCompressTest, KnobOffIgnoresAdvertisement) {
   MofSupplier* supplier = MakeSupplier(/*wire_compress=*/false);
   auto handle = MakeCompressibleMof(1, 1, 60);
   ASSERT_TRUE(supplier->PublishMof(handle).ok());
@@ -226,7 +216,7 @@ TEST_P(WireCompressTest, KnobOffIgnoresAdvertisement) {
   supplier->Stop();
 }
 
-TEST_P(WireCompressTest, IncompressibleChunksShipRawViaBailout) {
+TEST_F(WireCompressTest, IncompressibleChunksShipRawViaBailout) {
   MofSupplier* supplier = MakeSupplier();
   auto handle = MakeRandomMof(7, 80);
   ASSERT_TRUE(supplier->PublishMof(handle).ok());
@@ -246,7 +236,7 @@ TEST_P(WireCompressTest, IncompressibleChunksShipRawViaBailout) {
   supplier->Stop();
 }
 
-TEST_P(WireCompressTest, CompressMemoHitsAcrossRefetch) {
+TEST_F(WireCompressTest, CompressMemoHitsAcrossRefetch) {
   MofSupplier* supplier = MakeSupplier();
   auto handle = MakeCompressibleMof(2, 1, 60);
   ASSERT_TRUE(supplier->PublishMof(handle).ok());
@@ -276,7 +266,7 @@ TEST_P(WireCompressTest, CompressMemoHitsAcrossRefetch) {
   supplier->Stop();
 }
 
-TEST_P(WireCompressTest, SegmentCompressedMofIsNeverRecompressed) {
+TEST_F(WireCompressTest, SegmentCompressedMofIsNeverRecompressed) {
   // A MOF whose segments are already block-compressed on disk ships as
   // stored: kSegmentCompressed set, kChunkCompressed never.
   mr::IFileWriter segment;
@@ -303,7 +293,7 @@ TEST_P(WireCompressTest, SegmentCompressedMofIsNeverRecompressed) {
   supplier->Stop();
 }
 
-TEST_P(WireCompressTest, MergerDecompressesEndToEnd) {
+TEST_F(WireCompressTest, MergerDecompressesEndToEnd) {
   // Full client path: NetMerger advertises by default, supplier
   // compresses, and the merged record stream is identical to a
   // compression-off run.
@@ -348,10 +338,6 @@ TEST_P(WireCompressTest, MergerDecompressesEndToEnd) {
   supplier->Stop();
   plain->Stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, WireCompressTest,
-                         ::testing::ValuesIn(ServedEngines()),
-                         [](const auto& p) { return net::EngineName(p.param); });
 
 }  // namespace
 }  // namespace jbs::shuffle

@@ -2,7 +2,7 @@
 // so fixtures compile under the jbs-tidy driver with no include paths
 // and no system headers. Shapes mirror the real declarations (names are
 // what the checks match on: record names Frame/Mutex/MutexLock, member
-// names lease/ext/payload/file, EventLoop-ish receivers, the jbs_*
+// names lease/ext/payload, EventLoop-ish receivers, the jbs_*
 // annotate attributes); bodies are irrelevant and mostly absent.
 #pragma once
 
@@ -47,12 +47,6 @@ struct Span {
   unsigned long size = 0;
 };
 
-struct FileSegment {
-  int fd = -1;
-  long offset = 0;
-  long length = 0;
-};
-
 struct Bytes {
   unsigned char* data = nullptr;
   unsigned long size = 0;
@@ -61,14 +55,12 @@ struct Bytes {
 struct Frame {
   Bytes payload;
   Span ext;
-  FileSegment file;
   SharedLease lease;
 };
 
 struct OutFrame {
   Bytes payload;
   Span ext;
-  FileSegment file;
   SharedLease lease;
 };
 
@@ -97,8 +89,6 @@ class EventLoop {
   void Add(int fd, Fn cb);
   template <typename Fn>
   void RunInLoop(Fn fn);
-  template <typename Fn>
-  void SubmitFileChain(int fd, Fn done);
 };
 
 struct Handlers {

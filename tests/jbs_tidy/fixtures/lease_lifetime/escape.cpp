@@ -12,5 +12,5 @@ void SuppressedNextLine(jbs::Frame f) {
   jbs::OutFrame out;
   out.lease = std::move(f.lease);
   // NOLINTNEXTLINE(jbs-lease-lifetime)
-  out.file = f.file;
+  out.ext = f.ext;
 }

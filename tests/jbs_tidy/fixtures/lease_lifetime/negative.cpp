@@ -7,7 +7,6 @@ void Consume(jbs::Span ext, jbs::SharedLease lease);
 void CopyViewsFirst(jbs::Frame f) {
   jbs::OutFrame out;
   out.ext = f.ext;
-  out.file = f.file;
   out.lease = std::move(f.lease);
 }
 
@@ -17,7 +16,7 @@ void ReassignedLease(jbs::Frame f, jbs::SharedLease fresh) {
   jbs::OutFrame out;
   out.lease = std::move(f.lease);
   f.lease = std::move(fresh);
-  out.file = f.file;
+  out.ext = f.ext;
 }
 
 // Reads of a DIFFERENT frame around the move are fine.
@@ -25,7 +24,7 @@ void DistinctFrames(jbs::Frame a, jbs::Frame b) {
   Consume(b.ext, std::move(a.lease));
   jbs::OutFrame out;
   out.lease = std::move(b.lease);
-  out.file = a.file;
+  out.ext = a.ext;
 }
 
 // Moving the payload (owned, not a view) is not a lease hazard.

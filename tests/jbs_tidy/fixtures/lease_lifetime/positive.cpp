@@ -14,7 +14,7 @@ void UnsequencedArguments(jbs::Frame f) {
 // statement after the statement that moved the lease away.
 void ReadAfterMoveStatement(jbs::Frame f) {
   jbs::OutFrame out;
-  out.ext = f.ext;
+  out.payload = std::move(f.payload);
   out.lease = std::move(f.lease);
-  out.file = f.file;  // expect: jbs-lease-lifetime
+  out.ext = f.ext;  // expect: jbs-lease-lifetime
 }

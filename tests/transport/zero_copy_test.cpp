@@ -1,18 +1,13 @@
 // Zero-copy serve path (DESIGN.md §13): vectored partial writes, buffer
-// ownership handoff, sendfile file segments, and the inbound frame cap.
-// Endpoint tests are parameterized over both event-loop engines
-// (DESIGN.md §15): every zero-copy invariant must hold identically on
-// epoll and io_uring.
+// ownership handoff, and the inbound frame cap.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
 #include <future>
 #include <numeric>
 #include <thread>
@@ -21,22 +16,12 @@
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
 #include "common/framing.h"
-#include "transport/event_loop.h"
 #include "transport/rdma_transport.h"
 #include "transport/socket_util.h"
 #include "transport/transport.h"
 
 namespace jbs::net {
 namespace {
-
-/// Engines this kernel can actually run; io_uring drops out on kernels or
-/// seccomp policies that refuse ring creation (the fallback path has its
-/// own tests in uring_loop_test.cpp).
-std::vector<Engine> ServedEngines() {
-  std::vector<Engine> engines{Engine::kEpoll};
-  if (UringAvailable().ok()) engines.push_back(Engine::kIoUring);
-  return engines;
-}
 
 std::vector<uint8_t> Pattern(size_t n, uint32_t seed = 1) {
   std::vector<uint8_t> out(n);
@@ -124,40 +109,14 @@ TEST(SendAllVTest, AllEmptySpansIsANoOp) {
   ::close(sv[1]);
 }
 
-// ---- SendFileAll ---------------------------------------------------------
-
-TEST(SendFileAllTest, FileBytesArriveByteIdentical) {
-  char path[] = "/tmp/jbs_zero_copy_XXXXXX";
-  const int file_fd = ::mkstemp(path);
-  ASSERT_GE(file_fd, 0);
-  const std::vector<uint8_t> content = Pattern(1 << 20, 99);
-  ASSERT_EQ(::pwrite(file_fd, content.data(), content.size(), 0),
-            static_cast<ssize_t>(content.size()));
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  // Serve a sub-range to prove the offset plumbing.
-  const uint64_t off = 4096, len = content.size() - 8192;
-  auto reader =
-      std::async(std::launch::async, [&] { return DrainFd(sv[1], len); });
-  EXPECT_TRUE(SendFileAll(sv[0], file_fd, off, len).ok());
-  ::shutdown(sv[0], SHUT_WR);
-  const std::vector<uint8_t> got = reader.get();
-  ASSERT_EQ(got.size(), len);
-  EXPECT_TRUE(std::equal(got.begin(), got.end(), content.begin() + off));
-  ::close(sv[0]);
-  ::close(sv[1]);
-  ::close(file_fd);
-  ::unlink(path);
-}
-
 // ---- Server endpoint: scatter-gather frames ------------------------------
 
-class ZeroCopyEndpointTest : public ::testing::TestWithParam<Engine> {
+class ZeroCopyEndpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // Two loop shards so the accept→shard handoff and per-shard flush
     // state run under every test, not just a dedicated one.
-    transport_ = MakeTcpTransport({.engine = GetParam(), .num_loops = 2});
+    transport_ = MakeTcpTransport({.num_loops = 2});
     auto server = transport_->CreateServer();
     ASSERT_TRUE(server.ok());
     server_ = std::move(*server);
@@ -169,13 +128,7 @@ class ZeroCopyEndpointTest : public ::testing::TestWithParam<Engine> {
   std::unique_ptr<ServerEndpoint> server_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Engines, ZeroCopyEndpointTest,
-                         ::testing::ValuesIn(ServedEngines()),
-                         [](const ::testing::TestParamInfo<Engine>& p) {
-                           return std::string(EngineName(p.param));
-                         });
-
-TEST_P(ZeroCopyEndpointTest, ExtFrameArrivesContiguousWithZeroCopies) {
+TEST_F(ZeroCopyEndpointTest, ExtFrameArrivesContiguousWithZeroCopies) {
   ServerEndpoint::Handlers handlers;
   std::atomic<ConnId> peer{0};
   handlers.on_connect = [&](ConnId id) { peer = id; };
@@ -200,7 +153,7 @@ TEST_P(ZeroCopyEndpointTest, ExtFrameArrivesContiguousWithZeroCopies) {
   EXPECT_EQ(PayloadCopyBytes(), copied_before);
 }
 
-TEST_P(ZeroCopyEndpointTest, ManyExtFramesInterleaveInOrder) {
+TEST_F(ZeroCopyEndpointTest, ManyExtFramesInterleaveInOrder) {
   ServerEndpoint::Handlers handlers;
   std::atomic<ConnId> peer{0};
   handlers.on_connect = [&](ConnId id) { peer = id; };
@@ -227,75 +180,9 @@ TEST_P(ZeroCopyEndpointTest, ManyExtFramesInterleaveInOrder) {
   }
 }
 
-TEST_P(ZeroCopyEndpointTest, FileSegmentFrameServedViaSendfile) {
-  char path[] = "/tmp/jbs_zero_copy_srv_XXXXXX";
-  const int file_fd = ::mkstemp(path);
-  ASSERT_GE(file_fd, 0);
-  const std::vector<uint8_t> content = Pattern(600'000, 42);
-  ASSERT_EQ(::pwrite(file_fd, content.data(), content.size(), 0),
-            static_cast<ssize_t>(content.size()));
-
-  ServerEndpoint::Handlers handlers;
-  std::atomic<ConnId> peer{0};
-  handlers.on_connect = [&](ConnId id) { peer = id; };
-  ASSERT_TRUE(server_->Start(handlers).ok());
-  ASSERT_TRUE(server_->supports_file_segments());
-  auto conn = transport_->Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE(WaitUntil([&] { return peer.load() != 0; }));
-
-  const std::vector<uint8_t> head = Pattern(16, 3);
-  Frame frame;
-  frame.type = 4;
-  frame.payload = head;
-  frame.file = FileSegment{file_fd, 0, content.size()};
-  ASSERT_TRUE(server_->SendAsync(peer, std::move(frame)).ok());
-
-  auto got = (*conn)->Receive();
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->payload.size(), head.size() + content.size());
-  EXPECT_TRUE(std::equal(head.begin(), head.end(), got->payload.begin()));
-  EXPECT_TRUE(std::equal(content.begin(), content.end(),
-                         got->payload.begin() + head.size()));
-  ::close(file_fd);
-  ::unlink(path);
-}
-
-TEST_P(ZeroCopyEndpointTest, ClientSendAlsoTakesFileSegments) {
-  char path[] = "/tmp/jbs_zero_copy_cli_XXXXXX";
-  const int file_fd = ::mkstemp(path);
-  ASSERT_GE(file_fd, 0);
-  const std::vector<uint8_t> content = Pattern(250'000, 17);
-  ASSERT_EQ(::pwrite(file_fd, content.data(), content.size(), 0),
-            static_cast<ssize_t>(content.size()));
-
-  ServerEndpoint::Handlers handlers;
-  std::promise<Frame> seen;
-  handlers.on_frame = [&](ConnId, Frame frame) {
-    seen.set_value(std::move(frame));
-  };
-  ASSERT_TRUE(server_->Start(handlers).ok());
-  auto conn = transport_->Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(conn.ok());
-
-  Frame frame;
-  frame.type = 8;
-  frame.file = FileSegment{file_fd, 1000, 200'000};
-  ASSERT_TRUE((*conn)->Send(frame).ok());
-  auto fut = seen.get_future();
-  ASSERT_EQ(fut.wait_for(std::chrono::seconds(5)),
-            std::future_status::ready);
-  const Frame got = fut.get();
-  ASSERT_EQ(got.payload.size(), 200'000u);
-  EXPECT_TRUE(std::equal(got.payload.begin(), got.payload.end(),
-                         content.begin() + 1000));
-  ::close(file_fd);
-  ::unlink(path);
-}
-
 // ---- Buffer-ownership handoff: the lease returns exactly once ------------
 
-TEST_P(ZeroCopyEndpointTest, PooledBufferReturnsAfterSend) {
+TEST_F(ZeroCopyEndpointTest, PooledBufferReturnsAfterSend) {
   BufferPool pool(64 * 1024, 1);
   ServerEndpoint::Handlers handlers;
   std::atomic<ConnId> peer{0};
@@ -327,7 +214,7 @@ TEST_P(ZeroCopyEndpointTest, PooledBufferReturnsAfterSend) {
   }
 }
 
-TEST_P(ZeroCopyEndpointTest, QueuedLeasesReleaseWhenPeerDisconnects) {
+TEST_F(ZeroCopyEndpointTest, QueuedLeasesReleaseWhenPeerDisconnects) {
   BufferPool pool(64 * 1024, 4);
   ServerEndpoint::Handlers handlers;
   std::atomic<ConnId> peer{0};
@@ -372,7 +259,7 @@ TEST_P(ZeroCopyEndpointTest, QueuedLeasesReleaseWhenPeerDisconnects) {
       << "disconnect must release every queued frame's lease exactly once";
 }
 
-TEST_P(ZeroCopyEndpointTest, QueuedLeasesReleaseOnServerStop) {
+TEST_F(ZeroCopyEndpointTest, QueuedLeasesReleaseOnServerStop) {
   BufferPool pool(64 * 1024, 4);
   ServerEndpoint::Handlers handlers;
   std::atomic<ConnId> peer{0};
@@ -456,19 +343,11 @@ TEST(SendAllVTest, SignalStormDuringTinySndbufPushIsInvisible) {
   ::close(sv[1]);
 }
 
-TEST_P(ZeroCopyEndpointTest, ServerFlushSurvivesSignalStorm) {
+TEST_F(ZeroCopyEndpointTest, ServerFlushSurvivesSignalStorm) {
   // Regression for the FlushWrites EINTR contract: a signal interrupting
-  // the gathered sendmsg, the sendfile step, or an io_uring enter must
-  // neither fail the connection nor double-count bytes
-  // (jbs_serve_bytes_copied_total stays put; the stream stays
-  // byte-identical).
-  char path[] = "/tmp/jbs_signal_storm_XXXXXX";
-  const int file_fd = ::mkstemp(path);
-  ASSERT_GE(file_fd, 0);
-  const std::vector<uint8_t> content = Pattern(256 * 1024, 77);
-  ASSERT_EQ(::pwrite(file_fd, content.data(), content.size(), 0),
-            static_cast<ssize_t>(content.size()));
-
+  // the gathered sendmsg must neither fail the connection nor
+  // double-count bytes (jbs_serve_bytes_copied_total stays put; the
+  // stream stays byte-identical).
   ServerEndpoint::Handlers handlers;
   std::atomic<ConnId> peer{0};
   std::atomic<int> disconnects{0};
@@ -511,24 +390,21 @@ TEST_P(ZeroCopyEndpointTest, ServerFlushSurvivesSignalStorm) {
     }
   });
 
-  // Mixed traffic: ext frames (gathered sendmsg) and file frames
-  // (sendfile / io_uring chain), so every flush phase runs under fire.
+  // Mixed shapes: bare ext frames and owned-head + ext frames, so the
+  // gather resumes mid-header, mid-head and mid-ext under fire.
   for (int i = 0; i < kFrames; ++i) {
-    Frame frame;
-    if (i % 2 == 0) {
-      std::vector<uint8_t> tail = Pattern(96 * 1024, 500 + i);
-      PutU32(expected, static_cast<uint32_t>(tail.size()));
-      expected.push_back(static_cast<uint8_t>(i));
-      expected.insert(expected.end(), tail.begin(), tail.end());
-      frame = ExtFrame(static_cast<uint8_t>(i), {}, std::move(tail));
-    } else {
-      frame.type = static_cast<uint8_t>(i);
-      frame.file = FileSegment{file_fd, 0, content.size()};
-      PutU32(expected, static_cast<uint32_t>(content.size()));
-      expected.push_back(static_cast<uint8_t>(i));
-      expected.insert(expected.end(), content.begin(), content.end());
-    }
-    ASSERT_TRUE(server_->SendAsync(peer, std::move(frame)).ok());
+    std::vector<uint8_t> head =
+        i % 2 == 0 ? std::vector<uint8_t>{} : Pattern(4000 + i, 700 + i);
+    std::vector<uint8_t> tail = Pattern(96 * 1024 + 64 * i, 500 + i);
+    PutU32(expected, static_cast<uint32_t>(head.size() + tail.size()));
+    expected.push_back(static_cast<uint8_t>(i));
+    expected.insert(expected.end(), head.begin(), head.end());
+    expected.insert(expected.end(), tail.begin(), tail.end());
+    ASSERT_TRUE(server_
+                    ->SendAsync(peer, ExtFrame(static_cast<uint8_t>(i),
+                                               std::move(head),
+                                               std::move(tail)))
+                    .ok());
   }
   // This thread has SIGUSR1 blocked, so the drain itself is undisturbed.
   // Throttled 4KB reads hold the server at EAGAIN for the whole transfer,
@@ -556,8 +432,6 @@ TEST_P(ZeroCopyEndpointTest, ServerFlushSurvivesSignalStorm) {
       << "a mid-syscall signal must never fail the connection";
   EXPECT_EQ(PayloadCopyBytes(), copied_before)
       << "EINTR retries must not re-copy (double-count) payload bytes";
-  ::close(file_fd);
-  ::unlink(path);
 }
 
 // ---- Inbound frame cap ---------------------------------------------------

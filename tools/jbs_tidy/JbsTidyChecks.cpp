@@ -116,7 +116,7 @@ const FunctionDecl* EnclosingFunction(const Stmt* stmt, ASTContext& context) {
 void LeaseLifetimeCheck::RegisterMatchers(MatchFinder* finder) {
   // std::move(<frame-ish>.lease): the hazard source. Frame-ish means the
   // member's parent record is named *Frame and also declares the viewing
-  // members we protect (ext/payload/file).
+  // members we protect (ext/payload).
   finder->addMatcher(
       callExpr(callee(functionDecl(hasName("::std::move"))),
                argumentCountIs(1),
@@ -137,7 +137,7 @@ bool IsFrameLikeLeaseMember(const MemberExpr* member) {
   return record != nullptr && record->getName().endswith("Frame");
 }
 
-/// Reads of <base>.ext / .payload / .file rooted in `base_decl` within
+/// Reads of <base>.ext / .payload rooted in `base_decl` within
 /// `stmt` (excluding any subtree of `exclude`).
 void CollectHazardReads(const Stmt* stmt, const ValueDecl* base_decl,
                         const Stmt* exclude,
@@ -145,7 +145,7 @@ void CollectHazardReads(const Stmt* stmt, const ValueDecl* base_decl,
   if (stmt == nullptr || stmt == exclude) return;
   if (const auto* member = dyn_cast<MemberExpr>(stmt)) {
     const llvm::StringRef name = member->getMemberDecl()->getName();
-    if ((name == "ext" || name == "payload" || name == "file") &&
+    if ((name == "ext" || name == "payload") &&
         RootDeclOf(member->getBase()) == base_decl) {
       out->push_back(member);
     }
@@ -194,7 +194,7 @@ void LeaseLifetimeCheck::run(const MatchFinder::MatchResult& result) {
   ASTContext& context = *result.Context;
 
   // Case 1 — unsequenced sibling argument: the move and a read of
-  // ext/payload/file on the same frame appear as arguments of one call,
+  // ext/payload on the same frame appear as arguments of one call,
   // whose evaluation order is unspecified. Ascend through every call and
   // construct ancestor up to the statement boundary: by-value lease
   // parameters interpose a CXXConstructExpr between the move and the
@@ -237,7 +237,7 @@ void LeaseLifetimeCheck::run(const MatchFinder::MatchResult& result) {
   if (block == nullptr) return;
 
   // Case 2 — later sibling statement: after the statement containing the
-  // move, reads of ext/payload/file on the same frame are dereferencing
+  // move, reads of ext/payload on the same frame are dereferencing
   // views whose ownership token was given away, until the lease (or the
   // whole frame) is reassigned.
 
@@ -269,7 +269,7 @@ void LeaseLifetimeCheck::run(const MatchFinder::MatchResult& result) {
 namespace {
 
 /// Raw syscalls that block the calling thread. Deliberate absences:
-/// sendfile/sendmsg/recv/pread — the serve path issues them on the loop
+/// sendmsg/recv/pread — the serve path issues them on the loop
 /// thread with nonblocking sockets (or eats the bounded disk latency) by
 /// design; accept/accept4 — the loop only learns about a listener via
 /// epoll readability, so accept on the loop is nonblocking by
@@ -301,7 +301,7 @@ bool IsLoopRegistration(const CXXMemberCallExpr* call) {
   const CXXMethodDecl* method = call->getMethodDecl();
   if (method == nullptr) return false;
   const llvm::StringRef name = method->getName();
-  if (name != "Add" && name != "RunInLoop" && name != "SubmitFileChain") {
+  if (name != "Add" && name != "RunInLoop") {
     return false;
   }
   // Require a loop-ish receiver so unrelated Add() methods don't turn
@@ -440,7 +440,7 @@ void EintrRetryCheck::RegisterMatchers(MatchFinder* finder) {
                    "::recvfrom", "::sendto", "::recvmsg", "::sendmsg",
                    "::accept", "::accept4", "::connect", "::open", "::openat",
                    "::epoll_wait", "::poll", "::ppoll", "::select",
-                   "::sendfile", "::splice", "::flock", "::waitpid",
+                   "::splice", "::flock", "::waitpid",
                    "::eventfd_read", "::eventfd_write"))),
                unless(isExpansionInSystemHeader()))
           .bind("syscall"),

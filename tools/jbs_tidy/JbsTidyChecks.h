@@ -2,7 +2,7 @@
 // (DESIGN.md §17), each distilled from a bug class we actually shipped
 // and fixed:
 //
-//   jbs-lease-lifetime      PR 6: reads of Frame::ext/payload/file
+//   jbs-lease-lifetime      zero-copy rework: reads of Frame::ext/payload
 //                           sequenced after (or unsequenced with) a
 //                           std::move of the same frame's `lease`.
 //   jbs-loop-thread-blocking PR 5: blocking calls reachable from event-
@@ -66,7 +66,7 @@ class JbsCheck : public clang::ast_matchers::MatchFinder::MatchCallback {
 };
 
 /// PR 6 bug class: `use(frame.ext, std::move(frame.lease))` — argument
-/// evaluation order is unspecified, so the ext/payload/file read can see
+/// evaluation order is unspecified, so the ext/payload read can see
 /// a moved-from lease; and any read of those members in a statement after
 /// the move (until the lease is reassigned) dereferences a view whose
 /// ownership token this frame no longer holds. Applies to record types
@@ -82,7 +82,7 @@ class LeaseLifetimeCheck : public JbsCheck {
 
 /// PR 5 bug class (fd_cache held open(2) under a lock on the hot path):
 /// blocking calls must not be reachable from event-loop context. Roots:
-/// lambdas passed to EventLoop::Add / RunInLoop / SubmitFileChain,
+/// lambdas passed to EventLoop::Add / RunInLoop,
 /// lambdas assigned to `.on_frame` / `.on_disconnect` / `.on_accept`
 /// handler members, and methods named OnFrame / OnDisconnect. Blocking
 /// leaves: a curated syscall/helper list plus anything annotated
