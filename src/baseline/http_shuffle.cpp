@@ -392,25 +392,22 @@ StatusOr<std::unique_ptr<mr::RecordStream>> MofCopierClient::FetchAndMerge(
       return Internal("missing fetch result for map " +
                       std::to_string(source.map_task));
     }
+    std::vector<uint8_t> data = std::move(it->second.in_memory);
     if (!it->second.spilled.empty()) {
       // Read the spill back (the disk round trip).
       std::ifstream in(it->second.spilled, std::ios::binary | std::ios::ate);
       if (!in) return IoError("cannot re-open spill");
-      std::vector<uint8_t> data(static_cast<size_t>(in.tellg()));
+      data.resize(static_cast<size_t>(in.tellg()));
       in.seekg(0);
       in.read(reinterpret_cast<char*>(data.data()),
               static_cast<std::streamsize>(data.size()));
       std::error_code ec;
       std::filesystem::remove(it->second.spilled, ec);
-      auto stream = mr::OpenSegment(std::move(data), it->second.compressed);
-      JBS_RETURN_IF_ERROR(stream.status());
-      streams.push_back(std::move(stream).value());
-    } else {
-      auto stream = mr::OpenSegment(std::move(it->second.in_memory),
-                                    it->second.compressed);
-      JBS_RETURN_IF_ERROR(stream.status());
-      streams.push_back(std::move(stream).value());
     }
+    auto owned = std::make_shared<const std::vector<uint8_t>>(std::move(data));
+    auto stream = mr::OpenSegment(*owned, owned, it->second.compressed);
+    JBS_RETURN_IF_ERROR(stream.status());
+    streams.push_back(std::move(stream).value());
   }
   return std::unique_ptr<mr::RecordStream>(
       std::make_unique<mr::KWayMerger>(std::move(streams)));

@@ -1,7 +1,7 @@
 // Byte-level encoding helpers shared by the MOF/IFile formats and the
 // shuffle wire protocol: fixed-width big-endian integers, Hadoop-style
-// zig-zag varints (WritableUtils.writeVLong compatible in spirit), and a
-// CRC32 used for segment checksums.
+// zig-zag varints (WritableUtils.writeVLong compatible in spirit), and the
+// CRC32 behind every segment and chunk checksum.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,17 @@ std::optional<int64_t> GetVarint64(std::span<const uint8_t> data,
 /// Number of bytes PutVarint64 would emit.
 size_t VarintSize(int64_t v);
 
-/// CRC32 (IEEE 802.3 polynomial, table-driven).
+/// CRC32 (IEEE 802.3 polynomial; zlib crc32() values, including how
+/// `seed` chains: Crc32(b, Crc32(a)) == Crc32(a||b)). On x86-64 CPUs with
+/// PCLMULQDQ, spans of 64 bytes and more are folded with carry-less
+/// multiplies, chosen once at run time; everything else runs a
+/// slicing-by-8 table loop. Both give the same value.
 uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed = 0);
+
+namespace internal {
+/// The slicing-by-8 path alone, whatever the CPU. For equivalence tests.
+uint32_t Crc32Portable(std::span<const uint8_t> data, uint32_t seed = 0);
+}  // namespace internal
 
 inline std::span<const uint8_t> AsBytes(const std::string& s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};

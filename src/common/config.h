@@ -74,8 +74,6 @@ inline constexpr const char* kConnectionIdleMs =
     "jbs.transport.connection.idle_ms";
 // Integrity + supplier-failover knobs.
 inline constexpr const char* kVerifyCrc = "jbs.fetch.verify_crc";
-inline constexpr const char* kCrcCacheEntries =
-    "jbs.mofsupplier.crccache.entries";
 inline constexpr const char* kHealthSuspectAfter =
     "jbs.netmerger.health.suspect_after";
 inline constexpr const char* kHealthPenalizeAfter =

@@ -73,7 +73,7 @@ MofSupplier::MofSupplier(Options options)
   shards_.reserve(n_shards);
   for (size_t i = 0; i < n_shards; ++i) {
     shards_.push_back(std::make_unique<ServeShard>(
-        slice(options_.fd_cache_entries), slice(options_.crc_cache_entries),
+        slice(options_.fd_cache_entries),
         slice(options_.compress_cache_entries), options_.buffer_count));
   }
   if (options_.metrics != nullptr) {
@@ -96,10 +96,6 @@ MofSupplier::MofSupplier(Options options)
       metrics_->GetCounter("jbs_mofsupplier_group_switches_total", base);
   disconnect_purges_c_ =
       metrics_->GetCounter("jbs_mofsupplier_disconnect_purges_total", base);
-  crc_cache_hits_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_crc_cache_hits_total", base);
-  crc_cache_misses_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_crc_cache_misses_total", base);
   compress_cache_hits_c_ =
       metrics_->GetCounter("jbs_mofsupplier_compress_cache_hits_total", base);
   compress_cache_misses_c_ = metrics_->GetCounter(
@@ -129,38 +125,11 @@ MofSupplier::MofSupplier(Options options)
   queue_depth_h_ = metrics_->GetHistogram("jbs_mofsupplier_queue_depth", base);
 }
 
-uint32_t MofSupplier::ChunkDataCrc(const FetchRequest& request,
-                                   std::span<const uint8_t> data) {
-  const CrcKey key{request.map_task, request.partition, request.offset,
-                   static_cast<uint64_t>(data.size())};
-  ServeShard& shard = MemoShardOf(key);
-  {
-    MutexLock lock(shard.crc_mu);
-    if (const uint32_t* cached = shard.crc_cache.Get(key)) {
-      crc_cache_hits_c_->Increment();
-      return *cached;
-    }
-  }
-  // Hash outside the lock: the CRC pass over a 128KB chunk is the
-  // expensive part and must not serialize the disk-thread pool.
-  const uint32_t crc = Crc32(data);
-  {
-    MutexLock lock(shard.crc_mu);
-    shard.crc_cache.Put(key, crc);
-  }
-  crc_cache_misses_c_->Increment();
-  return crc;
-}
-
 void MofSupplier::StampChunkCrc(FetchDataHeader* header,
-                                const FetchRequest& request,
-                                std::span<const uint8_t> data) {
+                                std::span<const uint8_t> data) const {
   if (!options_.chunk_crc) return;
   header->flags |= kChunkHasCrc;
-  // The cached part covers the payload; the 28-byte header fold is cheap
-  // enough to pay per send (it differs per retransmit anyway only if the
-  // request does).
-  header->crc32 = ChunkWireCrc(*header, ChunkDataCrc(request, data));
+  header->crc32 = ChunkWireCrc(*header, Crc32(data));
 }
 
 MetricLabels MofSupplier::BaseLabels() const {
@@ -799,8 +768,7 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   }
   // CRC in the disk stage: the hash overlaps the send stage's transmits
   // the same way the reads do.
-  StampChunkCrc(&header, pending.request,
-                {buffer.data(), static_cast<size_t>(chunk)});
+  StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
   ReadyReply ready;
   ready.conn = pending.conn;
   // Ownership handoff, not a copy: the chunk rides as the frame's `ext`
@@ -902,8 +870,7 @@ void MofSupplier::ServeInline(const PendingRequest& pending) {
       return;
     }
   }
-  StampChunkCrc(&header, request,
-                {buffer.data(), static_cast<size_t>(chunk)});
+  StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
   // Same zero-copy handoff as the pipelined path; "serialized" here means
   // one request at a time, not extra memcpys.
   auto lease = MakeBufferLease(std::move(buffer));

@@ -60,17 +60,13 @@ class MofSupplier final : public mr::ShuffleServer {
     size_t fd_cache_entries = 128;  // open MOF data-file descriptors
     bool chunk_crc = true;    // stamp every data chunk with a CRC32 the
                               // client can verify before merging
-    size_t crc_cache_entries = 4096;  // per-chunk data-CRC memo (LRU), so
-                                      // a retransmitted chunk re-reads the
-                                      // disk but never re-hashes the bytes
     // Negotiated wire compression: chunks served to clients that advertised
     // kCapWireCompression in their hello are LZSS-compressed in the
     // prefetch stage when at least `wire_compress_min_bytes` long and not
     // already segment-compressed on disk. The compressed bytes are memoized
-    // in an LRU (like the CRC memo — compress once per chunk across
-    // retransmits); chunks whose compressed size exceeds
-    // `chunk * wire_compress_min_ratio` are memoized as incompressible and
-    // ship raw. Off by default: the knob
+    // in an LRU (compress once per chunk across retransmits); chunks whose
+    // compressed size exceeds `chunk * wire_compress_min_ratio` are
+    // memoized as incompressible and ship raw. Off by default: the knob
     // trades supplier CPU for wire bytes, which only pays on compressible
     // workloads.
     bool wire_compress = false;
@@ -99,12 +95,12 @@ class MofSupplier final : public mr::ShuffleServer {
     double admission_datacache_watermark = 0;
     int admission_acquire_timeout_ms = 100;
     // Thread-per-core serve sharding (DESIGN.md §15): number of
-    // independent serve shards, each owning its own fd-cache, CRC memo,
+    // independent serve shards, each owning its own fd-cache,
     // compress memo, capability map, and send stage. Connections route by
     // ConnId (whose low bits are the transport's accepting-loop index, so
     // shards align with accepting cores when this matches
-    // TcpTransportOptions::num_loops); chunk memos route by content key
-    // so retransmits from any connection share one entry. 0 = one per
+    // TcpTransportOptions::num_loops); the compress memo routes by content
+    // key so retransmits from any connection share one entry. 0 = one per
     // core capped at 8; default 1 preserves the single send stage.
     int serve_shards = 1;
     // Calibrated disk model for benchmarking on hardware whose storage is
@@ -226,13 +222,11 @@ class MofSupplier final : public mr::ShuffleServer {
                     const std::string& message);
   Status PreadInto(const mr::MofHandle& handle, uint64_t offset,
                    std::span<uint8_t> out);
-  /// Data-payload CRC for one resolved chunk, via the LRU memo (MOFs are
-  /// immutable once published, so a cached value never goes stale).
-  uint32_t ChunkDataCrc(const FetchRequest& request,
-                        std::span<const uint8_t> data);
   /// Stamps `header` with the full wire CRC (kChunkHasCrc) when enabled.
-  void StampChunkCrc(FetchDataHeader* header, const FetchRequest& request,
-                     std::span<const uint8_t> data);
+  /// Hashes `data` on every send: at memory speed a retransmit's re-hash
+  /// costs less than a memo lookup behind a lock.
+  void StampChunkCrc(FetchDataHeader* header,
+                     std::span<const uint8_t> data) const;
   /// True if this chunk should be considered for wire compression: the
   /// peer advertised the capability, the chunk clears the min-size gate,
   /// and the segment isn't already block-compressed on disk.
@@ -274,10 +268,8 @@ class MofSupplier final : public mr::ShuffleServer {
   BufferPool data_cache_;
   IndexCache index_cache_;
 
-  // Chunk-CRC memo: (map, partition, offset, len) -> CRC32 of the payload
-  // bytes, so the hot path hashes each chunk once, not per retransmit.
-  // The key is a packed POD — the old per-lookup std::string key was four
-  // integer formats plus a heap allocation on every served chunk.
+  // Chunk key for the compress memo: (map, partition, offset, len). A
+  // packed POD, so a lookup formats no strings and allocates nothing.
   struct CrcKey {
     int32_t map_task = 0;
     int32_t partition = 0;
@@ -303,13 +295,8 @@ class MofSupplier final : public mr::ShuffleServer {
           mix(mix(a) ^ mix(key.offset) ^ (mix(key.length) << 1)));
     }
   };
-  MetricCounter* crc_cache_hits_c_ = nullptr;
-  MetricCounter* crc_cache_misses_c_ = nullptr;
-
-  // Compressed-chunk memo, same key space as the CRC memo but its own
-  // cache: the raw-payload CRC and the compressed payload's CRC are
-  // different values for the same (map, partition, offset, length), so
-  // sharing entries would let one poison the other. `data == nullptr`
+  // Compressed-chunk memo, keyed by CrcKey. It carries the CRC of the
+  // compressed bytes, taken once when they are produced. `data == nullptr`
   // memoizes "didn't compress well enough — ship raw" so the bail-out is
   // also paid once per chunk, not per retransmit.
   struct CompressedChunk {
@@ -327,20 +314,17 @@ class MofSupplier final : public mr::ShuffleServer {
   // §15 thread-per-core serve state: one shard per serving core, each
   // owning the caches and the send stage for the work routed to it, so
   // two cores serving different connections share no locks on the
-  // per-byte path. Content-keyed state (chunk memos, fd cache) routes by
+  // per-byte path. Content-keyed state (compress memo, fd cache) routes by
   // hash so retransmits from any connection share one entry;
   // connection-keyed state (caps, send queue) routes by ConnId so a
   // connection's frames stay ordered through a single send thread.
   struct ServeShard {
-    ServeShard(size_t fd_entries, size_t crc_entries, size_t compress_entries,
+    ServeShard(size_t fd_entries, size_t compress_entries,
                size_t queue_capacity)
         : fd_cache(fd_entries),
-          crc_cache(crc_entries),
           compress_cache(compress_entries),
           send_queue(queue_capacity) {}
     FdCache fd_cache;
-    Mutex crc_mu;
-    LruCache<CrcKey, uint32_t, CrcKeyHash> crc_cache GUARDED_BY(crc_mu);
     Mutex compress_mu;
     LruCache<CrcKey, CompressedChunk, CrcKeyHash> compress_cache
         GUARDED_BY(compress_mu);

@@ -292,9 +292,15 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
 
   MutexLock lock(context->mu);
   while (context->remaining != 0) context->done_cv.Wait(lock);
-  if (!context->error.ok()) return context->error;
+  if (!context->error.ok()) {
+    // Release the segments that did arrive now, not when the last data
+    // thread drops its copy of the context.
+    context->segments.clear();
+    return context->error;
+  }
 
-  // Network-levitated merge: all segments live in memory; merge directly.
+  // Network-levitated merge: all segments live in memory and are merged in
+  // place; each stream holds its segment's mapping.
   std::vector<std::unique_ptr<mr::RecordStream>> streams;
   streams.reserve(unique.size());
   for (const Replica& replica : unique) {
@@ -303,8 +309,10 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
       return Internal("segment missing for map " +
                       std::to_string(replica.primary.map_task));
     }
-    auto stream = mr::OpenSegment(std::move(it->second.bytes),
-                                  it->second.compressed);
+    std::shared_ptr<SegmentBuffer> buffer = std::move(it->second.buffer);
+    const std::span<const uint8_t> bytes = buffer->bytes();
+    auto stream =
+        mr::OpenSegment(bytes, std::move(buffer), it->second.compressed);
     JBS_RETURN_IF_ERROR(stream.status());
     streams.push_back(std::move(stream).value());
   }
@@ -704,7 +712,6 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     net::Connection& conn, const FetchTask& task,
     const net::Deadline& deadline, uint32_t* busy_retry_after_ms) {
   FetchedSegment fetched;
-  std::vector<uint8_t>& segment = fetched.bytes;
   // Per-chunk counters accumulate locally and fold into the registry once
   // per segment, so a multi-chunk fetch issues one atomic add per counter,
   // not one per round trip.
@@ -728,9 +735,9 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     return conn.Send(EncodeRequest(request), op_deadline());
   };
   // Receives one data reply, validating it continues the segment at
-  // `expect_offset`; appends the payload and returns its size.
-  const auto receive_chunk = [&](uint64_t expect_offset,
-                                 uint64_t* total) -> StatusOr<uint64_t> {
+  // `expect_offset`; appends the payload and returns its logical size.
+  const auto receive_chunk =
+      [&](uint64_t expect_offset) -> StatusOr<uint64_t> {
     auto reply = conn.Receive(op_deadline());
     JBS_RETURN_IF_ERROR(reply.status());
     if (reply->type == kFetchError) {
@@ -774,53 +781,62 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
         header->offset != expect_offset) {
       return Internal("fetch reply out of sequence");
     }
-    *total = header->segment_total;
+    // The first reply fixes segment_total and sizes the segment's mapping
+    // once; every later reply must repeat it.
+    if (fetched.buffer == nullptr) {
+      auto buffer = SegmentBuffer::Create(header->segment_total);
+      JBS_RETURN_IF_ERROR(buffer.status());
+      fetched.buffer = std::move(buffer).value();
+    } else if (header->segment_total != fetched.buffer->capacity()) {
+      return Internal("segment_total changed mid-segment");
+    }
     fetched.compressed = (header->flags & kSegmentCompressed) != 0;
     // Wire compression: the CRC above covered the compressed payload, so
     // a damaged chunk was already rejected without paying for this
     // decompress. Offsets stay in logical coordinates — only the payload
     // shrank — so the stride/window bookkeeping below never notices.
-    uint64_t logical = data.size();
-    if ((header->flags & kChunkCompressed) != 0) {
-      auto decoded = Decompress(data);
-      if (!decoded.ok()) {
+    const bool wire_compressed = (header->flags & kChunkCompressed) != 0;
+    std::vector<uint8_t> decoded;
+    std::span<const uint8_t> logical = data;
+    if (wire_compressed) {
+      auto raw = Decompress(data);
+      if (!raw.ok()) {
         chunks_corrupt_c_->Increment();
         trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
                        static_cast<int64_t>(header->offset));
         return IoError("chunk decompress failed for map " +
                        std::to_string(task.source.map_task) + " at offset " +
                        std::to_string(header->offset) + ": " +
-                       decoded.status().message());
+                       raw.status().message());
       }
-      // The server must honor our max_len ask and the segment bound in
-      // logical bytes; a violation here is a protocol breach, not line
-      // noise, so it is not retried as corruption.
-      if (decoded->size() > options_.chunk_size ||
-          expect_offset + decoded->size() > header->segment_total) {
-        return Internal("compressed chunk overruns its logical bounds");
-      }
-      logical = decoded->size();
-      chunks_compressed_c_->Increment();
-      segment.insert(segment.end(), decoded->begin(), decoded->end());
-    } else {
-      segment.insert(segment.end(), data.begin(), data.end());
+      decoded = std::move(raw).value();
+      logical = decoded;
     }
+    // The server must honor our max_len ask and the segment bound in
+    // logical bytes, raw or compressed; a violation is a protocol breach,
+    // not line noise, so it is not retried as corruption. Append refuses
+    // to write past segment_total.
+    if (logical.size() > options_.chunk_size) {
+      return Internal("chunk of " + std::to_string(logical.size()) +
+                      " bytes exceeds the requested max_len");
+    }
+    JBS_RETURN_IF_ERROR(fetched.buffer->Append(logical));
+    if (wire_compressed) chunks_compressed_c_->Increment();
     ++local_chunks;
-    local_bytes += logical;
+    local_bytes += logical.size();
     trace_->Record(task.fetch_id, TraceEvent::kChunkReceived,
-                   static_cast<int64_t>(logical));
-    return logical;
+                   static_cast<int64_t>(logical.size()));
+    return logical.size();
   };
 
-  // First chunk alone: it establishes segment_total (so the segment vector
-  // is reserved once instead of reallocating per chunk) and the server's
-  // chunk stride (the server may cap below our chunk_size ask).
+  // First chunk alone: it establishes segment_total (which sizes the
+  // segment's mapping) and the server's chunk stride (the server may cap
+  // below our chunk_size ask).
   JBS_RETURN_IF_ERROR(send_request(0));
   trace_->Record(task.fetch_id, TraceEvent::kRequestSent);
-  uint64_t total = 0;
-  auto first = receive_chunk(0, &total);
+  auto first = receive_chunk(0);
   JBS_RETURN_IF_ERROR(first.status());
-  segment.reserve(total);
+  const uint64_t total = fetched.buffer->capacity();
   uint64_t offset = *first;
   if (offset < total) {
     if (*first == 0) return Internal("server made no progress");
@@ -838,7 +854,7 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
       ++in_flight;
     }
     while (offset < total) {
-      auto chunk = receive_chunk(offset, &total);
+      auto chunk = receive_chunk(offset);
       JBS_RETURN_IF_ERROR(chunk.status());
       if (*chunk == 0) return Internal("server made no progress");
       offset += *chunk;
@@ -862,7 +878,7 @@ void NetMerger::CompleteTask(const FetchTask& task,
   MutexLock lock(context->mu);
   if (result.ok()) {
     trace_->Record(task.fetch_id, TraceEvent::kMerged,
-                   static_cast<int64_t>(result->bytes.size()));
+                   static_cast<int64_t>(result->buffer->size()));
     context->segments[task.source.map_task] = std::move(result).value();
   } else {
     trace_->Record(task.fetch_id, TraceEvent::kFailed,

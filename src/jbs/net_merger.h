@@ -26,6 +26,7 @@
 #include "common/thread_annotations.h"
 #include "common/rng.h"
 #include "jbs/node_health.h"
+#include "jbs/segment_buffer.h"
 #include "mapred/shuffle.h"
 #include "transport/connection_manager.h"
 #include "transport/deadline.h"
@@ -147,9 +148,12 @@ class NetMerger final : public mr::ShuffleClient {
   size_t pending_node_count() const EXCLUDES(sched_mu_);
 
  private:
-  /// A fully fetched segment plus how to interpret it.
+  /// A fully fetched segment plus how to interpret it. The buffer is
+  /// mapped once, at the first reply's segment_total, and becomes the
+  /// merge stream's lease: the pages go back to the kernel when the
+  /// reducer drops the stream.
   struct FetchedSegment {
-    std::vector<uint8_t> bytes;
+    std::shared_ptr<SegmentBuffer> buffer;
     bool compressed = false;
   };
 

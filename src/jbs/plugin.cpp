@@ -54,8 +54,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
   options.connection_idle_ms = conf.GetInt(conf::kConnectionIdleMs, 0);
   options.chunk_crc = conf.GetBool(conf::kVerifyCrc, true);
   options.verify_crc = options.chunk_crc;
-  options.crc_cache_entries =
-      static_cast<size_t>(conf.GetInt(conf::kCrcCacheEntries, 4096));
   options.health_suspect_after =
       static_cast<int>(conf.GetInt(conf::kHealthSuspectAfter, 1));
   options.health_penalize_after =
@@ -106,7 +104,6 @@ std::unique_ptr<mr::ShuffleServer> JbsShufflePlugin::CreateServer(
   sopts.fd_cache_entries = options_.fd_cache_entries;
   sopts.pipelined = options_.pipelined;
   sopts.chunk_crc = options_.chunk_crc;
-  sopts.crc_cache_entries = options_.crc_cache_entries;
   sopts.wire_compress = options_.wire_compress;
   sopts.wire_compress_min_bytes = options_.wire_compress_min_bytes;
   sopts.wire_compress_min_ratio = options_.wire_compress_min_ratio;

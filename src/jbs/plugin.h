@@ -39,7 +39,6 @@ struct JbsOptions {
   // and the NetMerger penalty box.
   bool chunk_crc = true;             // supplier stamps chunk CRCs
   bool verify_crc = true;            // merger rejects mismatching chunks
-  size_t crc_cache_entries = 4096;   // supplier per-chunk CRC memo
   int health_suspect_after = 1;
   int health_penalize_after = 3;     // <= 0 disables the penalty box
   int64_t health_penalty_ms = 200;

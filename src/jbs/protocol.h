@@ -133,9 +133,8 @@ std::optional<BusyReply> DecodeBusy(const Frame& frame);
 /// fields (everything except the crc field itself), so a bit flip anywhere
 /// in the frame — including `segment_total`, which would silently truncate
 /// or inflate the client's reassembly — is detected, not just payload
-/// damage. `data_crc` is Crc32 over the payload alone; suppliers cache it
-/// per chunk so a retransmit doesn't re-hash the data, and only the cheap
-/// 28-byte header fold is paid per send.
+/// damage. `data_crc` is Crc32 over the payload alone; the fold over the
+/// 28 header bytes is added on top.
 uint32_t ChunkWireCrc(const FetchDataHeader& header, uint32_t data_crc);
 
 /// Wire size of the data-frame header, for sizing chunk payloads.

@@ -154,7 +154,9 @@ StatusOr<MofHandle> MapOutputCollector::Finish(int map_task, int node) {
     for (const MofReader& reader : readers) {
       std::vector<uint8_t> segment;
       JBS_RETURN_IF_ERROR(reader.ReadSegment(partition, segment));
-      streams.push_back(std::make_unique<SegmentStream>(std::move(segment)));
+      auto owned =
+          std::make_shared<const std::vector<uint8_t>>(std::move(segment));
+      streams.push_back(std::make_unique<SegmentStream>(*owned, owned));
     }
     KWayMerger merged(std::move(streams));
     // Re-run the combiner across spills so equal keys from different

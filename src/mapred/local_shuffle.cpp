@@ -57,8 +57,9 @@ class LocalClient final : public ShuffleClient {
       JBS_RETURN_IF_ERROR(reader->ReadSegment(partition, segment));
       stats_.bytes_fetched += segment.size();
       ++stats_.fetches;
-      auto stream =
-          OpenSegment(std::move(segment), reader->index().compressed());
+      auto owned =
+          std::make_shared<const std::vector<uint8_t>>(std::move(segment));
+      auto stream = OpenSegment(*owned, owned, reader->index().compressed());
       JBS_RETURN_IF_ERROR(stream.status());
       streams.push_back(std::move(stream).value());
     }

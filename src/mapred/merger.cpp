@@ -47,7 +47,8 @@ std::unique_ptr<RecordStream> HierarchicalMerge(
 }
 
 StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
-    std::vector<uint8_t> segment, bool compressed) {
+    std::span<const uint8_t> segment, std::shared_ptr<const void> owner,
+    bool compressed) {
   if (compressed) {
     // Flag/payload cross-check: a segment flagged compressed that doesn't
     // even start with the codec header means the flag and the bytes
@@ -61,8 +62,10 @@ StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
     }
     auto raw = Decompress(segment);
     JBS_RETURN_IF_ERROR(raw.status());
+    auto owned =
+        std::make_shared<const std::vector<uint8_t>>(std::move(raw).value());
     return std::unique_ptr<RecordStream>(
-        std::make_unique<SegmentStream>(std::move(raw).value()));
+        std::make_unique<SegmentStream>(*owned, owned));
   }
   if (LooksCompressed(segment)) {
     // The inverse mismatch: an unflagged segment that *looks* compressed.
@@ -77,7 +80,7 @@ StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
     }
   }
   return std::unique_ptr<RecordStream>(
-      std::make_unique<SegmentStream>(std::move(segment)));
+      std::make_unique<SegmentStream>(segment, std::move(owner)));
 }
 
 KWayMerger::KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs)

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -25,17 +26,23 @@ class RecordStream {
   virtual const Status& status() const = 0;
 };
 
-/// RecordStream over an in-memory IFile segment (owns the bytes).
+/// RecordStream over an in-memory IFile segment, read in place. The same
+/// lease idiom as Frame::ext: `owner` keeps `segment` alive for the
+/// stream's lifetime. A null owner means the caller guarantees that.
 class SegmentStream final : public RecordStream {
  public:
-  explicit SegmentStream(std::vector<uint8_t> segment)
-      : segment_(std::move(segment)), reader_(segment_) {}
+  explicit SegmentStream(std::span<const uint8_t> segment,
+                         std::shared_ptr<const void> owner = nullptr)
+      : owner_(std::move(owner)), reader_(segment) {}
+  /// A temporary vector would dangle: pass it as its own owner instead.
+  SegmentStream(std::vector<uint8_t>&&, std::shared_ptr<const void> = {}) =
+      delete;
 
   bool Next(Record* record) override { return reader_.Next(record); }
   const Status& status() const override { return reader_.status(); }
 
  private:
-  std::vector<uint8_t> segment_;
+  std::shared_ptr<const void> owner_;
   IFileReader reader_;
 };
 
@@ -100,8 +107,11 @@ std::unique_ptr<RecordStream> HierarchicalMerge(
 /// Wraps fetched segment bytes into a sorted record stream, decompressing
 /// first when the MOF was written with kMofCompressed. The one entry point
 /// every shuffle client (local, HTTP, JBS) uses to interpret segments.
+/// `owner` keeps `segment` alive (see SegmentStream); a compressed
+/// segment is released as soon as it is decompressed.
 StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
-    std::vector<uint8_t> segment, bool compressed);
+    std::span<const uint8_t> segment, std::shared_ptr<const void> owner,
+    bool compressed);
 
 /// Groups a sorted stream by key: NextGroup() yields one key plus all its
 /// values. The reduce-function driver.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <random>
+#include <vector>
 
 namespace jbs {
 namespace {
@@ -96,6 +98,76 @@ TEST(BytesTest, Crc32Incremental) {
   const uint32_t one_shot = Crc32(AsBytes(whole));
   const uint32_t chained = Crc32(AsBytes(b), Crc32(AsBytes(a)));
   EXPECT_EQ(one_shot, chained);
+}
+
+// Bit-at-a-time CRC32 register update: the definition the table and
+// carry-less-multiply paths must reproduce. Works on the inverted
+// register, so a whole CRC is ~BitwiseStep(~seed, ...).
+uint32_t BitwiseStep(uint32_t reg, std::span<const uint8_t> data) {
+  for (uint8_t byte : data) {
+    reg ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      reg = (reg >> 1) ^ (0xEDB88320u & (0u - (reg & 1u)));
+    }
+  }
+  return reg;
+}
+
+uint32_t BitwiseCrc32(std::span<const uint8_t> data, uint32_t seed) {
+  return ~BitwiseStep(~seed, data);
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng());
+  return out;
+}
+
+TEST(BytesTest, Crc32MatchesBitwiseAtEveryLengthAlignmentAndSeed) {
+  // Covers the table tail (< 64 B), every 16-byte fold remainder, and the
+  // four-lane loop, from every start alignment within a 16-byte block.
+  const std::vector<uint8_t> buf = RandomBytes(1024 + 16, 7);
+  const uint32_t random_seed = std::mt19937(11)();
+  for (const uint32_t seed : {0u, 0xFFFFFFFFu, random_seed}) {
+    for (size_t align = 0; align < 16; ++align) {
+      const uint8_t* base = buf.data() + align;
+      uint32_t reg = ~seed;  // bitwise reference, extended byte by byte
+      for (size_t len = 0; len <= 1024; ++len) {
+        if (len > 0) reg = BitwiseStep(reg, {base + len - 1, 1});
+        const std::span<const uint8_t> span(base, len);
+        ASSERT_EQ(Crc32(span, seed), ~reg)
+            << "len " << len << " align " << align << " seed " << seed;
+        ASSERT_EQ(internal::Crc32Portable(span, seed), ~reg)
+            << "len " << len << " align " << align << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(BytesTest, Crc32MatchesBitwiseOnLargeBuffers) {
+  for (const size_t n : {size_t{128} * 1024, size_t{1024} * 1024 + 7}) {
+    const std::vector<uint8_t> buf = RandomBytes(n, static_cast<uint32_t>(n));
+    const uint32_t expected = BitwiseCrc32(buf, 0);
+    EXPECT_EQ(Crc32(buf), expected) << n;
+    EXPECT_EQ(internal::Crc32Portable(buf), expected) << n;
+    EXPECT_EQ(Crc32(buf, 0x12345678u), BitwiseCrc32(buf, 0x12345678u)) << n;
+  }
+}
+
+TEST(BytesTest, Crc32ChainsSeedsAtEverySplitPoint) {
+  // 300 B crosses the 16- and 64-byte fold edges on both sides of a split.
+  const std::vector<uint8_t> buf = RandomBytes(300, 3);
+  const uint32_t whole = Crc32(buf);
+  ASSERT_EQ(whole, BitwiseCrc32(buf, 0));
+  const std::span<const uint8_t> all(buf);
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const auto a = all.first(split);
+    const auto b = all.subspan(split);
+    EXPECT_EQ(Crc32(b, Crc32(a)), whole) << "split " << split;
+    EXPECT_EQ(internal::Crc32Portable(b, internal::Crc32Portable(a)), whole)
+        << "split " << split;
+  }
 }
 
 TEST(BytesTest, HumanBytes) {

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
@@ -275,34 +276,46 @@ TEST_F(MofSupplierTest, ServePathCopiesZeroPayloadBytes) {
   supplier.Stop();
 }
 
-TEST_F(MofSupplierTest, RetransmitSweepHitsCrcMemo) {
-  MofSupplier::Options options;
-  options.transport = transport_.get();
-  options.buffer_size = 4096;
-  options.buffer_count = 8;
-  options.chunk_crc = true;
-  MofSupplier supplier(options);
+TEST_F(MofSupplierTest, RetransmitSweepIsByteIdenticalAndStamped) {
+  auto supplier = MakeSupplier(/*buffer_size=*/4096);
   ASSERT_TRUE(supplier.Start().ok());
-  auto handle = MakeMof(0, 1, 50);
-  ASSERT_TRUE(supplier.PublishMof(handle).ok());
+  ASSERT_TRUE(supplier.PublishMof(MakeMof(0, 1, 50)).ok());
   auto conn = transport_->Connect("127.0.0.1", supplier.port());
   ASSERT_TRUE(conn.ok());
-  const MetricLabels labels{{"server", "mofsupplier"}};
-  auto* hits = supplier.metrics().GetCounter(
-      "jbs_mofsupplier_crc_cache_hits_total", labels);
 
-  // First sweep: the memo is cold, so every chunk is hashed once.
-  auto first = Fetch(**conn, 0, 0, 3000);
+  // One sweep over the segment; every reply must carry a wire CRC that
+  // matches its header and payload.
+  const auto sweep = [&]() -> StatusOr<std::vector<uint8_t>> {
+    std::vector<uint8_t> segment;
+    uint64_t offset = 0, total = 0;
+    do {
+      JBS_RETURN_IF_ERROR(
+          (*conn)->Send(EncodeRequest(FetchRequest{0, 0, offset, 3000})));
+      auto reply = (*conn)->Receive();
+      JBS_RETURN_IF_ERROR(reply.status());
+      std::span<const uint8_t> data;
+      auto header = DecodeData(*reply, &data);
+      if (!header) return IoError("bad frame");
+      if ((header->flags & kChunkHasCrc) == 0) return IoError("no CRC");
+      if (header->crc32 != ChunkWireCrc(*header, Crc32(data))) {
+        return IoError("CRC mismatch");
+      }
+      total = header->segment_total;
+      segment.insert(segment.end(), data.begin(), data.end());
+      offset += data.size();
+    } while (offset < total);
+    return segment;
+  };
+
+  auto first = sweep();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  const uint64_t hits_after_first = hits->value();
-
-  // Retransmit sweep: same chunks, so every CRC comes from the memo, the
-  // bytes still match, and the serve path still copies nothing.
+  // The retransmit sweep re-reads and re-hashes every chunk: the bytes
+  // and stamps match the first sweep and the serve path copies nothing.
   const uint64_t copied_before = PayloadCopyBytes();
-  auto second = Fetch(**conn, 0, 0, 3000);
+  auto second = sweep();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GT(first->size(), 4096u);
   EXPECT_EQ(*second, *first);
-  EXPECT_GT(hits->value(), hits_after_first);
   EXPECT_EQ(PayloadCopyBytes(), copied_before);
   supplier.Stop();
 }

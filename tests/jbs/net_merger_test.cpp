@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 
+#include "common/bytes.h"
 #include "jbs/mof_supplier.h"
+#include "jbs/protocol.h"
+#include "jbs/segment_buffer.h"
 #include "mapred/ifile.h"
 #include "transport/transport.h"
 
@@ -235,6 +239,125 @@ TEST_F(NetMergerTest, UnreachableNodeFails) {
   auto stream = merger.FetchAndMerge(0, locations);
   EXPECT_FALSE(stream.ok());
   merger.Stop();
+}
+
+TEST_F(NetMergerTest, SegmentMappingsReleaseWhenStreamsDrop) {
+  // Fetched segments live in anonymous mappings, which leak checkers do
+  // not see: the live count must fall back to zero once the merge stream
+  // is gone, and after a failed call.
+  auto locations = MakeCluster(2, 2, 1, 40);
+  auto merger = MakeMerger();
+  ASSERT_EQ(LiveSegmentMappedBytes(), 0u);
+  {
+    auto stream = merger.FetchAndMerge(0, locations);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    EXPECT_GT(LiveSegmentMappedBytes(), 0u);
+    CheckMerged(**stream, 0, 4 * 40);
+  }
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  locations.push_back({999, 0, "127.0.0.1", locations[0].port});  // no MOF
+  EXPECT_FALSE(merger.FetchAndMerge(0, locations).ok());
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  merger.Stop();
+}
+
+/// A bare ServerEndpoint posing as a supplier: it answers every fetch
+/// request with the data reply `forge` builds for it, CRC-stamped so the
+/// reply passes integrity checks and only the protocol checks can catch
+/// it.
+class ForgingSupplier {
+ public:
+  struct Reply {
+    uint64_t segment_total = 0;
+    size_t payload_bytes = 0;
+  };
+  using Forge = std::function<Reply(const FetchRequest&)>;
+
+  ForgingSupplier(net::Transport& transport, Forge forge)
+      : forge_(std::move(forge)) {
+    auto endpoint = transport.CreateServer();
+    EXPECT_TRUE(endpoint.ok());
+    endpoint_ = std::move(endpoint).value();
+    net::ServerEndpoint::Handlers handlers;
+    handlers.on_frame = [this](net::ConnId conn, Frame frame) {
+      const auto request = DecodeRequest(frame);
+      if (!request) return;  // the capability hello
+      const Reply reply = forge_(*request);
+      FetchDataHeader header;
+      header.map_task = request->map_task;
+      header.partition = request->partition;
+      header.offset = request->offset;
+      header.segment_total = reply.segment_total;
+      header.flags = kChunkHasCrc;
+      const std::vector<uint8_t> data(reply.payload_bytes, 0x5A);
+      header.crc32 = ChunkWireCrc(header, Crc32(data));
+      (void)endpoint_->SendAsync(conn, EncodeData(header, data));
+    };
+    EXPECT_TRUE(endpoint_->Start(handlers).ok());
+  }
+  ~ForgingSupplier() { endpoint_->Stop(); }
+
+  uint16_t port() const { return endpoint_->port(); }
+
+ private:
+  Forge forge_;
+  std::unique_ptr<net::ServerEndpoint> endpoint_;
+};
+
+/// Fetches map 0 from a forging supplier with 1000-byte chunks and one
+/// attempt, returning the FetchAndMerge status.
+Status FetchFromForger(net::Transport& transport,
+                       ForgingSupplier::Forge forge) {
+  ForgingSupplier supplier(transport, std::move(forge));
+  NetMerger::Options options;
+  options.transport = &transport;
+  options.data_threads = 1;
+  options.chunk_size = 1000;
+  options.max_fetch_attempts = 1;
+  NetMerger merger(options);
+  auto stream =
+      merger.FetchAndMerge(0, {{0, 0, "127.0.0.1", supplier.port()}});
+  merger.Stop();
+  return stream.status();
+}
+
+TEST_F(NetMergerTest, RawChunkPastSegmentTotalIsProtocolBreach) {
+  const Status status = FetchFromForger(*transport_, [](const FetchRequest&) {
+    return ForgingSupplier::Reply{/*segment_total=*/500, /*bytes=*/800};
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+}
+
+TEST_F(NetMergerTest, RawChunkOverMaxLenIsProtocolBreach) {
+  // Two 2000-byte replies to 1000-byte asks fill the segment exactly, so
+  // only the max_len check can catch them.
+  const Status status = FetchFromForger(*transport_, [](const FetchRequest&) {
+    return ForgingSupplier::Reply{/*segment_total=*/4000, /*bytes=*/2000};
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+}
+
+TEST_F(NetMergerTest, SegmentTotalChangingMidSegmentIsProtocolBreach) {
+  const Status status =
+      FetchFromForger(*transport_, [](const FetchRequest& request) {
+        // The first reply announces 3000 bytes, every later one 5000.
+        const uint64_t total = request.offset == 0 ? 3000 : 5000;
+        return ForgingSupplier::Reply{total, /*bytes=*/1000};
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  EXPECT_NE(status.message().find("segment_total"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(NetMergerTest, ForgedHugeSegmentTotalIsResourceExhausted) {
+  // 2^62 bytes cannot be mapped: the fetch fails cleanly instead of
+  // throwing out of the data thread.
+  const Status status = FetchFromForger(*transport_, [](const FetchRequest&) {
+    return ForgingSupplier::Reply{uint64_t{1} << 62, /*bytes=*/1000};
+  });
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+      << status.ToString();
 }
 
 TEST_F(NetMergerTest, StopUnblocksWorkers) {

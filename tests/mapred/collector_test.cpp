@@ -39,7 +39,7 @@ class CollectorTest : public ::testing::Test {
     EXPECT_TRUE(reader.ok());
     std::vector<uint8_t> segment;
     EXPECT_TRUE(reader->ReadSegment(partition, segment).ok());
-    SegmentStream stream(std::move(segment));
+    SegmentStream stream(segment);
     std::vector<Record> out;
     Record r;
     while (stream.Next(&r)) out.push_back(r);

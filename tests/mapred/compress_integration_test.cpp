@@ -61,7 +61,7 @@ TEST_F(CompressIntegrationTest, CollectorCompressesFinalSegments) {
   EXPECT_TRUE(LooksCompressed(raw_segment));
 
   // Decode through the canonical path and count the records back.
-  auto stream = OpenSegment(std::move(raw_segment), true);
+  auto stream = OpenSegment(raw_segment, nullptr, true);
   ASSERT_TRUE(stream.ok());
   Record record;
   size_t count = 0;
@@ -74,7 +74,7 @@ TEST_F(CompressIntegrationTest, CollectorCompressesFinalSegments) {
   EXPECT_TRUE((*stream)->status().ok());
   std::vector<uint8_t> other_segment;
   ASSERT_TRUE(reader->ReadSegment(1, other_segment).ok());
-  auto other = OpenSegment(std::move(other_segment), true);
+  auto other = OpenSegment(other_segment, nullptr, true);
   ASSERT_TRUE(other.ok());
   size_t count2 = 0;
   while ((*other)->Next(&record)) ++count2;
@@ -127,7 +127,7 @@ TEST_F(CompressIntegrationTest, LocalShuffleDecompressesTransparently) {
 
 TEST_F(CompressIntegrationTest, OpenSegmentRejectsCorruptCompressed) {
   std::vector<uint8_t> junk = {'J', 1, 0x20, 0xFF, 0xFF};
-  auto stream = OpenSegment(std::move(junk), /*compressed=*/true);
+  auto stream = OpenSegment(junk, nullptr, /*compressed=*/true);
   EXPECT_FALSE(stream.ok());
 }
 
@@ -144,7 +144,7 @@ TEST_F(CompressIntegrationTest, EmptyMapOutputCompressed) {
   EXPECT_TRUE(reader->index().compressed());
   std::vector<uint8_t> segment;
   ASSERT_TRUE(reader->ReadSegment(0, segment).ok());
-  auto stream = OpenSegment(std::move(segment), true);
+  auto stream = OpenSegment(segment, nullptr, true);
   ASSERT_TRUE(stream.ok());
   Record record;
   EXPECT_FALSE((*stream)->Next(&record));

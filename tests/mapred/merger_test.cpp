@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/compress.h"
 #include "common/rng.h"
 
 namespace jbs::mr {
@@ -154,10 +155,40 @@ TEST(SegmentStreamTest, ReadsIFileSegment) {
   IFileWriter writer;
   writer.Append("x", "1");
   writer.Append("y", "2");
-  SegmentStream stream(writer.Finish());
+  const std::vector<uint8_t> bytes = writer.Finish();
+  SegmentStream stream(bytes);
   auto records = Drain(stream);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_TRUE(stream.status().ok());
+}
+
+TEST(SegmentStreamTest, OwnerLivesAsLongAsTheStream) {
+  IFileWriter writer;
+  writer.Append("x", "1");
+  writer.Append("y", "2");
+  auto owned = std::make_shared<const std::vector<uint8_t>>(writer.Finish());
+  const std::weak_ptr<const std::vector<uint8_t>> watch = owned;
+  auto stream = std::make_unique<SegmentStream>(*owned, owned);
+  owned.reset();
+  ASSERT_FALSE(watch.expired());  // the stream holds the lease
+  EXPECT_EQ(Drain(*stream).size(), 2u);
+  EXPECT_TRUE(stream->status().ok());
+  stream.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(OpenSegmentTest, CompressedSegmentReleasesItsOwnerOnOpen) {
+  IFileWriter writer;
+  writer.Append("x", "1");
+  auto owned =
+      std::make_shared<const std::vector<uint8_t>>(Compress(writer.Finish()));
+  const std::weak_ptr<const std::vector<uint8_t>> watch = owned;
+  auto stream = OpenSegment(*owned, owned, /*compressed=*/true);
+  owned.reset();
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  // The stream reads the decompressed copy; the wire bytes are gone.
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(Drain(**stream).size(), 1u);
 }
 
 }  // namespace
