@@ -23,7 +23,7 @@
 //      recorded, not gated.
 //
 // Results land in a MetricsRegistry and are dumped as JSON (default
-// BENCH_pr9.json, or argv[1]) so CI can archive the numbers per commit.
+// perf_smoke.json, or argv[1]) so CI can archive the numbers per commit.
 // A probe that cannot RUN (socket setup failure, MOF write failure) is a
 // hard failure: the reason prints, NO JSON is written — a partial file
 // would read downstream as "the missing probes regressed to zero" — and
@@ -236,9 +236,9 @@ struct CompressSweepResult {
   uint64_t copied_delta = 0;  // user-space payload copies during the sweep
 };
 
-/// One shuffle of `handles` through a supplier with wire compression
-/// `compress_on`, two memo-exercising sweeps (cold, then cache-hit). A
-/// sweep that cannot run leaves the reason in `*err`.
+/// Two full fetch sweeps of `handles` through one supplier with wire
+/// compression `compress_on`; the second repeats the first, as a retrying
+/// reducer would. A sweep that cannot run leaves the reason in `*err`.
 CompressSweepResult CompressSweepRun(bool compress_on,
                                      const std::vector<mr::MofHandle>& handles,
                                      std::string* err) {
@@ -374,7 +374,7 @@ bool OverloadSweepPoint(int reducers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_pr9.json";
+  const std::string out_path = argc > 1 ? argv[1] : "perf_smoke.json";
   MetricsRegistry registry;
   bool ok = true;        // invariant gates on probes that ran
   bool probes_ok = true; // every probe managed to run at all
@@ -556,8 +556,8 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    // Compression off is the PR 6 zero-copy serve path: the cache-hit
-    // sweep must not have copied a single payload byte in user space.
+    // Compression off is the zero-copy serve path: neither sweep may have
+    // copied a single payload byte in user space.
     if (off.copied_delta != 0) {
       std::printf("FAIL: compression-off %s sweep copied %llu bytes\n",
                   workload,

@@ -88,8 +88,6 @@ inline constexpr const char* kWireCompressMinBytes =
     "jbs.wire.compress.min_bytes";
 inline constexpr const char* kWireCompressMinRatio =
     "jbs.wire.compress.min_ratio";
-inline constexpr const char* kCompressCacheEntries =
-    "jbs.mofsupplier.compresscache.entries";
 inline constexpr const char* kMaxFrameBytes = "jbs.transport.max_frame.bytes";
 // Overload-control knobs (see DESIGN.md §16). 0 disables the bound.
 inline constexpr const char* kAdmissionMaxQueue =
@@ -102,9 +100,6 @@ inline constexpr const char* kAdmissionAcquireTimeoutMs =
     "jbs.mofsupplier.admission.acquire_timeout_ms";
 inline constexpr const char* kPushbackRetryBudget =
     "jbs.netmerger.pushback.retry_budget";
-// Thread-per-core execution-model knobs (see DESIGN.md §15).
-inline constexpr const char* kTransportLoops = "jbs.transport.loops";
-inline constexpr const char* kServeShards = "jbs.mofsupplier.serve.shards";
 inline constexpr const char* kMapSlotsPerNode = "mapred.map.slots";
 inline constexpr const char* kReduceSlotsPerNode = "mapred.reduce.slots";
 inline constexpr const char* kBlockSize = "dfs.block.size";

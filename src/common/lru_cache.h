@@ -16,7 +16,7 @@
 
 namespace jbs {
 
-template <typename Key, typename Value, typename Hash = std::hash<Key>>
+template <typename Key, typename Value>
 class LruCache {
  public:
   using EvictionCallback = std::function<void(const Key&, Value&)>;
@@ -119,7 +119,7 @@ class LruCache {
   size_t capacity_;
   EvictionCallback on_evict_;
   std::list<Entry> entries_;  // front = most recent
-  std::unordered_map<Key, EntryIter, Hash> index_;
+  std::unordered_map<Key, EntryIter> index_;
   uint64_t eviction_count_ = 0;
 };
 

@@ -58,24 +58,9 @@ constexpr int kPreadAttempts = 2;
 MofSupplier::MofSupplier(Options options)
     : options_(options),
       data_cache_(options.buffer_size, options.buffer_count),
-      index_cache_(options.index_cache_entries) {
-  // §15 serve shards: each owns a slice of the fd/memo cache budget (the
-  // router hashes a given path or chunk key to exactly one shard, so the
-  // aggregate capacity is unchanged) plus its own send stage.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const size_t n_shards =
-      options_.serve_shards > 0
-          ? static_cast<size_t>(options_.serve_shards)
-          : static_cast<size_t>(std::min(8u, hw));
-  const auto slice = [n_shards](size_t total) {
-    return std::max<size_t>(1, total / n_shards);
-  };
-  shards_.reserve(n_shards);
-  for (size_t i = 0; i < n_shards; ++i) {
-    shards_.push_back(std::make_unique<ServeShard>(
-        slice(options_.fd_cache_entries),
-        slice(options_.compress_cache_entries), options_.buffer_count));
-  }
+      index_cache_(options.index_cache_entries),
+      fd_cache_(options.fd_cache_entries),
+      send_queue_(options.buffer_count) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -96,10 +81,6 @@ MofSupplier::MofSupplier(Options options)
       metrics_->GetCounter("jbs_mofsupplier_group_switches_total", base);
   disconnect_purges_c_ =
       metrics_->GetCounter("jbs_mofsupplier_disconnect_purges_total", base);
-  compress_cache_hits_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_compress_cache_hits_total", base);
-  compress_cache_misses_c_ = metrics_->GetCounter(
-      "jbs_mofsupplier_compress_cache_misses_total", base);
   chunks_compressed_c_ =
       metrics_->GetCounter("jbs_mofsupplier_chunks_compressed_total", base);
   compress_bailouts_c_ =
@@ -145,7 +126,7 @@ void MofSupplier::RefreshGauges() const {
   const auto set = [&](const char* name, double v) {
     metrics_->GetGauge(name, base)->Set(v);
   };
-  const FdCache::Stats fd = AggregateFdStats();
+  const FdCache::Stats fd = fd_cache_.stats();
   set("jbs_mofsupplier_fdcache_hits", static_cast<double>(fd.hits));
   set("jbs_mofsupplier_fdcache_misses", static_cast<double>(fd.misses));
   set("jbs_mofsupplier_fdcache_evictions", static_cast<double>(fd.evictions));
@@ -168,9 +149,8 @@ void MofSupplier::RefreshGauges() const {
   set("buffer_pool_waiters", static_cast<double>(data_cache_.waiters()));
   set("jbs_mofsupplier_datacache_acquire_timeouts",
       static_cast<double>(data_cache_.stats().acquire_timeouts));
-  size_t send_depth = 0;
-  for (const auto& shard : shards_) send_depth += shard->send_queue.size();
-  set("jbs_mofsupplier_send_queue_depth", static_cast<double>(send_depth));
+  set("jbs_mofsupplier_send_queue_depth",
+      static_cast<double>(send_queue_.size()));
   set("jbs_mofsupplier_pending_groups",
       static_cast<double>(pending_group_count()));
   {
@@ -192,19 +172,6 @@ void MofSupplier::RefreshGauges() const {
     set("jbs_mofsupplier_endpoint_connections_accepted",
         static_cast<double>(ep.connections_accepted));
   }
-}
-
-FdCache::Stats MofSupplier::AggregateFdStats() const {
-  FdCache::Stats total;
-  for (const auto& shard : shards_) {
-    const FdCache::Stats s = shard->fd_cache.stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-    total.open_failures += s.open_failures;
-    total.emergency_evictions += s.emergency_evictions;
-  }
-  return total;
 }
 
 MofSupplier::~MofSupplier() { Stop(); }
@@ -231,10 +198,7 @@ Status MofSupplier::Start() {
     disk_threads_.emplace_back([this] { DiskLoop(); });
   }
   if (options_.pipelined) {
-    for (auto& shard : shards_) {
-      ServeShard* raw = shard.get();
-      raw->send_thread = std::thread([this, raw] { SendLoop(*raw); });
-    }
+    send_thread_ = std::thread([this] { SendLoop(); });
   }
   return Status::Ok();
 }
@@ -260,12 +224,10 @@ void MofSupplier::Stop() {
   for (auto& thread : disk_threads_) {
     if (thread.joinable()) thread.join();
   }
-  // Producers are gone: close the stage boundaries and let each shard's
-  // send thread drain already-read replies before exiting.
-  for (auto& shard : shards_) shard->send_queue.Close();
-  for (auto& shard : shards_) {
-    if (shard->send_thread.joinable()) shard->send_thread.join();
-  }
+  // Producers are gone: close the stage boundary and let the send thread
+  // drain already-read replies before exiting.
+  send_queue_.Close();
+  if (send_thread_.joinable()) send_thread_.join();
   if (endpoint_) endpoint_->Stop();
   RefreshGauges();
 }
@@ -299,7 +261,7 @@ MofSupplier::SupplierStats MofSupplier::supplier_stats() const {
   out.shed = shed_queue_c_->value() + shed_inflight_c_->value() +
              shed_datacache_c_->value();
   out.index = index_cache_.stats();
-  out.fd = AggregateFdStats();
+  out.fd = fd_cache_.stats();
   out.request_latency_ms = request_latency_ms_h_->summary();
   return out;
 }
@@ -311,9 +273,8 @@ void MofSupplier::OnFrame(net::ConnId conn, Frame frame) {
       JBS_WARN << "MofSupplier: undecodable hello frame";
       return;
     }
-    ServeShard& shard = ConnShardOf(conn);
-    MutexLock lock(shard.caps_mu);
-    shard.conn_caps[conn] = hello->caps;
+    MutexLock lock(caps_mu_);
+    conn_caps_[conn] = hello->caps;
     return;
   }
   auto request = DecodeRequest(frame);
@@ -325,11 +286,10 @@ void MofSupplier::OnFrame(net::ConnId conn, Frame frame) {
   requests_c_->Increment();
   PendingRequest pending{conn, *request, std::chrono::steady_clock::now()};
   if (options_.wire_compress) {
-    ServeShard& shard = ConnShardOf(conn);
-    MutexLock lock(shard.caps_mu);
-    auto it = shard.conn_caps.find(conn);
+    MutexLock lock(caps_mu_);
+    auto it = conn_caps_.find(conn);
     pending.compress_ok =
-        it != shard.conn_caps.end() && (it->second & kCapWireCompression) != 0;
+        it != conn_caps_.end() && (it->second & kCapWireCompression) != 0;
   }
   {
     MutexLock lock(mu_);
@@ -379,9 +339,8 @@ void MofSupplier::OnFrame(net::ConnId conn, Frame frame) {
 
 void MofSupplier::OnDisconnect(net::ConnId conn) {
   {
-    ServeShard& shard = ConnShardOf(conn);
-    MutexLock lock(shard.caps_mu);
-    shard.conn_caps.erase(conn);
+    MutexLock lock(caps_mu_);
+    conn_caps_.erase(conn);
   }
   uint64_t purged = 0;
   uint64_t released_bytes = 0;
@@ -528,10 +487,9 @@ bool MofSupplier::ResolveRequest(
 Status MofSupplier::PreadInto(const mr::MofHandle& handle, uint64_t offset,
                               std::span<uint8_t> out) {
   const std::string path = handle.data_path.string();
-  FdCache& fd_cache = PathShardOf(path).fd_cache;
   Status st = Internal("pread not attempted");
   for (int attempt = 0; attempt < kPreadAttempts; ++attempt) {
-    auto file = fd_cache.Open(path);
+    auto file = fd_cache_.Open(path);
     if (!file.ok()) {
       // NotFound (the MOF is gone) won't improve on retry.
       if (file.status().code() == StatusCode::kNotFound) {
@@ -545,7 +503,7 @@ Status MofSupplier::PreadInto(const mr::MofHandle& handle, uint64_t offset,
     if (st.ok()) return st;
     // A failed read may mean the descriptor went stale (file replaced);
     // drop it so the retry (and any later request) reopens the path.
-    fd_cache.Invalidate(path);
+    fd_cache_.Invalidate(path);
   }
   return st;
 }
@@ -584,44 +542,17 @@ bool MofSupplier::WireCompressEligible(const PendingRequest& pending,
          chunk > 0 && (header.flags & kSegmentCompressed) == 0;
 }
 
-MofSupplier::CompressMemo MofSupplier::LookupCompressed(
-    const FetchRequest& request, uint64_t chunk,
-    std::shared_ptr<const std::vector<uint8_t>>* payload, uint32_t* crc) {
-  const CrcKey key{request.map_task, request.partition, request.offset,
-                   chunk};
-  ServeShard& shard = MemoShardOf(key);
-  MutexLock lock(shard.compress_mu);
-  const CompressedChunk* cached = shard.compress_cache.Get(key);
-  if (cached == nullptr) return CompressMemo::kMiss;
-  if (cached->data == nullptr) return CompressMemo::kIncompressible;
-  *payload = cached->data;
-  *crc = cached->crc;
-  return CompressMemo::kCompressed;
-}
-
-std::shared_ptr<const std::vector<uint8_t>> MofSupplier::CompressAndMemoize(
-    const FetchRequest& request, std::span<const uint8_t> data,
-    uint32_t* crc) {
-  // Compress and hash outside the lock — this is the expensive part, and
-  // per-group checkout already guarantees no two disk threads race on the
-  // same chunk.
+std::shared_ptr<const std::vector<uint8_t>> MofSupplier::CompressChunk(
+    std::span<const uint8_t> data, uint32_t* crc) {
   std::vector<uint8_t> compressed = Compress(data);
-  const CrcKey key{request.map_task, request.partition, request.offset,
-                   static_cast<uint64_t>(data.size())};
-  const double min_ratio = options_.wire_compress_min_ratio;
-  ServeShard& shard = MemoShardOf(key);
   if (static_cast<double>(compressed.size()) >
-      static_cast<double>(data.size()) * min_ratio) {
+      static_cast<double>(data.size()) * options_.wire_compress_min_ratio) {
     compress_bailouts_c_->Increment();
-    MutexLock lock(shard.compress_mu);
-    shard.compress_cache.Put(key, CompressedChunk{});  // memoized: ship raw
     return nullptr;
   }
   auto shared =
       std::make_shared<const std::vector<uint8_t>>(std::move(compressed));
   *crc = Crc32(*shared);
-  MutexLock lock(shard.compress_mu);
-  shard.compress_cache.Put(key, CompressedChunk{shared, *crc});
   return shared;
 }
 
@@ -645,29 +576,16 @@ void MofSupplier::EnqueueCompressed(
   ready.chunk = chunk;
   ready.wire = payload->size();
   ready.enqueued = pending.enqueued;
-  // The memoized vector is the frame's lease: retransmits of a hot chunk
-  // all ride the same immutable buffer, alive until the last byte of the
-  // last in-flight copy is on the wire.
+  // The compressed vector is the frame's lease: it stays alive until the
+  // transport has put its last byte on the wire.
   const std::span<const uint8_t> view{payload->data(), payload->size()};
   ready.frame = EncodeDataZeroCopy(header, view, std::move(payload));
   if (inline_send) {
-    const uint64_t wire = ready.wire;
-    Status st = endpoint_->SendAsync(ready.conn, std::move(ready.frame));
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - ready.enqueued)
-            .count();
-    if (st.ok()) {
-      bytes_served_c_->Increment(chunk);
-      wire_bytes_logical_c_->Increment(chunk);
-      wire_bytes_wire_c_->Increment(wire);
-      request_latency_ms_h_->Observe(latency_ms);
-    } else {
-      errors_c_->Increment();
-    }
+    SendData(ready.conn, std::move(ready.frame), ready.chunk, ready.wire,
+             ready.enqueued);
     return;
   }
-  (void)ConnShardOf(pending.conn).send_queue.Push(std::move(ready));
+  (void)send_queue_.Push(std::move(ready));
 }
 
 void MofSupplier::PrefetchOne(const PendingRequest& pending) {
@@ -681,28 +599,6 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
                                      pending.enqueued);
                       })) {
     return;
-  }
-  // Wire-compression gate. A memoized compressed chunk is served straight
-  // from the memo — no disk read at all. A memoized bail-out falls through
-  // to the raw path; a miss reads the bytes and compresses them there.
-  bool want_compress = false;
-  if (WireCompressEligible(pending, header, chunk)) {
-    std::shared_ptr<const std::vector<uint8_t>> memo;
-    uint32_t memo_crc = 0;
-    switch (LookupCompressed(pending.request, chunk, &memo, &memo_crc)) {
-      case CompressMemo::kCompressed:
-        compress_cache_hits_c_->Increment();
-        EnqueueCompressed(pending, header, chunk, std::move(memo), memo_crc,
-                          /*inline_send=*/false);
-        return;
-      case CompressMemo::kIncompressible:
-        compress_cache_hits_c_->Increment();
-        break;
-      case CompressMemo::kMiss:
-        compress_cache_misses_c_->Increment();
-        want_compress = true;
-        break;
-    }
   }
   // DataCache buffer: bounds in-flight disk reads *and* bytes parked on
   // the socket, since the buffer now travels with the frame until the
@@ -753,11 +649,10 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
     }
   }
   buffer.set_size(static_cast<size_t>(chunk));
-  if (want_compress) {
+  if (WireCompressEligible(pending, header, chunk)) {
     uint32_t payload_crc = 0;
-    auto payload = CompressAndMemoize(
-        pending.request, {buffer.data(), static_cast<size_t>(chunk)},
-        &payload_crc);
+    auto payload = CompressChunk({buffer.data(), static_cast<size_t>(chunk)},
+                                 &payload_crc);
     if (payload != nullptr) {
       // The pooled buffer is released here (compressed copy supersedes it).
       EnqueueCompressed(pending, header, chunk, std::move(payload),
@@ -786,11 +681,11 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   ready.enqueued = pending.enqueued;
   // Push only fails once the queue is closed (shutdown); the dropped
   // reply's lease returns the buffer via its destructor.
-  (void)ConnShardOf(pending.conn).send_queue.Push(std::move(ready));
+  (void)send_queue_.Push(std::move(ready));
 }
 
-void MofSupplier::SendLoop(ServeShard& shard) {
-  while (auto ready = shard.send_queue.Pop()) {
+void MofSupplier::SendLoop() {
+  while (auto ready = send_queue_.Pop()) {
     if (ready->is_error) {
       endpoint_->SendAsync(ready->conn, EncodeError(ready->error));
       errors_c_->Increment();
@@ -799,21 +694,25 @@ void MofSupplier::SendLoop(ServeShard& shard) {
     // The frame was encoded in the disk stage (a 32-byte owned header plus
     // a borrowed chunk view); nothing to copy here — just hand the lease
     // to the transport.
-    const uint64_t chunk = ready->chunk;
-    const uint64_t wire = ready->wire;
-    Status st = endpoint_->SendAsync(ready->conn, std::move(ready->frame));
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - ready->enqueued)
-            .count();
-    if (st.ok()) {
-      bytes_served_c_->Increment(chunk);
-      wire_bytes_logical_c_->Increment(chunk);
-      wire_bytes_wire_c_->Increment(wire);
-      request_latency_ms_h_->Observe(latency_ms);
-    } else {
-      errors_c_->Increment();
-    }
+    SendData(ready->conn, std::move(ready->frame), ready->chunk, ready->wire,
+             ready->enqueued);
+  }
+}
+
+void MofSupplier::SendData(net::ConnId conn, Frame frame, uint64_t chunk,
+                           uint64_t wire,
+                           std::chrono::steady_clock::time_point enqueued) {
+  Status st = endpoint_->SendAsync(conn, std::move(frame));
+  const double latency_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - enqueued)
+                                .count();
+  if (st.ok()) {
+    bytes_served_c_->Increment(chunk);
+    wire_bytes_logical_c_->Increment(chunk);
+    wire_bytes_wire_c_->Increment(wire);
+    request_latency_ms_h_->Observe(latency_ms);
+  } else {
+    errors_c_->Increment();
   }
 }
 
@@ -829,26 +728,6 @@ void MofSupplier::ServeInline(const PendingRequest& pending) {
                       })) {
     return;
   }
-  // Same wire-compression gate as the pipelined path, transmitted inline.
-  bool want_compress = false;
-  if (WireCompressEligible(pending, header, chunk)) {
-    std::shared_ptr<const std::vector<uint8_t>> memo;
-    uint32_t memo_crc = 0;
-    switch (LookupCompressed(request, chunk, &memo, &memo_crc)) {
-      case CompressMemo::kCompressed:
-        compress_cache_hits_c_->Increment();
-        EnqueueCompressed(pending, header, chunk, std::move(memo), memo_crc,
-                          /*inline_send=*/true);
-        return;
-      case CompressMemo::kIncompressible:
-        compress_cache_hits_c_->Increment();
-        break;
-      case CompressMemo::kMiss:
-        compress_cache_misses_c_->Increment();
-        want_compress = true;
-        break;
-    }
-  }
   PooledBuffer buffer = data_cache_.Acquire();
   if (!buffer.valid()) return;
   if (chunk > 0) {
@@ -860,10 +739,11 @@ void MofSupplier::ServeInline(const PendingRequest& pending) {
     }
   }
   buffer.set_size(static_cast<size_t>(chunk));
-  if (want_compress) {
+  // Same wire-compression gate as the pipelined path, transmitted inline.
+  if (WireCompressEligible(pending, header, chunk)) {
     uint32_t payload_crc = 0;
-    auto payload = CompressAndMemoize(
-        request, {buffer.data(), static_cast<size_t>(chunk)}, &payload_crc);
+    auto payload = CompressChunk({buffer.data(), static_cast<size_t>(chunk)},
+                                 &payload_crc);
     if (payload != nullptr) {
       EnqueueCompressed(pending, header, chunk, std::move(payload),
                         payload_crc, /*inline_send=*/true);
@@ -876,20 +756,9 @@ void MofSupplier::ServeInline(const PendingRequest& pending) {
   auto lease = MakeBufferLease(std::move(buffer));
   const std::span<const uint8_t> chunk_view{
       static_cast<const uint8_t*>(lease.get()), static_cast<size_t>(chunk)};
-  Frame frame = EncodeDataZeroCopy(header, chunk_view, std::move(lease));
-  Status st = endpoint_->SendAsync(pending.conn, std::move(frame));
-  const double latency_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - pending.enqueued)
-          .count();
-  if (st.ok()) {
-    bytes_served_c_->Increment(chunk);
-    wire_bytes_logical_c_->Increment(chunk);
-    wire_bytes_wire_c_->Increment(chunk);
-    request_latency_ms_h_->Observe(latency_ms);
-  } else {
-    errors_c_->Increment();
-  }
+  SendData(pending.conn,
+           EncodeDataZeroCopy(header, chunk_view, std::move(lease)), chunk,
+           chunk, pending.enqueued);
 }
 
 void MofSupplier::EnqueueError(net::ConnId conn, const FetchRequest& request,
@@ -902,7 +771,7 @@ void MofSupplier::EnqueueError(net::ConnId conn, const FetchRequest& request,
   ready.error.partition = request.partition;
   ready.error.message = message;
   ready.enqueued = enqueued;
-  (void)ConnShardOf(conn).send_queue.Push(std::move(ready));
+  (void)send_queue_.Push(std::move(ready));
 }
 
 void MofSupplier::SendBusy(net::ConnId conn, const FetchRequest& request,

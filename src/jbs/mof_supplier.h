@@ -8,13 +8,12 @@
 //     (map, partition) stay in offset order), preads segments into
 //     DataCache pooled buffers through an LRU fd cache, and hands ready
 //     buffers to the send stage;
-//   send stage — one thread per serve shard (Options::serve_shards;
-//     connections route to shards by ConnId, so a connection's replies
-//     stay ordered) that hands the pre-encoded scatter-gather frames to
-//     the transport's event thread. The chunk bytes are
-//     never copied into the frame: the pooled buffer rides along as the
-//     frame's lease and returns to the DataCache only after the transport
-//     has put its last byte on the wire.
+//   send stage — one thread (so every connection's replies stay in
+//     order) that hands the pre-encoded scatter-gather frames to the
+//     transport's event thread. The chunk bytes are never copied into the
+//     frame: the pooled buffer rides along as the frame's lease and
+//     returns to the DataCache only after the transport has put its last
+//     byte on the wire.
 //
 // Disk reads for request N+1 therefore overlap the network transmit of
 // request N (Fig. 5), and DataCache exhaustion — which now includes
@@ -38,7 +37,6 @@
 #include "common/blocking_queue.h"
 #include "common/buffer_pool.h"
 #include "common/fd_cache.h"
-#include "common/lru_cache.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/stats.h"
@@ -63,16 +61,13 @@ class MofSupplier final : public mr::ShuffleServer {
     // Negotiated wire compression: chunks served to clients that advertised
     // kCapWireCompression in their hello are LZSS-compressed in the
     // prefetch stage when at least `wire_compress_min_bytes` long and not
-    // already segment-compressed on disk. The compressed bytes are memoized
-    // in an LRU (compress once per chunk across retransmits); chunks whose
-    // compressed size exceeds `chunk * wire_compress_min_ratio` are
-    // memoized as incompressible and ship raw. Off by default: the knob
-    // trades supplier CPU for wire bytes, which only pays on compressible
-    // workloads.
+    // already segment-compressed on disk. Chunks whose compressed size
+    // exceeds `chunk * wire_compress_min_ratio` ship raw. Off by default:
+    // the knob trades supplier CPU for wire bytes, which only pays on
+    // compressible workloads.
     bool wire_compress = false;
     uint64_t wire_compress_min_bytes = 4096;
     double wire_compress_min_ratio = 0.9;
-    size_t compress_cache_entries = 1024;  // compressed-chunk memo (LRU)
     int prefetch_batch = 4;   // requests served per group per turn
     int prefetch_threads = 2; // disk-stage pool (pipelined mode only)
     bool pipelined = true;    // ablation: false degrades to serialized
@@ -94,15 +89,6 @@ class MofSupplier final : public mr::ShuffleServer {
     // instead of parking disk threads indefinitely. 0 disables.
     double admission_datacache_watermark = 0;
     int admission_acquire_timeout_ms = 100;
-    // Thread-per-core serve sharding (DESIGN.md §15): number of
-    // independent serve shards, each owning its own fd-cache,
-    // compress memo, capability map, and send stage. Connections route by
-    // ConnId (whose low bits are the transport's accepting-loop index, so
-    // shards align with accepting cores when this matches
-    // TcpTransportOptions::num_loops); the compress memo routes by content
-    // key so retransmits from any connection share one entry. 0 = one per
-    // core capped at 8; default 1 preserves the single send stage.
-    int serve_shards = 1;
     // Calibrated disk model for benchmarking on hardware whose storage is
     // far faster than the paper's spindles: each pread is charged
     // `disk_seek_ms` when it does not continue that file's previous read,
@@ -172,7 +158,7 @@ class MofSupplier final : public mr::ShuffleServer {
 
   /// One ready reply travelling from the prefetch stage to the send stage.
   /// Data replies carry a pre-encoded scatter-gather frame whose lease
-  /// (pooled buffer or memoized compressed chunk) keeps the chunk bytes
+  /// (pooled buffer or compressed vector) keeps the chunk bytes
   /// alive until the transport has put them on the wire; error replies
   /// carry just the FetchError.
   struct ReadyReply {
@@ -201,6 +187,13 @@ class MofSupplier final : public mr::ShuffleServer {
   /// Serialized ablation path: read + encode + transmit inline (seed
   /// behavior).
   void ServeInline(const PendingRequest& pending);
+  /// Pipelined stage 2: hand encoded frames to the transport event thread.
+  void SendLoop();
+  /// Hands one encoded data frame to the transport and accounts for it:
+  /// `chunk` logical bytes served as `wire` payload bytes, latency measured
+  /// from `enqueued`; a refused send counts as an error.
+  void SendData(net::ConnId conn, Frame frame, uint64_t chunk, uint64_t wire,
+                std::chrono::steady_clock::time_point enqueued);
   /// Resolves the request to (handle, index entry, chunk length); on any
   /// validation failure reports the error via `fail` and returns false.
   bool ResolveRequest(const PendingRequest& pending, mr::MofHandle* handle,
@@ -223,8 +216,7 @@ class MofSupplier final : public mr::ShuffleServer {
   Status PreadInto(const mr::MofHandle& handle, uint64_t offset,
                    std::span<uint8_t> out);
   /// Stamps `header` with the full wire CRC (kChunkHasCrc) when enabled.
-  /// Hashes `data` on every send: at memory speed a retransmit's re-hash
-  /// costs less than a memo lookup behind a lock.
+  /// Hashes `data` on every send, retransmits included.
   void StampChunkCrc(FetchDataHeader* header,
                      std::span<const uint8_t> data) const;
   /// True if this chunk should be considered for wire compression: the
@@ -233,18 +225,12 @@ class MofSupplier final : public mr::ShuffleServer {
   bool WireCompressEligible(const PendingRequest& pending,
                             const FetchDataHeader& header,
                             uint64_t chunk) const;
-  /// Compressed-chunk memo probe. kCompressed sets `*payload`/`*crc`.
-  enum class CompressMemo { kMiss, kCompressed, kIncompressible };
-  CompressMemo LookupCompressed(
-      const FetchRequest& request, uint64_t chunk,
-      std::shared_ptr<const std::vector<uint8_t>>* payload, uint32_t* crc);
-  /// Compresses a freshly read chunk, applies the min-ratio bail-out, and
-  /// memoizes the outcome either way. Returns the compressed payload (and
-  /// its CRC) on success, nullptr when the chunk ships raw.
-  std::shared_ptr<const std::vector<uint8_t>> CompressAndMemoize(
-      const FetchRequest& request, std::span<const uint8_t> data,
-      uint32_t* crc);
-  /// Queues a kChunkCompressed reply whose payload rides the memoized
+  /// Compresses a freshly read chunk and applies the min-ratio bail-out.
+  /// Returns the compressed payload (and its CRC) on success, nullptr when
+  /// the chunk ships raw.
+  std::shared_ptr<const std::vector<uint8_t>> CompressChunk(
+      std::span<const uint8_t> data, uint32_t* crc);
+  /// Queues a kChunkCompressed reply whose payload rides the compressed
   /// vector as the frame's lease (no copy). `inline_send` transmits
   /// directly (serialized ablation mode) instead of via the send stage.
   void EnqueueCompressed(const PendingRequest& pending, FetchDataHeader header,
@@ -268,94 +254,20 @@ class MofSupplier final : public mr::ShuffleServer {
   BufferPool data_cache_;
   IndexCache index_cache_;
 
-  // Chunk key for the compress memo: (map, partition, offset, len). A
-  // packed POD, so a lookup formats no strings and allocates nothing.
-  struct CrcKey {
-    int32_t map_task = 0;
-    int32_t partition = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    bool operator==(const CrcKey&) const = default;
-  };
-  struct CrcKeyHash {
-    using is_transparent = void;
-    size_t operator()(const CrcKey& key) const {
-      // splitmix64-style finalizer over the packed fields; cheap and
-      // well-distributed for the sequential offsets a fetch sweep emits.
-      auto mix = [](uint64_t x) {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-      };
-      const uint64_t a =
-          (static_cast<uint64_t>(static_cast<uint32_t>(key.map_task)) << 32) |
-          static_cast<uint32_t>(key.partition);
-      return static_cast<size_t>(
-          mix(mix(a) ^ mix(key.offset) ^ (mix(key.length) << 1)));
-    }
-  };
-  // Compressed-chunk memo, keyed by CrcKey. It carries the CRC of the
-  // compressed bytes, taken once when they are produced. `data == nullptr`
-  // memoizes "didn't compress well enough — ship raw" so the bail-out is
-  // also paid once per chunk, not per retransmit.
-  struct CompressedChunk {
-    std::shared_ptr<const std::vector<uint8_t>> data;
-    uint32_t crc = 0;  // Crc32 over *data (the compressed bytes)
-  };
-  MetricCounter* compress_cache_hits_c_ = nullptr;
-  MetricCounter* compress_cache_misses_c_ = nullptr;
   MetricCounter* chunks_compressed_c_ = nullptr;
   MetricCounter* compress_bailouts_c_ = nullptr;
   MetricCounter* wire_bytes_logical_c_ = nullptr;
   MetricCounter* wire_bytes_wire_c_ = nullptr;
   MetricHistogram* compress_ratio_h_ = nullptr;
 
-  // §15 thread-per-core serve state: one shard per serving core, each
-  // owning the caches and the send stage for the work routed to it, so
-  // two cores serving different connections share no locks on the
-  // per-byte path. Content-keyed state (compress memo, fd cache) routes by
-  // hash so retransmits from any connection share one entry;
-  // connection-keyed state (caps, send queue) routes by ConnId so a
-  // connection's frames stay ordered through a single send thread.
-  struct ServeShard {
-    ServeShard(size_t fd_entries, size_t compress_entries,
-               size_t queue_capacity)
-        : fd_cache(fd_entries),
-          compress_cache(compress_entries),
-          send_queue(queue_capacity) {}
-    FdCache fd_cache;
-    Mutex compress_mu;
-    LruCache<CrcKey, CompressedChunk, CrcKeyHash> compress_cache
-        GUARDED_BY(compress_mu);
-    // Per-connection capabilities from the hello frame, erased on
-    // disconnect. The transport invokes a connection's handlers from its
-    // pinned loop thread, so only same-shard threads contend here.
-    Mutex caps_mu;
-    std::map<net::ConnId, uint32_t> conn_caps GUARDED_BY(caps_mu);
-    BlockingQueue<ReadyReply> send_queue;
-    std::thread send_thread;
-  };
-  std::vector<std::unique_ptr<ServeShard>> shards_;
-
-  ServeShard& MemoShardOf(const CrcKey& key) const {
-    return *shards_[CrcKeyHash{}(key) % shards_.size()];
-  }
-  ServeShard& PathShardOf(const std::string& path) const {
-    return *shards_[std::hash<std::string>{}(path) % shards_.size()];
-  }
-  // ConnId low bits are the transport's accepting-loop index (see
-  // tcp_transport), so serve shards align with accepting cores when
-  // serve_shards matches the transport's loop count.
-  ServeShard& ConnShardOf(net::ConnId conn) const {
-    return *shards_[static_cast<size_t>(conn) % shards_.size()];
-  }
-
-  /// Pipelined stage 2 (one per shard): encode ready buffers and hand
-  /// frames to the transport event thread.
-  void SendLoop(ServeShard& shard);
-  /// Sums per-shard fd-cache counters for scrape-time reporting.
-  FdCache::Stats AggregateFdStats() const;
+  // Serve state shared by the disk and send stages: the MOF data-file
+  // descriptor cache and the per-connection capabilities from the hello
+  // frame (erased on disconnect).
+  FdCache fd_cache_;
+  Mutex caps_mu_;
+  std::map<net::ConnId, uint32_t> conn_caps_ GUARDED_BY(caps_mu_);
+  BlockingQueue<ReadyReply> send_queue_;
+  std::thread send_thread_;
 
   // Observability plumbing: pointers into metrics_ (never null; falls back
   // to the owned registry when options don't share one).

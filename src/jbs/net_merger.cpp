@@ -23,7 +23,7 @@ NodeHealthTracker::Failure ClassifyFailure(const Status& status, bool dialed) {
   if (status.message().rfind("chunk CRC mismatch", 0) == 0 ||
       status.message().rfind("chunk decompress failed", 0) == 0) {
     // A payload that passed its CRC but won't decompress means the
-    // *supplier* shipped damaged bytes (bad memo, bit rot before the CRC
+    // *supplier* shipped damaged bytes (a compressor bug, bit rot before the CRC
     // was taken) — same taxonomy as corruption on the wire.
     return NodeHealthTracker::Failure::kCorrupt;
   }

@@ -7,7 +7,6 @@ JbsShufflePlugin::JbsShufflePlugin(Options options) : options_(options) {
     case TransportKind::kTcp: {
       net::TcpTransportOptions topts;
       topts.max_frame_bytes = options_.max_frame_bytes;
-      topts.num_loops = options_.transport_loops;
       transport_ = net::MakeTcpTransport(topts);
       break;
     }
@@ -68,8 +67,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
       conf.GetSize(conf::kWireCompressMinBytes, 4096));
   options.wire_compress_min_ratio =
       conf.GetDouble(conf::kWireCompressMinRatio, 0.9);
-  options.compress_cache_entries =
-      static_cast<size_t>(conf.GetInt(conf::kCompressCacheEntries, 1024));
   options.admission_max_queue =
       static_cast<size_t>(conf.GetInt(conf::kAdmissionMaxQueue, 0));
   options.admission_max_inflight_bytes = static_cast<uint64_t>(
@@ -80,10 +77,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
       static_cast<int>(conf.GetInt(conf::kAdmissionAcquireTimeoutMs, 100));
   options.pushback_retry_budget =
       static_cast<int>(conf.GetInt(conf::kPushbackRetryBudget, 32));
-  options.transport_loops =
-      static_cast<int>(conf.GetInt(conf::kTransportLoops, 1));
-  options.serve_shards =
-      static_cast<int>(conf.GetInt(conf::kServeShards, 1));
   return options;
 }
 
@@ -107,8 +100,6 @@ std::unique_ptr<mr::ShuffleServer> JbsShufflePlugin::CreateServer(
   sopts.wire_compress = options_.wire_compress;
   sopts.wire_compress_min_bytes = options_.wire_compress_min_bytes;
   sopts.wire_compress_min_ratio = options_.wire_compress_min_ratio;
-  sopts.compress_cache_entries = options_.compress_cache_entries;
-  sopts.serve_shards = options_.serve_shards;
   sopts.admission_max_queue = options_.admission_max_queue;
   sopts.admission_max_inflight_bytes = options_.admission_max_inflight_bytes;
   sopts.admission_datacache_watermark = options_.admission_datacache_watermark;

@@ -52,7 +52,6 @@ struct JbsOptions {
   bool wire_compress = false;
   uint64_t wire_compress_min_bytes = 4096;
   double wire_compress_min_ratio = 0.9;
-  size_t compress_cache_entries = 1024;
   // Overload control (DESIGN.md §16): supplier admission bounds (0 = off)
   // and the merger's kErrorBusy retry budget.
   size_t admission_max_queue = 0;
@@ -60,12 +59,6 @@ struct JbsOptions {
   double admission_datacache_watermark = 0;
   int admission_acquire_timeout_ms = 100;
   int pushback_retry_budget = 32;
-  // Thread-per-core execution model (DESIGN.md §15): TCP server epoll
-  // loop-shard count (0 = per core, capped at 8) and MofSupplier serve
-  // shards (0 = per core; connections pin to the shard matching their
-  // accepting loop).
-  int transport_loops = 1;
-  int serve_shards = 1;
 };
 
 class JbsShufflePlugin final : public mr::ShufflePlugin {

@@ -10,12 +10,11 @@
 // accepted by the kernel or the connection dies with the frame still
 // queued.
 //
-// Execution model (DESIGN.md §15): the endpoint runs `num_loops` shards,
-// each one epoll event loop owning a disjoint set of connections. A
-// connection is pinned to the shard that registered it for its whole
-// lifetime — its decoder, outbound queue, and counters are only ever
-// touched from that shard's loop thread, so the per-byte path takes no
-// locks; shard counters are relaxed atomics aggregated by stats().
+// Execution model (DESIGN.md §15): the endpoint runs one epoll event loop
+// that accepts, reads and writes every connection. Connection state (the
+// decoder and outbound queue) is only ever touched from that loop thread,
+// so the per-byte path takes no locks; the counters are relaxed atomics so
+// stats() can read them from any thread.
 #include "transport/tcp_transport.h"
 
 #include <sys/socket.h>
@@ -28,14 +27,12 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/mutex.h"
-#include "common/percore.h"
 #include "common/thread_annotations.h"
 #include "transport/event_loop.h"
 #include "transport/socket_util.h"
@@ -46,11 +43,6 @@ namespace {
 
 // Iovec gather bound per sendmsg(2) on the server flush path.
 constexpr int kFlushIovecs = 64;
-
-// Low bits of a ConnId carry the owning shard so SendAsync routes without
-// a lookup; 6 bits bounds num_loops at 64 (far above the auto cap).
-constexpr int kShardBits = 6;
-constexpr size_t kMaxShards = size_t{1} << kShardBits;
 
 class TcpConnection final : public Connection {
  public:
@@ -140,34 +132,16 @@ class TcpServerEndpoint final : public ServerEndpoint {
 
   Status Start(Handlers handlers) override {
     handlers_ = std::move(handlers);
-    size_t n = options_.num_loops > 0
-                   ? static_cast<size_t>(options_.num_loops)
-                   : std::min<size_t>(
-                         8, std::max(1u, std::thread::hardware_concurrency()));
-    n = std::min(n, kMaxShards);
-    shards_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
     auto listener = ListenTcp(/*port=*/0);
     JBS_RETURN_IF_ERROR(listener.status());
     listen_fd_ = std::move(listener->first);
     port_ = listener->second;
     JBS_RETURN_IF_ERROR(SetNonBlocking(listen_fd_.get()));
-    for (auto& shard : shards_) {
-      Status st = shard->loop.Start();
-      if (!st.ok()) {
-        for (auto& started : shards_) started->loop.Stop();
-        return st;
-      }
-    }
-    // The listener lives on shard 0; accepted connections are dealt
-    // round-robin across all shards. Registration must happen on the
-    // loop thread.
-    EventLoop& loop0 = shards_[0]->loop;
+    JBS_RETURN_IF_ERROR(loop_.Start());
+    // Registration must happen on the loop thread.
     std::promise<Status> done;
-    loop0.RunInLoop([this, &loop0, &done] {
-      done.set_value(loop0.Add(listen_fd_.get(), /*read=*/true,
+    loop_.RunInLoop([this, &done] {
+      done.set_value(loop_.Add(listen_fd_.get(), /*read=*/true,
                                /*write=*/false,
                                [this](uint32_t) { AcceptReady(); }));
     });
@@ -180,9 +154,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
     if (stopped_.load(std::memory_order_acquire)) {
       return Unavailable("endpoint stopped");
     }
-    const size_t index = ShardIndexOf(conn);
-    if (index >= shards_.size()) return Status::Ok();  // unknown conn: drop
-    Shard& shard = *shards_[index];
     // The frame is NOT flattened into a wire buffer: its owned payload is
     // moved, its ext travels as a view, and the lease rides along until
     // the flush path finishes with the bytes.
@@ -193,43 +164,40 @@ class TcpServerEndpoint final : public ServerEndpoint {
     // Last: once the lease moves, frame's ext view has no ownership token
     // behind it (jbs-lease-lifetime).
     out.lease = std::move(frame.lease);
-    auto enqueue = [this, &shard, conn, out = std::move(out)]() mutable {
-      auto it = shard.conns.find(conn);
-      if (it == shard.conns.end()) return;  // conn gone; lease drops here
+    auto enqueue = [this, conn, out = std::move(out)]() mutable {
+      auto it = conns_.find(conn);
+      if (it == conns_.end()) return;  // conn gone; lease drops here
       it->second.out_queue.push_back(std::move(out));
-      shard.frames_sent.Add(1);
+      frames_sent_.fetch_add(1, std::memory_order_relaxed);
       queued_frames_.fetch_add(1, std::memory_order_relaxed);
-      FlushWrites(shard, conn);
+      FlushWrites(conn);
     };
     // From the loop thread (e.g. an on_frame handler replying inline) run
     // synchronously: if the peer half-closed right after its request, the
     // EOF must find the reply already queued, not parked behind it in the
     // pending-task list.
-    if (shard.loop.InLoopThread()) {
+    if (loop_.InLoopThread()) {
       enqueue();
     } else {
-      shard.loop.RunInLoop(std::move(enqueue));
+      loop_.RunInLoop(std::move(enqueue));
     }
     return Status::Ok();
   }
 
   void Stop() override {
     if (stopped_.exchange(true)) return;
-    for (auto& shard : shards_) shard->loop.Stop();
-    for (auto& shard : shards_) {
-      shard->conns.clear();  // drops every queued OutFrame and its lease
-    }
+    loop_.Stop();
+    conns_.clear();  // drops every queued OutFrame and its lease
     listen_fd_.Reset();
   }
 
   Stats stats() const override {
     Stats out;
-    for (const auto& shard : shards_) {
-      out.connections_accepted += shard->connections_accepted.Load();
-      out.frames_received += shard->frames_received.Load();
-      out.frames_sent += shard->frames_sent.Load();
-      out.bytes_sent += shard->bytes_sent.Load();
-    }
+    out.connections_accepted =
+        connections_accepted_.load(std::memory_order_relaxed);
+    out.frames_received = frames_received_.load(std::memory_order_relaxed);
+    out.frames_sent = frames_sent_.load(std::memory_order_relaxed);
+    out.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
     out.send_queue_depth = queued_frames_.load(std::memory_order_relaxed);
     return out;
   }
@@ -260,26 +228,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
         : fd(std::move(fd_in)), decoder(max_frame) {}
   };
 
-  /// One thread-per-core slice of the endpoint: a loop plus every piece
-  /// of state its pinned connections touch. `conns` is loop thread only;
-  /// counters are per-core and aggregated at scrape.
-  struct Shard {
-    EventLoop loop;
-    std::unordered_map<ConnId, ConnState> conns;
-    PerCoreCounter connections_accepted;
-    PerCoreCounter frames_received;
-    PerCoreCounter frames_sent;
-    PerCoreCounter bytes_sent;
-  };
-
-  static size_t ShardIndexOf(ConnId id) {
-    return static_cast<size_t>(id & (kMaxShards - 1));
-  }
-  ConnId MakeConnId(size_t shard_index) {
-    return (next_conn_seq_++ << kShardBits) |
-           static_cast<ConnId>(shard_index);
-  }
-
   void AcceptReady() {
     for (;;) {
       const int raw = ::accept4(listen_fd_.get(), nullptr, nullptr,
@@ -291,57 +239,37 @@ class TcpServerEndpoint final : public ServerEndpoint {
         return;
       }
       (void)SetNoDelay(raw);
-      const size_t target = next_shard_;
-      next_shard_ = (next_shard_ + 1) % shards_.size();
-      const ConnId id = MakeConnId(target);
-      Shard& shard = *shards_[target];
-      if (target == 0) {
-        RegisterConn(shard, id, Fd(raw));
-      } else {
-        // shared_ptr, not a move capture: if the target loop stops before
-        // draining its task queue, the dropped closure still closes raw.
-        auto fd = std::make_shared<Fd>(Fd(raw));
-        shard.loop.RunInLoop([this, &shard, id, fd] {
-          RegisterConn(shard, id, std::move(*fd));
-        });
+      const ConnId id = next_conn_id_++;
+      auto [it, inserted] = conns_.emplace(
+          id, ConnState(Fd(raw), options_.max_frame_bytes));
+      Status st = loop_.Add(it->second.fd.get(), /*read=*/true,
+                            /*write=*/false, [this, id](uint32_t events) {
+                              OnConnEvent(id, events);
+                            });
+      if (!st.ok()) {
+        conns_.erase(it);
+        continue;
       }
+      connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+      if (handlers_.on_connect) handlers_.on_connect(id);
     }
   }
 
-  /// Runs on `shard`'s loop thread: pins the connection there for life.
-  void RegisterConn(Shard& shard, ConnId id, Fd fd) {
-    if (!fd.valid()) return;
-    auto [it, inserted] =
-        shard.conns.emplace(id, ConnState(std::move(fd),
-                                          options_.max_frame_bytes));
-    Status st = shard.loop.Add(it->second.fd.get(), /*read=*/true,
-                               /*write=*/false,
-                               [this, &shard, id](uint32_t events) {
-                                 OnConnEvent(shard, id, events);
-                               });
-    if (!st.ok()) {
-      shard.conns.erase(it);
-      return;
-    }
-    shard.connections_accepted.Add(1);
-    if (handlers_.on_connect) handlers_.on_connect(id);
-  }
-
-  void OnConnEvent(Shard& shard, ConnId id, uint32_t events) {
-    auto it = shard.conns.find(id);
-    if (it == shard.conns.end()) return;
+  void OnConnEvent(ConnId id, uint32_t events) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return;
     if ((events & EventLoop::kError) != 0) {
-      CloseConn(shard, id);
+      CloseConn(id);
       return;
     }
-    if ((events & EventLoop::kReadable) != 0 && !ReadReady(shard, id)) return;
-    if ((events & EventLoop::kWritable) != 0) FlushWrites(shard, id);
+    if ((events & EventLoop::kReadable) != 0 && !ReadReady(id)) return;
+    if ((events & EventLoop::kWritable) != 0) FlushWrites(id);
   }
 
   /// Returns false if the connection was closed.
-  bool ReadReady(Shard& shard, ConnId id) {
-    auto it = shard.conns.find(id);
-    if (it == shard.conns.end()) return false;
+  bool ReadReady(ConnId id) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return false;
     ConnState& state = it->second;
     uint8_t chunk[64 * 1024];
     for (;;) {
@@ -349,7 +277,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         if (errno == EINTR) continue;
-        CloseConn(shard, id);
+        CloseConn(id);
         return false;
       }
       if (n == 0) {
@@ -357,26 +285,26 @@ class TcpServerEndpoint final : public ServerEndpoint {
         // still reading: drain the queued replies before closing rather
         // than dropping them on the floor.
         if (state.out_queue.empty()) {
-          CloseConn(shard, id);
+          CloseConn(id);
           return false;
         }
         state.peer_half_closed = true;
         state.want_write = true;
-        shard.loop.Modify(state.fd.get(), /*read=*/false, /*write=*/true);
+        loop_.Modify(state.fd.get(), /*read=*/false, /*write=*/true);
         return true;
       }
       if (!state.decoder.Feed({chunk, static_cast<size_t>(n)}).ok()) {
-        CloseConn(shard, id);
+        CloseConn(id);
         return false;
       }
       while (auto frame = state.decoder.Next()) {
-        shard.frames_received.Add(1);
+        frames_received_.fetch_add(1, std::memory_order_relaxed);
         if (handlers_.on_frame) handlers_.on_frame(id, std::move(*frame));
         // The handler may have closed this connection.
-        if (shard.conns.find(id) == shard.conns.end()) return false;
+        if (conns_.find(id) == conns_.end()) return false;
       }
       if (state.decoder.poisoned()) {
-        CloseConn(shard, id);
+        CloseConn(id);
         return false;
       }
     }
@@ -404,9 +332,9 @@ class TcpServerEndpoint final : public ServerEndpoint {
   /// Streams queued frames out until the queue drains or the socket
   /// would block: each round gathers unsent slices across frames into one
   /// sendmsg(2), then retires the frames it completed.
-  void FlushWrites(Shard& shard, ConnId id) {
-    auto it = shard.conns.find(id);
-    if (it == shard.conns.end()) return;
+  void FlushWrites(ConnId id) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return;
     ConnState& state = it->second;
     while (!state.out_queue.empty()) {
       iovec iov[kFlushIovecs];
@@ -426,10 +354,10 @@ class TcpServerEndpoint final : public ServerEndpoint {
         // double-counted and the connection must not be failed.
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        CloseConn(shard, id);
+        CloseConn(id);
         return;
       }
-      shard.bytes_sent.Add(static_cast<uint64_t>(n));
+      bytes_sent_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
       // Advance `sent` across the queue and retire finished frames.
       size_t written = static_cast<size_t>(n);
       while (written > 0 && !state.out_queue.empty()) {
@@ -444,37 +372,41 @@ class TcpServerEndpoint final : public ServerEndpoint {
     }
     if (state.out_queue.empty() && state.peer_half_closed) {
       // Replies drained to a half-closed peer: now the connection is done.
-      CloseConn(shard, id);
+      CloseConn(id);
       return;
     }
     const bool need_write = !state.out_queue.empty();
     if (need_write != state.want_write) {
       state.want_write = need_write;
-      shard.loop.Modify(state.fd.get(), /*read=*/!state.peer_half_closed,
+      loop_.Modify(state.fd.get(), /*read=*/!state.peer_half_closed,
                         /*write=*/need_write);
     }
   }
 
-  void CloseConn(Shard& shard, ConnId id) {
-    auto it = shard.conns.find(id);
-    if (it == shard.conns.end()) return;
+  void CloseConn(ConnId id) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return;
     queued_frames_.fetch_sub(it->second.out_queue.size(),
                              std::memory_order_relaxed);
-    shard.loop.Remove(it->second.fd.get());
-    shard.conns.erase(it);  // queued OutFrames die here, releasing leases
+    loop_.Remove(it->second.fd.get());
+    conns_.erase(it);  // queued OutFrames die here, releasing leases
     if (handlers_.on_disconnect) handlers_.on_disconnect(id);
   }
 
   const TcpTransportOptions options_;
   Handlers handlers_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  EventLoop loop_;
+  // Loop thread only.
+  std::unordered_map<ConnId, ConnState> conns_;
+  ConnId next_conn_id_ = 1;
   Fd listen_fd_;
   uint16_t port_ = 0;
-  // Accept runs only on shard 0's loop thread.
-  ConnId next_conn_seq_ = 1;
-  size_t next_shard_ = 0;
-  // Frames enqueued but not fully written; atomic so stats() can read it
-  // off the loop threads.
+  // Relaxed atomics so stats() can read them off the loop thread.
+  std::atomic<uint64_t> connections_accepted_{0};
+  std::atomic<uint64_t> frames_received_{0};
+  std::atomic<uint64_t> frames_sent_{0};
+  std::atomic<uint64_t> bytes_sent_{0};
+  // Frames enqueued but not fully written.
   std::atomic<uint64_t> queued_frames_{0};
   std::atomic<bool> stopped_{false};
 };

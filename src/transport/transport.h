@@ -1,8 +1,8 @@
 // Portable transport layer (§IV). One abstract API with two backends:
 //
 //   - TcpTransport: real nonblocking sockets; the server side multiplexes
-//     connections over epoll event-loop shards and queues outbound
-//     frames for asynchronous transmission (§IV-B's event-driven model).
+//     connections over one epoll event loop and queues outbound frames
+//     for asynchronous transmission (§IV-B's event-driven model).
 //   - SoftRdmaTransport: a verbs-style emulation (queue pairs, completion
 //     queues, rdma_cm-style event channel) preserving the §IV-A
 //     connection-establishment state machine without RDMA hardware.
@@ -24,7 +24,8 @@
 
 namespace jbs::net {
 
-/// Identifies one accepted connection within a ServerEndpoint.
+/// Identifies one accepted connection within a ServerEndpoint: a sequence
+/// number, never reused while the endpoint lives.
 using ConnId = uint64_t;
 
 /// Client-side connection: framed, blocking. Send is safe from multiple
@@ -128,12 +129,6 @@ struct TcpTransportOptions {
   /// 4-byte length prefix is attacker-controlled; a frame announcing more
   /// than this fails the connection instead of attempting the allocation.
   size_t max_frame_bytes = 64 * 1024 * 1024;
-  /// Server epoll loop shards (thread-per-core data plane, DESIGN.md §15).
-  /// Each accepted connection is pinned to one shard for its lifetime;
-  /// shard state is thread-local to its loop, so no cross-core locks sit
-  /// on the serve path. 0 = one shard per available core (capped at 8);
-  /// default 1 preserves the single-loop §IV-B model.
-  int num_loops = 1;
 };
 
 /// Creates the TCP/IP transport (§IV-B).

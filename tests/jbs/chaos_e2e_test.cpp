@@ -54,7 +54,7 @@ class ChaosE2ETest : public ::testing::Test {
            ("chaos_e2e_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.num_loops = 2});
+    transport_ = net::MakeTcpTransport();
     flaky_ = std::make_unique<net::FaultInjectingTransport>(transport_.get());
     BuildMofs();
     published_.resize(kNodes);

@@ -213,53 +213,6 @@ TEST_F(MofSupplierTest, ConcurrentClientsAllServed) {
   supplier.Stop();
 }
 
-TEST_F(MofSupplierTest, ShardedSupplierServesByteIdenticalAcrossShards) {
-  // Four serve shards over a two-loop transport: connections land on
-  // different shards (ConnId low bits are the accepting-loop index), chunk
-  // memos route by content key, and every reply must stay byte-identical
-  // and ordered per connection.
-  transport_ = net::MakeTcpTransport({.num_loops = 2});
-  MofSupplier::Options options;
-  options.transport = transport_.get();
-  options.buffer_size = 2048;
-  options.buffer_count = 8;
-  options.serve_shards = 4;
-  options.chunk_crc = true;
-  MofSupplier supplier(options);
-  ASSERT_TRUE(supplier.Start().ok());
-  constexpr int kMofs = 6;
-  std::vector<std::vector<uint8_t>> expected(kMofs);
-  for (int m = 0; m < kMofs; ++m) {
-    auto handle = MakeMof(m, 1, 40);
-    ASSERT_TRUE(supplier.PublishMof(handle).ok());
-    auto reader = mr::MofReader::Open(handle);
-    ASSERT_TRUE(reader->ReadSegment(0, expected[static_cast<size_t>(m)]).ok());
-  }
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kMofs; ++c) {
-    clients.emplace_back([&, c] {
-      auto conn = transport_->Connect("127.0.0.1", supplier.port());
-      if (!conn.ok()) {
-        ++failures;
-        return;
-      }
-      // Fetch twice so the second pass hits the sharded CRC memo.
-      for (int round = 0; round < 2; ++round) {
-        auto segment = Fetch(**conn, c, 0, 1500);
-        if (!segment.ok() || *segment != expected[static_cast<size_t>(c)]) {
-          ++failures;
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  // supplier_stats() must aggregate across shards, not report shard 0.
-  EXPECT_GT(supplier.supplier_stats().bytes_served, 0u);
-  supplier.Stop();
-}
-
 TEST_F(MofSupplierTest, ServePathCopiesZeroPayloadBytes) {
   // The zero-copy contract end to end: chunk bytes go pread -> pooled
   // buffer -> sendmsg with no user-space payload copy in between.

@@ -214,30 +214,12 @@ TEST_F(PluginE2eTest, OptionsFromConfigParsesKeys) {
   conf.Set(conf::kTransportBufferSize, "64KB");
   conf.SetInt(conf::kNetMergerDataThreads, 5);
   conf.SetBool("jbs.netmerger.consolidate", false);
-  conf.SetInt(conf::kTransportLoops, 4);
-  conf.SetInt(conf::kServeShards, 2);
   auto opts = shuffle::JbsShufflePlugin::OptionsFromConfig(conf);
   EXPECT_EQ(opts.transport, shuffle::TransportKind::kRdma);
   EXPECT_EQ(opts.buffer_size, 64u * 1024);
   EXPECT_EQ(opts.data_threads, 5);
   EXPECT_FALSE(opts.consolidate);
   EXPECT_TRUE(opts.round_robin);
-  EXPECT_EQ(opts.transport_loops, 4);
-  EXPECT_EQ(opts.serve_shards, 2);
-}
-
-TEST_F(PluginE2eTest, ThreadPerCoreJbsMatchesReference) {
-  // The full plugin path with every §15 knob turned on — multi-loop
-  // transport, sharded supplier — must shuffle byte-identically to the
-  // in-process reference.
-  mr::LocalShufflePlugin local;
-  const std::string reference = RunWith(local, "local_tpc");
-
-  shuffle::JbsOptions opts;
-  opts.transport_loops = 2;
-  opts.serve_shards = 4;
-  shuffle::JbsShufflePlugin tpc(opts);
-  EXPECT_EQ(RunWith(tpc, "tpc"), reference);
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ class ResourceExhaustionTest : public ::testing::Test {
            ("resource_exhaustion_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.num_loops = 2});
+    transport_ = net::MakeTcpTransport();
   }
   void TearDown() override {
     failpoints::DisarmAll();

@@ -114,9 +114,7 @@ TEST(SendAllVTest, AllEmptySpansIsANoOp) {
 class ZeroCopyEndpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Two loop shards so the accept→shard handoff and per-shard flush
-    // state run under every test, not just a dedicated one.
-    transport_ = MakeTcpTransport({.num_loops = 2});
+    transport_ = MakeTcpTransport();
     auto server = transport_->CreateServer();
     ASSERT_TRUE(server.ok());
     server_ = std::move(*server);
