@@ -1,10 +1,10 @@
 #include "common/failpoints.h"
 
-#if JBS_FAILPOINTS_ENABLED
-
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 
@@ -13,11 +13,16 @@
 #include "common/thread_annotations.h"
 
 namespace jbs::failpoints {
+
+namespace detail {
+std::atomic<uint64_t> armed{1};
+}  // namespace detail
+
 namespace {
 
 struct FpState {
   Action action;
-  uint64_t max_fires = 0;  // 0 = unlimited
+  uint64_t max_fires = std::numeric_limits<uint64_t>::max();
   uint64_t skip = 0;       // swallow this many hits before firing
   int prob_pct = 100;      // fire with this probability once eligible
   uint64_t hits = 0;
@@ -33,6 +38,19 @@ struct Registry {
 Registry& registry() {
   static Registry* r = new Registry();  // leaked: outlives all threads
   return *r;
+}
+
+/// Re-publishes the armed count the Hit() fast path reads.
+void PublishArmed(Registry& reg) REQUIRES(reg.mu) {
+  detail::armed.store(reg.points.size(), std::memory_order_relaxed);
+}
+
+/// Whole-string decimal parse: no sign, no whitespace, no overflow.
+template <typename T>
+bool ParseNumber(const std::string& s, T& out) {
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, out);
+  return !s.empty() && ec == std::errc() && ptr == last;
 }
 
 /// Parses one action token (no modifiers). Returns false on syntax error.
@@ -58,20 +76,12 @@ bool ParseAction(const std::string& tok, Action& out) {
     return true;
   }
   if (tok.rfind("err:", 0) == 0) {
-    char* end = nullptr;
-    const long v = std::strtol(tok.c_str() + 4, &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) return false;
     out.kind = Action::Kind::kError;
-    out.err = static_cast<int>(v);
-    return true;
+    return ParseNumber(tok.substr(4), out.err) && out.err > 0;
   }
   if (tok.rfind("short:", 0) == 0) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str() + 6, &end, 10);
-    if (end == nullptr || *end != '\0') return false;
     out.kind = Action::Kind::kShortRead;
-    out.arg = v;
-    return true;
+    return ParseNumber(tok.substr(6), out.arg);
   }
   return false;
 }
@@ -87,16 +97,16 @@ Status ParseSpec(const std::string& name, const std::string& spec,
   size_t end = spec.find_first_of("*+%");
   const std::string action_tok = spec.substr(0, end);
   if (!ParseAction(action_tok, st.action)) return bad("unknown action");
+  std::string seen;
   while (end != std::string::npos && end < spec.size()) {
     const char mod = spec[end];
+    if (seen.find(mod) != std::string::npos) return bad("repeated modifier");
+    seen += mod;
     const size_t next = spec.find_first_of("*+%", end + 1);
     const std::string num = spec.substr(
         end + 1, next == std::string::npos ? next : next - end - 1);
-    char* numend = nullptr;
-    const unsigned long long v = std::strtoull(num.c_str(), &numend, 10);
-    if (num.empty() || numend == nullptr || *numend != '\0') {
-      return bad("non-numeric modifier");
-    }
+    uint64_t v = 0;
+    if (!ParseNumber(num, v)) return bad("non-numeric modifier");
     switch (mod) {
       case '*':
         st.max_fires = v;
@@ -114,19 +124,42 @@ Status ParseSpec(const std::string& name, const std::string& spec,
   return Status::Ok();
 }
 
+Status ArmParsed(const std::string& name, const std::string& spec) {
+  FpState st;
+  JBS_RETURN_IF_ERROR(ParseSpec(name, spec, st));
+  Registry& reg = registry();
+  MutexLock lock(reg.mu);
+  reg.points[name] = st;
+  PublishArmed(reg);
+  return Status::Ok();
+}
+
+[[noreturn]] void EnvAbort(const std::string& why) {
+  std::fprintf(stderr, "%s\n", why.c_str());
+  std::abort();
+}
+
 /// One-time arming from the JBS_FAILPOINTS / JBS_FAILPOINTS_SEED env vars,
-/// run lazily on the first Hit() so any binary is scriptable from outside.
-/// A malformed env spec aborts: silently ignoring it would make a fault
-/// campaign pass vacuously.
+/// run before the first Hit() or registry call so any binary is
+/// scriptable from outside. Until it finishes, detail::armed stays nonzero
+/// so no hit can take the fast path past an env-armed point. A malformed
+/// env var aborts: silently ignoring it would make a fault campaign pass
+/// vacuously.
 void ArmFromEnvOnce() {
   static std::once_flag once;
   std::call_once(once, [] {
+    Registry& reg = registry();
     if (const char* seed = std::getenv("JBS_FAILPOINTS_SEED")) {
-      SetSeed(std::strtoull(seed, nullptr, 10));
+      uint64_t v = 0;
+      if (!ParseNumber(seed, v)) {
+        EnvAbort(std::string("JBS_FAILPOINTS_SEED: '") + seed +
+                 "' is not a decimal integer");
+      }
+      MutexLock lock(reg.mu);
+      reg.rng = Rng(v);
     }
     const char* env = std::getenv("JBS_FAILPOINTS");
-    if (env == nullptr || *env == '\0') return;
-    std::string all(env);
+    const std::string all(env == nullptr ? "" : env);
     size_t pos = 0;
     while (pos < all.size()) {
       size_t sep = all.find_first_of(";,", pos);
@@ -136,23 +169,19 @@ void ArmFromEnvOnce() {
       if (entry.empty()) continue;
       const size_t eq = entry.find('=');
       if (eq == std::string::npos) {
-        std::fprintf(stderr, "JBS_FAILPOINTS: entry '%s' has no '='\n",
-                     entry.c_str());
-        std::abort();
+        EnvAbort("JBS_FAILPOINTS: entry '" + entry + "' has no '='");
       }
-      const Status s = Arm(entry.substr(0, eq), entry.substr(eq + 1));
-      if (!s.ok()) {
-        std::fprintf(stderr, "JBS_FAILPOINTS: %s\n",
-                     s.ToString().c_str());
-        std::abort();
-      }
+      const Status s = ArmParsed(entry.substr(0, eq), entry.substr(eq + 1));
+      if (!s.ok()) EnvAbort("JBS_FAILPOINTS: " + s.ToString());
     }
+    MutexLock lock(reg.mu);
+    PublishArmed(reg);
   });
 }
 
 }  // namespace
 
-Action Hit(const char* name) {
+Action detail::HitArmed(const char* name) {
   ArmFromEnvOnce();
   Registry& reg = registry();
   MutexLock lock(reg.mu);
@@ -160,8 +189,7 @@ Action Hit(const char* name) {
   if (it == reg.points.end()) return {};
   FpState& st = it->second;
   ++st.hits;
-  if (st.hits <= st.skip) return {};
-  if (st.max_fires != 0 && st.fires >= st.max_fires) return {};
+  if (st.hits <= st.skip || st.fires >= st.max_fires) return {};
   if (st.prob_pct < 100 &&
       reg.rng.Below(100) >= static_cast<uint64_t>(st.prob_pct)) {
     return {};
@@ -171,24 +199,24 @@ Action Hit(const char* name) {
 }
 
 Status Arm(const std::string& name, const std::string& spec) {
-  FpState st;
-  JBS_RETURN_IF_ERROR(ParseSpec(name, spec, st));
-  Registry& reg = registry();
-  MutexLock lock(reg.mu);
-  reg.points[name] = st;
-  return Status::Ok();
+  ArmFromEnvOnce();
+  return ArmParsed(name, spec);
 }
 
 void Disarm(const std::string& name) {
+  ArmFromEnvOnce();
   Registry& reg = registry();
   MutexLock lock(reg.mu);
   reg.points.erase(name);
+  PublishArmed(reg);
 }
 
 void DisarmAll() {
+  ArmFromEnvOnce();
   Registry& reg = registry();
   MutexLock lock(reg.mu);
   reg.points.clear();
+  PublishArmed(reg);
 }
 
 uint64_t HitCount(const std::string& name) {
@@ -206,11 +234,10 @@ uint64_t FireCount(const std::string& name) {
 }
 
 void SetSeed(uint64_t seed) {
+  ArmFromEnvOnce();
   Registry& reg = registry();
   MutexLock lock(reg.mu);
   reg.rng = Rng(seed);
 }
 
 }  // namespace jbs::failpoints
-
-#endif  // JBS_FAILPOINTS_ENABLED

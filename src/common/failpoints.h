@@ -1,13 +1,14 @@
-// Named, runtime-armed failpoints for the syscall boundaries the chaos
-// harness cannot reach from outside the process: open(2)/pread in the fd
-// cache and prefetch stage, and BufferPool acquisition. Each site asks
-// `JBS_FAILPOINT("name")` whether to misbehave; an armed failpoint scripts
-// the site to return EIO/ENOSPC/EMFILE/short reads deterministically
-// (seeded when probabilistic).
+// Named, runtime-armed failpoints for the boundaries the chaos harness
+// cannot reach from outside the process: open(2)/pread in the fd cache and
+// prefetch stage, DataCache acquisition, and the dial/send edges of
+// FaultInjectingTransport. Each site asks `failpoints::Hit("name")` whether
+// to misbehave; an armed failpoint scripts the site to return
+// EIO/ENOSPC/EMFILE/short reads deterministically (seeded when
+// probabilistic).
 //
 // Arming is programmatic (`failpoints::Arm("fdcache.open", "emfile*3")`) or
-// via the JBS_FAILPOINTS environment variable, parsed lazily on the first
-// hit so any binary can be driven without code changes:
+// via the JBS_FAILPOINTS environment variable, read before the first hit
+// or arming call so any binary can be driven without code changes:
 //
 //   JBS_FAILPOINTS="fdcache.open=emfile*3;supplier.pread=eio+2" ./jbs_test
 //
@@ -19,15 +20,15 @@
 //   %P  fire with probability P percent (seeded: JBS_FAILPOINTS_SEED or
 //       SetSeed(); deterministic run to run for a fixed seed)
 //
-// Entries are ';' or ','-separated. `false` is for boolean sites (DataCache
-// acquisition) that degrade rather than error.
+// Entries are ';' or ','-separated; each modifier may appear at most once.
+// `false` is for boolean sites (DataCache acquisition) that degrade rather
+// than error, and parks a FaultInjectingTransport dial like a silent host.
 //
-// Compiled out in release builds: with JBS_FAILPOINTS_ENABLED unset the
-// macro expands to a constexpr no-op Action, the `if (fp)` at every site
-// constant-folds to false, and the dead branch is eliminated — zero
-// instructions on the hot path (perf_smoke parity, DESIGN.md §16).
+// Always compiled in. While nothing is armed, Hit() is one relaxed atomic
+// load and a predicted branch: no lock, no allocation (DESIGN.md §16).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -50,13 +51,20 @@ struct Action {
   explicit operator bool() const { return kind != Kind::kNone; }
 };
 
-#if JBS_FAILPOINTS_ENABLED
+namespace detail {
+/// Number of armed failpoints, plus one until the JBS_FAILPOINTS env var
+/// has been read. Constant-initialized, so it is valid during static init.
+extern std::atomic<uint64_t> armed;
+/// The registry lookup behind Hit() once anything may be armed.
+Action HitArmed(const char* name);
+}  // namespace detail
 
-inline constexpr bool Enabled() { return true; }
-
-/// Called by instrumented sites (via JBS_FAILPOINT). Returns the action to
-/// take this hit; a default Action means "behave normally". Thread-safe.
-Action Hit(const char* name);
+/// Called by instrumented sites. Returns the action to take this hit; a
+/// default Action means "behave normally". Thread-safe.
+inline Action Hit(const char* name) {
+  if (detail::armed.load(std::memory_order_relaxed) == 0) return {};
+  return detail::HitArmed(name);
+}
 
 /// Arms `name` with `spec` (grammar above). Replaces any existing arming
 /// and resets its hit/fire counters.
@@ -75,29 +83,4 @@ uint64_t FireCount(const std::string& name);
 /// JBS_FAILPOINTS_SEED env var, else a fixed constant).
 void SetSeed(uint64_t seed);
 
-#else  // !JBS_FAILPOINTS_ENABLED
-
-inline constexpr bool Enabled() { return false; }
-inline constexpr Action Hit(const char*) { return {}; }
-inline Status Arm(const std::string&, const std::string&) {
-  return Unavailable("failpoints compiled out (JBS_FAILPOINTS=OFF)");
-}
-inline void Disarm(const std::string&) {}
-inline void DisarmAll() {}
-inline constexpr uint64_t HitCount(const std::string&) { return 0; }
-inline constexpr uint64_t FireCount(const std::string&) { return 0; }
-inline void SetSeed(uint64_t) {}
-
-#endif  // JBS_FAILPOINTS_ENABLED
-
 }  // namespace jbs::failpoints
-
-/// Site macro. Usage:
-///   if (const auto fp = JBS_FAILPOINT("fdcache.open")) { errno = fp.err; … }
-/// Expands to a constexpr empty Action when failpoints are compiled out, so
-/// the branch folds away entirely.
-#if JBS_FAILPOINTS_ENABLED
-#define JBS_FAILPOINT(name) ::jbs::failpoints::Hit(name)
-#else
-#define JBS_FAILPOINT(name) (::jbs::failpoints::Action{})
-#endif

@@ -39,7 +39,7 @@ StatusOr<FdCache::Handle> FdCache::Open(const std::string& path) {
   int fd = -1;
   int open_errno = 0;
   for (int attempt = 0; attempt <= kMaxEmergencyEvictions; ++attempt) {
-    if (const auto fp = JBS_FAILPOINT("fdcache.open")) {
+    if (const auto fp = failpoints::Hit("fdcache.open")) {
       errno = fp.err;
     } else {
       do {

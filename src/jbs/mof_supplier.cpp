@@ -23,7 +23,7 @@ Status PreadFd(int fd, const std::string& path, uint64_t offset,
   size_t done = 0;
   while (done < out.size()) {
     size_t want = out.size() - done;
-    if (const auto fp = JBS_FAILPOINT("supplier.pread")) {
+    if (const auto fp = failpoints::Hit("supplier.pread")) {
       if (fp.kind == failpoints::Action::Kind::kError) {
         errno = fp.err;
         return IoError("pread " + path);
@@ -608,7 +608,7 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   // exhaustion), the wait is bounded and expiry sheds the request with
   // kErrorBusy instead of parking the disk thread (DESIGN.md §16).
   PooledBuffer buffer;
-  bool exhausted = JBS_FAILPOINT("datacache.acquire").kind ==
+  bool exhausted = failpoints::Hit("datacache.acquire").kind ==
                    failpoints::Action::Kind::kFalse;
   const double watermark = options_.admission_datacache_watermark;
   const bool watermarked =

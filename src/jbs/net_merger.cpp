@@ -316,10 +316,6 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
     JBS_RETURN_IF_ERROR(stream.status());
     streams.push_back(std::move(stream).value());
   }
-  if (options_.merge_fan_in > 0 &&
-      streams.size() > options_.merge_fan_in) {
-    return mr::HierarchicalMerge(std::move(streams), options_.merge_fan_in);
-  }
   return std::unique_ptr<mr::RecordStream>(
       std::make_unique<mr::KWayMerger>(std::move(streams)));
 }

@@ -82,9 +82,6 @@ class NetMerger final : public mr::ShuffleClient {
     int max_failovers = 4;  // replica reroutes per fetch (bounds ping-pong
                             // between two half-dead replica holders)
     uint64_t backoff_jitter_seed = 0x6A6274735F6E6D32ull;  // deterministic
-    size_t merge_fan_in = 0;  // >0: hierarchical merge with this fan-in
-                              // (the follow-up paper's [22] tree merge);
-                              // 0 = flat network-levitated merge
     // Observability: a shared MetricsRegistry / TraceRecorder (e.g. the
     // plugin's, so client and server publish into one exposition), or
     // nullptr for a private one owned by this merger. `instance`

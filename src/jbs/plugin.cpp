@@ -43,8 +43,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
   options.connection_cache_capacity = static_cast<size_t>(
       conf.GetInt(conf::kConnectionCacheCapacity, 512));
   options.pipelined = conf.GetBool("jbs.mofsupplier.pipelined", true);
-  options.merge_fan_in =
-      static_cast<size_t>(conf.GetInt("jbs.netmerger.merge.fanin", 0));
   options.consolidate = conf.GetBool("jbs.netmerger.consolidate", true);
   options.round_robin = conf.GetBool("jbs.netmerger.roundrobin", true);
   options.fetch_deadline_ms = conf.GetInt(conf::kFetchDeadlineMs, 0);
@@ -52,7 +50,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
   options.chunk_timeout_ms = conf.GetInt(conf::kChunkTimeoutMs, 0);
   options.connection_idle_ms = conf.GetInt(conf::kConnectionIdleMs, 0);
   options.chunk_crc = conf.GetBool(conf::kVerifyCrc, true);
-  options.verify_crc = options.chunk_crc;
   options.health_suspect_after =
       static_cast<int>(conf.GetInt(conf::kHealthSuspectAfter, 1));
   options.health_penalize_after =
@@ -120,12 +117,11 @@ std::unique_ptr<mr::ShuffleClient> JbsShufflePlugin::CreateClient(
   nopts.connection_cache_capacity = options_.connection_cache_capacity;
   nopts.consolidate = options_.consolidate;
   nopts.round_robin = options_.round_robin;
-  nopts.merge_fan_in = options_.merge_fan_in;
   nopts.fetch_deadline_ms = options_.fetch_deadline_ms;
   nopts.connect_timeout_ms = options_.connect_timeout_ms;
   nopts.chunk_timeout_ms = options_.chunk_timeout_ms;
   nopts.connection_idle_ms = options_.connection_idle_ms;
-  nopts.verify_crc = options_.verify_crc;
+  nopts.verify_crc = options_.chunk_crc;
   nopts.advertise_wire_compress = options_.wire_compress;
   nopts.health_suspect_after = options_.health_suspect_after;
   nopts.health_penalize_after = options_.health_penalize_after;

@@ -30,15 +30,13 @@ struct JbsOptions {
   bool pipelined = true;    // MofSupplier prefetch pipeline
   bool consolidate = true;  // NetMerger connection consolidation
   bool round_robin = true;  // NetMerger balanced injection
-  size_t merge_fan_in = 0;  // >0 enables the hierarchical merge [22]
   int64_t fetch_deadline_ms = 0;   // per-fetch budget incl. retries (0=off)
   int64_t connect_timeout_ms = 0;  // per-dial bound (0=off)
   int64_t chunk_timeout_ms = 0;    // per chunk round trip (0=off)
   int64_t connection_idle_ms = 0;  // cached-connection staleness (0=off)
   // Integrity + failover (DESIGN.md §11): per-chunk CRC stamping/checking
   // and the NetMerger penalty box.
-  bool chunk_crc = true;             // supplier stamps chunk CRCs
-  bool verify_crc = true;            // merger rejects mismatching chunks
+  bool chunk_crc = true;  // supplier stamps chunk CRCs, merger checks them
   int health_suspect_after = 1;
   int health_penalize_after = 3;     // <= 0 disables the penalty box
   int64_t health_penalty_ms = 200;

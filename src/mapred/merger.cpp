@@ -4,48 +4,6 @@
 
 namespace jbs::mr {
 
-std::unique_ptr<RecordStream> HierarchicalMerge(
-    std::vector<std::unique_ptr<RecordStream>> inputs, size_t fan_in) {
-  if (fan_in < 2) fan_in = 2;
-  while (inputs.size() > fan_in) {
-    std::vector<std::unique_ptr<RecordStream>> next_level;
-    next_level.reserve(inputs.size() / fan_in + 1);
-    for (size_t begin = 0; begin < inputs.size(); begin += fan_in) {
-      const size_t end = std::min(begin + fan_in, inputs.size());
-      std::vector<std::unique_ptr<RecordStream>> group;
-      group.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        group.push_back(std::move(inputs[i]));
-      }
-      // Materialize the intermediate run (in memory — the levitated
-      // property is preserved; only the stream count shrinks).
-      KWayMerger merger(std::move(group));
-      std::vector<Record> run;
-      Record record;
-      while (merger.Next(&record)) run.push_back(std::move(record));
-      if (!merger.status().ok()) {
-        // Surface the error through a stream that reports it.
-        class ErrorStream final : public RecordStream {
-         public:
-          explicit ErrorStream(Status status) : status_(std::move(status)) {}
-          bool Next(Record*) override { return false; }
-          const Status& status() const override { return status_; }
-
-         private:
-          Status status_;
-        };
-        std::vector<std::unique_ptr<RecordStream>> error_only;
-        error_only.push_back(
-            std::make_unique<ErrorStream>(merger.status()));
-        return std::make_unique<KWayMerger>(std::move(error_only));
-      }
-      next_level.push_back(std::make_unique<VectorStream>(std::move(run)));
-    }
-    inputs = std::move(next_level);
-  }
-  return std::make_unique<KWayMerger>(std::move(inputs));
-}
-
 StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
     std::span<const uint8_t> segment, std::shared_ptr<const void> owner,
     bool compressed) {

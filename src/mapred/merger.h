@@ -95,15 +95,6 @@ class KWayMerger final : public RecordStream {
   bool primed_ = false;
 };
 
-/// Hierarchical merge (Que et al., the paper's follow-up [22]): when the
-/// number of input streams exceeds `fan_in`, merge them in a tree —
-/// groups of `fan_in` streams collapse into intermediate runs until one
-/// level fits. Bounds the comparator working set and the number of
-/// simultaneously open streams at the cost of extra passes; with
-/// streams <= fan_in it degenerates to a single KWayMerger.
-std::unique_ptr<RecordStream> HierarchicalMerge(
-    std::vector<std::unique_ptr<RecordStream>> inputs, size_t fan_in);
-
 /// Wraps fetched segment bytes into a sorted record stream, decompressing
 /// first when the MOF was written with kMofCompressed. The one entry point
 /// every shuffle client (local, HTTP, JBS) uses to interpret segments.

@@ -3,43 +3,26 @@
 #include <chrono>
 #include <thread>
 
+#include "common/failpoints.h"
+
 namespace jbs::net {
 
 class FaultInjectingTransport::FlakyConnection final : public Connection {
  public:
   FlakyConnection(std::unique_ptr<Connection> inner,
-                  FaultInjectingTransport* owner, int break_after)
-      : inner_(std::move(inner)),
-        owner_(owner),
-        hole_(owner->blackhole_),
-        sends_left_(break_after) {}
+                  FaultInjectingTransport* owner)
+      : inner_(std::move(inner)), owner_(owner), hole_(owner->blackhole_) {}
 
   Status Send(const Frame& frame, const Deadline& deadline) override {
-    if (sends_left_ > 0 && sends_left_.fetch_sub(1) == 1) {
-      owner_->connections_broken_.fetch_add(1);
+    if (!inner_->alive()) return Unavailable("connection broken");
+    if (failpoints::Hit("faults.send")) {
       inner_->Close();
       return Unavailable("injected connection break");
     }
-    if (!inner_->alive()) return Unavailable("connection broken");
     return inner_->Send(frame, deadline);
   }
 
   StatusOr<Frame> Receive(const Deadline& deadline) override {
-    if (TakeToken(owner_->blackholed_receives_)) {
-      owner_->receives_blackholed_.fetch_add(1);
-      Status parked = Park(deadline, "injected silent peer");
-      if (!parked.ok()) return parked;
-      // Released: behave like a peer that finally woke up.
-    } else if (TakeToken(owner_->delayed_receives_)) {
-      owner_->receives_delayed_.fetch_add(1);
-      const auto delay =
-          std::chrono::milliseconds(owner_->receive_delay_ms_.load());
-      const Deadline nap = Deadline::Sooner(deadline, Deadline::After(delay));
-      std::this_thread::sleep_until(nap.time());
-      if (deadline.expired()) {
-        return DeadlineExceeded("injected slow peer");
-      }
-    }
     using Action = ChaosDecision::Action;
     const ChaosDecision chaos = owner_->NextChaosDecision();
     switch (chaos.action) {
@@ -49,7 +32,7 @@ class FaultInjectingTransport::FlakyConnection final : public Connection {
         return Unavailable("chaos: injected connection drop");
       case Action::kBlackhole: {
         owner_->chaos_blackholes_.fetch_add(1);
-        Status parked = Park(deadline, "chaos: silent peer");
+        Status parked = hole_->Park(deadline, closed_, "chaos: silent peer");
         if (!parked.ok()) return parked;
         break;
       }
@@ -93,37 +76,28 @@ class FaultInjectingTransport::FlakyConnection final : public Connection {
   }
 
  private:
-  /// Blocks like a silent peer. Ok() when released; otherwise the error
-  /// the caller should report.
-  Status Park(const Deadline& deadline, const char* what) {
-    MutexLock lock(hole_->mu);
-    const uint64_t gen = hole_->release_gen;
-    while (!closed_.load() && hole_->release_gen == gen) {
-      if (deadline.infinite()) {
-        hole_->cv.Wait(lock);
-      } else if (hole_->cv.WaitUntil(lock, deadline.time()) ==
-                 std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (closed_.load()) return Unavailable("connection closed");
-    if (hole_->release_gen != gen) return Status::Ok();
-    return DeadlineExceeded(what);
-  }
-
   std::unique_ptr<Connection> inner_;
   FaultInjectingTransport* owner_;
   std::shared_ptr<Blackhole> hole_;
-  std::atomic<int> sends_left_;
   std::atomic<bool> closed_{false};
 };
 
-bool FaultInjectingTransport::TakeToken(std::atomic<int>& counter) {
-  int expected = counter.load();
-  while (expected > 0) {
-    if (counter.compare_exchange_weak(expected, expected - 1)) return true;
+Status FaultInjectingTransport::Blackhole::Park(
+    const Deadline& deadline, const std::atomic<bool>& closed,
+    const char* what) {
+  MutexLock lock(mu);
+  const uint64_t gen = release_gen;
+  while (!closed.load() && release_gen == gen) {
+    if (deadline.infinite()) {
+      cv.Wait(lock);
+    } else if (cv.WaitUntil(lock, deadline.time()) ==
+               std::cv_status::timeout) {
+      break;
+    }
   }
-  return false;
+  if (closed.load()) return Unavailable("connection closed");
+  if (release_gen != gen) return Status::Ok();
+  return DeadlineExceeded(what);
 }
 
 void FaultInjectingTransport::ReleaseBlackholes() {
@@ -198,35 +172,22 @@ FaultInjectingTransport::NextChaosDecision() {
 
 StatusOr<std::unique_ptr<Connection>> FaultInjectingTransport::Connect(
     const std::string& host, uint16_t port, const Deadline& deadline) {
-  connects_attempted_.fetch_add(1);
-  if (TakeToken(failing_connects_)) {
-    connects_failed_.fetch_add(1);
-    return Unavailable("injected connect failure");
-  }
-  if (TakeToken(blackholed_connects_)) {
-    connects_blackholed_.fetch_add(1);
-    MutexLock lock(blackhole_->mu);
-    const uint64_t gen = blackhole_->release_gen;
-    while (blackhole_->release_gen == gen) {
-      if (deadline.infinite()) {
-        blackhole_->cv.Wait(lock);
-      } else if (blackhole_->cv.WaitUntil(lock, deadline.time()) ==
-                 std::cv_status::timeout) {
-        break;
-      }
+  if (const auto fp = failpoints::Hit("faults.connect")) {
+    if (fp.kind != failpoints::Action::Kind::kFalse) {
+      return Unavailable("injected connect failure");
     }
-    if (blackhole_->release_gen == gen) {
-      connects_failed_.fetch_add(1);
-      return DeadlineExceeded("injected connect blackhole");
-    }
+    const std::atomic<bool> never_closed{false};
+    JBS_RETURN_IF_ERROR(
+        blackhole_->Park(deadline, never_closed, "injected connect blackhole"));
     // Released: fall through to a real dial.
   }
   auto conn = inner_->Connect(host, port, deadline);
   JBS_RETURN_IF_ERROR(conn.status());
-  // Always wrap: blackhole/delay modes may be armed after this connection
-  // is established (a live connection can turn into a silent peer later).
-  return std::unique_ptr<Connection>(std::make_unique<FlakyConnection>(
-      std::move(conn).value(), this, break_after_sends_.load()));
+  // Always wrap: chaos phases and faults.send may be armed after this
+  // connection is established (a live connection can turn into a silent
+  // peer later).
+  return std::unique_ptr<Connection>(
+      std::make_unique<FlakyConnection>(std::move(conn).value(), this));
 }
 
 }  // namespace jbs::net

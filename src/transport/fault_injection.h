@@ -1,9 +1,16 @@
-// Deterministic fault injection around any Transport: scripted connect
-// failures, mid-conversation connection drops, delayed receives, and
-// blackholed (silent-peer) receives/connects — plus a seeded chaos
-// schedule (phases of bit-flip corruption, drops, delays, blackholes) for
-// end-to-end integrity tests. Used by the fault-tolerance, deadline, and
-// chaos tests and the failure-injection benches; in production code the
+// Deterministic fault injection around any Transport. Receives follow a
+// seeded chaos schedule (phases of bit-flip corruption, drops, delays and
+// blackholes). Dials and sends consult two failpoints (common/failpoints.h):
+//
+//   faults.connect  `false` parks the dial like a dead-but-routed host
+//                   until its deadline or ReleaseBlackholes(); any other
+//                   action fails it with kUnavailable (e.g. "eagain*2").
+//   faults.send     any action closes the connection and fails the send,
+//                   e.g. "eio+2" breaks every send after the first two.
+//
+// The failpoints are process-global: they apply to every wrapper and every
+// connection, and HitCount/FireCount are the dial and send counters. Used
+// by the fault-tolerance, deadline and chaos tests; in production code the
 // wrapper is simply not installed.
 #pragma once
 
@@ -40,42 +47,14 @@ class FaultInjectingTransport final : public Transport {
 
   std::string name() const override { return inner_->name() + "+faults"; }
 
-  /// The next `n` Connect() calls fail with kUnavailable.
-  void FailNextConnects(int n) { failing_connects_.store(n); }
-
-  /// Every connection created from now on dies after `sends` successful
-  /// Send() calls (0 disables). Receive on a dead connection fails too.
-  void BreakConnectionsAfterSends(int sends) {
-    break_after_sends_.store(sends);
-  }
-
-  /// The next `n` Receive() calls stall `ms` milliseconds before
-  /// delegating — a slow peer. A receive whose deadline expires during the
-  /// stall fails with kDeadlineExceeded without consuming wire data.
-  void DelayNextReceives(int ms, int n) {
-    receive_delay_ms_.store(ms);
-    delayed_receives_.store(n);
-  }
-
-  /// The next `n` Receive() calls behave like a peer that accepted the
-  /// connection and went silent: they block until the deadline expires
-  /// (kDeadlineExceeded), the connection is closed (kUnavailable), or
-  /// ReleaseBlackholes() is called (then delegate normally).
-  void BlackholeNextReceives(int n) { blackholed_receives_.store(n); }
-
-  /// The next `n` Connect() calls hang like a dial to a dead-but-routed
-  /// host: block until the deadline expires (kDeadlineExceeded) or
-  /// ReleaseBlackholes() is called (then dial normally).
-  void BlackholeNextConnects(int n) { blackholed_connects_.store(n); }
-
   /// Wakes every operation currently parked in a blackhole and lets it
-  /// proceed normally. Pending (unconsumed) blackhole tokens stay armed.
+  /// proceed normally. Later blackholed ops still park.
   void ReleaseBlackholes();
 
   /// Installs a deterministic chaos schedule driven by `seed` (see
   /// ChaosPhase). Replaces any active schedule and restarts from the first
-  /// phase. Composes with the token-based knobs above: tokens are checked
-  /// first, the chaos decision applies to ops they leave untouched.
+  /// phase. A one-phase schedule with probability 1 scripts the next `ops`
+  /// receives exactly, e.g. {{.ops = n, .blackhole_prob = 1}}.
   void SetChaosSchedule(std::vector<ChaosPhase> phases, uint64_t seed)
       EXCLUDES(chaos_mu_);
   /// Drops the remaining schedule; the wire is clean from now on.
@@ -87,13 +66,6 @@ class FaultInjectingTransport final : public Transport {
   int chaos_drops() const { return chaos_drops_.load(); }
   int chaos_delays() const { return chaos_delays_.load(); }
   int chaos_blackholes() const { return chaos_blackholes_.load(); }
-
-  int connects_attempted() const { return connects_attempted_.load(); }
-  int connects_failed() const { return connects_failed_.load(); }
-  int connections_broken() const { return connections_broken_.load(); }
-  int receives_delayed() const { return receives_delayed_.load(); }
-  int receives_blackholed() const { return receives_blackholed_.load(); }
-  int connects_blackholed() const { return connects_blackholed_.load(); }
 
   StatusOr<std::unique_ptr<ServerEndpoint>> CreateServer() override {
     return inner_->CreateServer();
@@ -113,10 +85,12 @@ class FaultInjectingTransport final : public Transport {
     Mutex mu;
     CondVar cv;
     uint64_t release_gen GUARDED_BY(mu) = 0;
-  };
 
-  /// Atomically consumes one token from `counter` if any remain.
-  static bool TakeToken(std::atomic<int>& counter);
+    /// Blocks like a silent peer. Ok() when released; otherwise the error
+    /// the caller should report (kUnavailable once `closed` is set).
+    Status Park(const Deadline& deadline, const std::atomic<bool>& closed,
+                const char* what) EXCLUDES(mu);
+  };
 
   /// One receive op's fate under the active chaos schedule. `entropy`
   /// carries the bit-picker draw for corruption, taken at decision time so
@@ -133,18 +107,6 @@ class FaultInjectingTransport final : public Transport {
 
   Transport* inner_;
   std::shared_ptr<Blackhole> blackhole_ = std::make_shared<Blackhole>();
-  std::atomic<int> failing_connects_{0};
-  std::atomic<int> break_after_sends_{0};
-  std::atomic<int> receive_delay_ms_{0};
-  std::atomic<int> delayed_receives_{0};
-  std::atomic<int> blackholed_receives_{0};
-  std::atomic<int> blackholed_connects_{0};
-  std::atomic<int> connects_attempted_{0};
-  std::atomic<int> connects_failed_{0};
-  std::atomic<int> connections_broken_{0};
-  std::atomic<int> receives_delayed_{0};
-  std::atomic<int> receives_blackholed_{0};
-  std::atomic<int> connects_blackholed_{0};
 
   // Chaos schedule state: the phase list, the cursor, and the seeded RNG
   // all advance together under one mutex so the draw sequence is a pure

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 
+#include "common/failpoints.h"
 #include "hdfs/minidfs.h"
 #include "jbs/mof_supplier.h"
 #include "jbs/net_merger.h"
@@ -21,6 +22,7 @@ namespace fs = std::filesystem;
 class FaultToleranceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    failpoints::DisarmAll();
     dir_ = fs::temp_directory_path() /
            ("fault_test_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
@@ -30,6 +32,7 @@ class FaultToleranceTest : public ::testing::Test {
         real_transport_.get());
   }
   void TearDown() override {
+    failpoints::DisarmAll();
     suppliers_.clear();
     fs::remove_all(dir_);
   }
@@ -80,7 +83,8 @@ class FaultToleranceTest : public ::testing::Test {
 
 TEST_F(FaultToleranceTest, ConnectFailuresAreRetried) {
   auto locations = MakeSuppliers(2);
-  flaky_->FailNextConnects(2);  // both first dials fail
+  // Both first dials fail.
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "eagain*2").ok());
   auto merger = MakeMerger();
   auto stream = merger.FetchAndMerge(0, locations);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
@@ -92,9 +96,9 @@ TEST_F(FaultToleranceTest, ConnectFailuresAreRetried) {
 
 TEST_F(FaultToleranceTest, MidFetchConnectionDropRecovered) {
   auto locations = MakeSuppliers(1);
-  // The connection dies after 2 sends; the fetch needs more chunks than
-  // that, so the first attempt breaks mid-conversation.
-  flaky_->BreakConnectionsAfterSends(2);
+  // Every send after the first breaks its connection; the fetch needs more
+  // chunks than that, so the first attempt breaks mid-conversation.
+  ASSERT_TRUE(failpoints::Arm("faults.send", "eio+1").ok());
   shuffle::NetMerger::Options options;
   options.transport = flaky_.get();
   options.chunk_size = 512;  // forces many chunks
@@ -102,15 +106,14 @@ TEST_F(FaultToleranceTest, MidFetchConnectionDropRecovered) {
   options.retry_backoff_ms = 1;
   shuffle::NetMerger merger(options);
   auto stream = merger.FetchAndMerge(0, locations);
-  // Every retry also breaks after 2 sends; with resume-from-zero fetching
-  // a 200-record segment needs <= 2 chunks of progress... the fetch makes
-  // progress only if the segment fits in 2 chunks; with 512-byte chunks it
-  // does not, so this must exhaust retries and fail cleanly.
+  // Every retry breaks on its first send too; with 512-byte chunks the
+  // segment cannot arrive in one, so this must exhaust retries and fail
+  // cleanly.
   EXPECT_FALSE(stream.ok());
   EXPECT_GE(merger.merger_stats().fetch_retries, 5u);
   merger.Stop();
   // Now heal the transport: the same fetch succeeds.
-  flaky_->BreakConnectionsAfterSends(0);
+  failpoints::Disarm("faults.send");
   auto merger2 = MakeMerger();
   auto stream2 = merger2.FetchAndMerge(0, locations);
   ASSERT_TRUE(stream2.ok());
@@ -131,7 +134,7 @@ TEST_F(FaultToleranceTest, PermanentErrorNotRetried) {
 
 TEST_F(FaultToleranceTest, RetriesExhaustedReportsError) {
   auto locations = MakeSuppliers(1);
-  flaky_->FailNextConnects(100);
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "eagain*100").ok());
   auto merger = MakeMerger(/*max_attempts=*/3);
   auto stream = merger.FetchAndMerge(0, locations);
   EXPECT_FALSE(stream.ok());

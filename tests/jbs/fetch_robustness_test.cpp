@@ -11,6 +11,7 @@
 #include <future>
 #include <thread>
 
+#include "common/failpoints.h"
 #include "jbs/mof_supplier.h"
 #include "jbs/net_merger.h"
 #include "mapred/ifile.h"
@@ -32,6 +33,7 @@ int64_t ElapsedMs(Clock::time_point since) {
 class FetchRobustnessTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
+    failpoints::DisarmAll();
     dir_ = fs::temp_directory_path() /
            ("fetch_robust_" + std::to_string(::getpid()) + "_" + GetParam() +
             "_" +
@@ -43,6 +45,7 @@ class FetchRobustnessTest : public ::testing::TestWithParam<std::string> {
         real_transport_.get());
   }
   void TearDown() override {
+    failpoints::DisarmAll();
     suppliers_.clear();
     fs::remove_all(dir_);
   }
@@ -93,7 +96,8 @@ class FetchRobustnessTest : public ::testing::TestWithParam<std::string> {
 TEST_P(FetchRobustnessTest, SilentPeerFetchFailsWithinDeadline) {
   auto locations = MakeSuppliers(1);
   // The server accepts the connection and the request, then never answers.
-  flaky_->BlackholeNextReceives(100);
+  flaky_->SetChaosSchedule(
+      {net::ChaosPhase{.ops = 100, .blackhole_prob = 1}}, /*seed=*/1);
   auto options = BaseOptions();
   options.fetch_deadline_ms = 400;  // budget for the fetch incl. retries
   options.max_fetch_attempts = 3;
@@ -112,7 +116,8 @@ TEST_P(FetchRobustnessTest, SilentPeerFetchFailsWithinDeadline) {
 
 TEST_P(FetchRobustnessTest, DeadlineExpiryLeavesCompleteTraceTimeline) {
   auto locations = MakeSuppliers(1);
-  flaky_->BlackholeNextReceives(100);
+  flaky_->SetChaosSchedule(
+      {net::ChaosPhase{.ops = 100, .blackhole_prob = 1}}, /*seed=*/1);
   auto options = BaseOptions();
   // No chunk timeout: the blackholed receive blocks until the fetch
   // deadline itself expires, which is the expiry path under test.
@@ -149,7 +154,8 @@ TEST_P(FetchRobustnessTest, StopUnblocksEveryFetchAndMergeCaller) {
   auto locations = MakeSuppliers(1);
   // Every receive hangs forever and no deadlines are configured: without
   // cancellation, all callers would block indefinitely.
-  flaky_->BlackholeNextReceives(1000);
+  flaky_->SetChaosSchedule(
+      {net::ChaosPhase{.ops = 1000, .blackhole_prob = 1}}, /*seed=*/1);
   auto options = BaseOptions();
   options.data_threads = 2;
   options.max_fetch_attempts = 2;
@@ -190,7 +196,7 @@ TEST_P(FetchRobustnessTest, StopUnblocksEveryFetchAndMergeCaller) {
 TEST_P(FetchRobustnessTest, ConnectTimeoutBoundsDial) {
   auto locations = MakeSuppliers(1);
   // A dial that hangs like a dead-but-routed host.
-  flaky_->BlackholeNextConnects(1);
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "false*1").ok());
   auto options = BaseOptions();
   options.connect_timeout_ms = 100;
   options.max_fetch_attempts = 1;
@@ -238,7 +244,7 @@ TEST_P(FetchRobustnessTest, ConflictingDuplicatesActAsFailoverReplicas) {
 
 TEST_P(FetchRobustnessTest, DialFailuresNotCountedAsConnectionsOpened) {
   auto locations = MakeSuppliers(1);
-  flaky_->FailNextConnects(100);
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "eagain*100").ok());
   auto options = BaseOptions();
   options.max_fetch_attempts = 2;
   shuffle::NetMerger merger(options);
@@ -248,7 +254,7 @@ TEST_P(FetchRobustnessTest, DialFailuresNotCountedAsConnectionsOpened) {
   merger.Stop();
 
   // Healed: one real dial, counted once.
-  flaky_->FailNextConnects(0);
+  failpoints::Disarm("faults.connect");
   shuffle::NetMerger merger2(BaseOptions());
   auto stream = merger2.FetchAndMerge(0, locations);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
@@ -258,7 +264,7 @@ TEST_P(FetchRobustnessTest, DialFailuresNotCountedAsConnectionsOpened) {
 
 TEST_P(FetchRobustnessTest, RetryBackoffIsCappedForLargeAttemptCounts) {
   auto locations = MakeSuppliers(1);
-  flaky_->FailNextConnects(1000000);
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "eagain*1000000").ok());
   auto options = BaseOptions();
   // Before the shift cap, attempt 33+ shifted a 32-bit int by >= 32 (UB),
   // and even "defined" results meant multi-hour sleeps.

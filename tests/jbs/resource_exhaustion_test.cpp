@@ -2,10 +2,9 @@
 // §16): scripted EIO/EMFILE and short reads at the syscall boundaries —
 // fd-cache open(2), the prefetch-stage pread, DataCache acquisition — must
 // be absorbed at the lowest layer that can recover them, and a full
-// shuffle must complete byte-identical to the fault-free run. The whole
-// suite needs JBS_FAILPOINTS=ON (the `failpoints` preset) and skips
-// otherwise; failpoints are process-global, so every reference run happens
-// before arming and every test disarms on both ends.
+// shuffle must complete byte-identical to the fault-free run. Failpoints
+// are process-global, so every reference run happens before arming and
+// every test disarms on both ends.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -36,9 +35,6 @@ std::vector<mr::Record> Drain(mr::RecordStream& stream) {
 class ResourceExhaustionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!failpoints::Enabled()) {
-      GTEST_SKIP() << "failpoints compiled out (build with JBS_FAILPOINTS=ON)";
-    }
     failpoints::DisarmAll();
     dir_ = fs::temp_directory_path() /
            ("resource_exhaustion_" + std::to_string(::getpid()) + "_" +

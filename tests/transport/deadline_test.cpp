@@ -9,6 +9,7 @@
 #include <future>
 #include <thread>
 
+#include "common/failpoints.h"
 #include "transport/fault_injection.h"
 #include "transport/rdma_transport.h"
 #include "transport/transport.h"
@@ -140,6 +141,7 @@ TEST(DeadlineTransportTest, RdmaCloseUnblocksBlockedReceive) {
 class FaultModesTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    failpoints::DisarmAll();
     inner_ = MakeTcpTransport();
     faults_ = std::make_unique<FaultInjectingTransport>(inner_.get());
     auto server = inner_->CreateServer();
@@ -151,7 +153,10 @@ class FaultModesTest : public ::testing::Test {
     };
     ASSERT_TRUE(server_->Start(handlers).ok());
   }
-  void TearDown() override { server_->Stop(); }
+  void TearDown() override {
+    failpoints::DisarmAll();
+    server_->Stop();
+  }
 
   StatusOr<std::unique_ptr<Connection>> Dial(
       const Deadline& deadline = Deadline()) {
@@ -166,13 +171,14 @@ class FaultModesTest : public ::testing::Test {
 TEST_F(FaultModesTest, DelayedReceiveTripsTightDeadline) {
   auto conn = Dial();
   ASSERT_TRUE(conn.ok());
-  faults_->DelayNextReceives(/*ms=*/200, /*n=*/1);
+  faults_->SetChaosSchedule(
+      {ChaosPhase{.ops = 1, .delay_prob = 1, .delay_ms = 200}}, /*seed=*/1);
   ASSERT_TRUE((*conn)->Send(Ping()).ok());
   auto reply = (*conn)->Receive(Deadline::AfterMs(50));
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(faults_->receives_delayed(), 1);
-  // The delayed reply was never consumed off the wire; with the token
+  EXPECT_EQ(faults_->chaos_delays(), 1);
+  // The delayed reply was never consumed off the wire; with the phase
   // spent, a fresh Receive delegates and still finds it.
   auto late = (*conn)->Receive(Deadline::AfterMs(2000));
   ASSERT_TRUE(late.ok());
@@ -182,30 +188,33 @@ TEST_F(FaultModesTest, DelayedReceiveTripsTightDeadline) {
 TEST_F(FaultModesTest, DelayedReceiveWithinDeadlineDelivers) {
   auto conn = Dial();
   ASSERT_TRUE(conn.ok());
-  faults_->DelayNextReceives(/*ms=*/10, /*n=*/1);
+  faults_->SetChaosSchedule(
+      {ChaosPhase{.ops = 1, .delay_prob = 1, .delay_ms = 10}}, /*seed=*/1);
   ASSERT_TRUE((*conn)->Send(Ping()).ok());
   auto reply = (*conn)->Receive(Deadline::AfterMs(5000));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(faults_->receives_delayed(), 1);
+  EXPECT_EQ(faults_->chaos_delays(), 1);
 }
 
 TEST_F(FaultModesTest, BlackholedReceiveTimesOut) {
   auto conn = Dial();
   ASSERT_TRUE(conn.ok());
-  faults_->BlackholeNextReceives(1);
+  faults_->SetChaosSchedule({ChaosPhase{.ops = 1, .blackhole_prob = 1}},
+                            /*seed=*/1);
   ASSERT_TRUE((*conn)->Send(Ping()).ok());
   const auto start = Clock::now();
   auto reply = (*conn)->Receive(Deadline::AfterMs(50));
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(ElapsedMs(start), 2000);
-  EXPECT_EQ(faults_->receives_blackholed(), 1);
+  EXPECT_EQ(faults_->chaos_blackholes(), 1);
 }
 
 TEST_F(FaultModesTest, ReleaseBlackholesResumesParkedReceive) {
   auto conn = Dial();
   ASSERT_TRUE(conn.ok());
-  faults_->BlackholeNextReceives(1);
+  faults_->SetChaosSchedule({ChaosPhase{.ops = 1, .blackhole_prob = 1}},
+                            /*seed=*/1);
   ASSERT_TRUE((*conn)->Send(Ping()).ok());
   auto blocked = std::async(std::launch::async, [&] {
     return (*conn)->Receive();  // parked in the blackhole, no deadline
@@ -220,7 +229,8 @@ TEST_F(FaultModesTest, ReleaseBlackholesResumesParkedReceive) {
 TEST_F(FaultModesTest, CloseUnblocksBlackholedReceive) {
   auto conn = Dial();
   ASSERT_TRUE(conn.ok());
-  faults_->BlackholeNextReceives(1);
+  faults_->SetChaosSchedule({ChaosPhase{.ops = 1, .blackhole_prob = 1}},
+                            /*seed=*/1);
   ASSERT_TRUE((*conn)->Send(Ping()).ok());
   auto blocked = std::async(std::launch::async, [&] {
     return (*conn)->Receive();
@@ -233,20 +243,19 @@ TEST_F(FaultModesTest, CloseUnblocksBlackholedReceive) {
 }
 
 TEST_F(FaultModesTest, BlackholedConnectTimesOut) {
-  faults_->BlackholeNextConnects(1);
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "false*1").ok());
   const auto start = Clock::now();
   auto conn = Dial(Deadline::AfterMs(50));
   ASSERT_FALSE(conn.ok());
   EXPECT_EQ(conn.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(ElapsedMs(start), 2000);
-  EXPECT_EQ(faults_->connects_blackholed(), 1);
-  EXPECT_EQ(faults_->connects_failed(), 1);
+  EXPECT_EQ(failpoints::FireCount("faults.connect"), 1u);
   // The next dial proceeds normally.
   ASSERT_TRUE(Dial().ok());
 }
 
 TEST_F(FaultModesTest, ReleaseBlackholesResumesParkedConnect) {
-  faults_->BlackholeNextConnects(1);
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "false*1").ok());
   auto blocked = std::async(std::launch::async, [&] { return Dial(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   faults_->ReleaseBlackholes();

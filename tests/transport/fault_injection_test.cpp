@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/failpoints.h"
 #include "transport/transport.h"
 
 namespace jbs::net {
@@ -13,6 +14,7 @@ namespace {
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    failpoints::DisarmAll();
     inner_ = MakeTcpTransport();
     flaky_ = std::make_unique<FaultInjectingTransport>(inner_.get());
     auto server = inner_->CreateServer();
@@ -24,7 +26,10 @@ class FaultInjectionTest : public ::testing::Test {
     };
     ASSERT_TRUE(server_->Start(handlers).ok());
   }
-  void TearDown() override { server_->Stop(); }
+  void TearDown() override {
+    failpoints::DisarmAll();
+    server_->Stop();
+  }
 
   std::unique_ptr<Transport> inner_;
   std::unique_ptr<FaultInjectingTransport> flaky_;
@@ -45,12 +50,12 @@ TEST_F(FaultInjectionTest, PassThroughWhenHealthy) {
 }
 
 TEST_F(FaultInjectionTest, FailsExactlyNConnects) {
-  flaky_->FailNextConnects(2);
+  ASSERT_TRUE(failpoints::Arm("faults.connect", "eagain*2").ok());
   EXPECT_FALSE(flaky_->Connect("127.0.0.1", server_->port()).ok());
   EXPECT_FALSE(flaky_->Connect("127.0.0.1", server_->port()).ok());
   EXPECT_TRUE(flaky_->Connect("127.0.0.1", server_->port()).ok());
-  EXPECT_EQ(flaky_->connects_failed(), 2);
-  EXPECT_EQ(flaky_->connects_attempted(), 3);
+  EXPECT_EQ(failpoints::FireCount("faults.connect"), 2u);
+  EXPECT_EQ(failpoints::HitCount("faults.connect"), 3u);
 }
 
 TEST_F(FaultInjectionTest, ChaosCorruptionFlipsExactlyOneBit) {
@@ -163,7 +168,7 @@ TEST_F(FaultInjectionTest, ClearChaosRestoresCleanWire) {
 }
 
 TEST_F(FaultInjectionTest, BreaksConnectionAfterKSends) {
-  flaky_->BreakConnectionsAfterSends(3);
+  ASSERT_TRUE(failpoints::Arm("faults.send", "eio+2").ok());
   auto conn = flaky_->Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(conn.ok());
   Frame f;
@@ -173,7 +178,7 @@ TEST_F(FaultInjectionTest, BreaksConnectionAfterKSends) {
   EXPECT_FALSE((*conn)->Send(f).ok());  // third send breaks
   EXPECT_FALSE((*conn)->alive());
   EXPECT_FALSE((*conn)->Send(f).ok());  // stays broken
-  EXPECT_EQ(flaky_->connections_broken(), 1);
+  EXPECT_EQ(failpoints::FireCount("faults.send"), 1u);
 }
 
 }  // namespace
