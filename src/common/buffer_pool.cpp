@@ -87,34 +87,6 @@ PooledBuffer BufferPool::Acquire() {
   return PooledBuffer(this, data, buffer_size_);
 }
 
-StatusOr<PooledBuffer> BufferPool::AcquireFor(
-    std::chrono::steady_clock::time_point deadline) {
-  MutexLock lock(mu_);
-  ++stats_.acquires;
-  if (free_list_.empty()) {
-    if (cancelled_) return Cancelled("buffer pool cancelled");
-    ++stats_.blocked_acquires;
-    ++waiters_;
-    const auto start = std::chrono::steady_clock::now();
-    while (!cancelled_ && free_list_.empty()) {
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      available_cv_.WaitUntil(lock, deadline);
-    }
-    const auto waited = std::chrono::steady_clock::now() - start;
-    stats_.total_wait_micros +=
-        std::chrono::duration_cast<std::chrono::microseconds>(waited).count();
-    --waiters_;
-    if (free_list_.empty()) {
-      if (cancelled_) return Cancelled("buffer pool cancelled");
-      ++stats_.acquire_timeouts;
-      return ResourceExhausted("buffer pool exhausted past deadline");
-    }
-  }
-  uint8_t* data = free_list_.back();
-  free_list_.pop_back();
-  return PooledBuffer(this, data, buffer_size_);
-}
-
 size_t BufferPool::waiters() const {
   MutexLock lock(mu_);
   return waiters_;

@@ -6,13 +6,11 @@
 // spent blocked is surfaced via contention statistics.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace jbs {
@@ -70,19 +68,7 @@ class BufferPool {
   /// Returns an invalid buffer instead of blocking when the pool is dry.
   PooledBuffer TryAcquire() EXCLUDES(mu_);
 
-  /// Bounded-wait Acquire: blocks until a buffer is available, the pool is
-  /// cancelled (kCancelled), or `deadline` passes (kResourceExhausted).
-  /// Unlike Acquire(), a leaked lease cannot park a pipeline stage forever
-  /// — overload-control callers (the prefetch stage) use the expiry to
-  /// shed the request instead of hanging (DESIGN.md §16).
-  JBS_BLOCKING StatusOr<PooledBuffer> AcquireFor(
-      std::chrono::steady_clock::time_point deadline) EXCLUDES(mu_);
-  JBS_BLOCKING StatusOr<PooledBuffer> AcquireFor(std::chrono::milliseconds timeout)
-      EXCLUDES(mu_) {
-    return AcquireFor(std::chrono::steady_clock::now() + timeout);
-  }
-
-  /// Threads currently blocked inside Acquire()/AcquireFor() — the
+  /// Threads currently blocked inside Acquire() — the
   /// `buffer_pool_waiters` gauge, an instantaneous saturation signal.
   size_t waiters() const EXCLUDES(mu_);
 
@@ -100,7 +86,6 @@ class BufferPool {
     uint64_t acquires = 0;
     uint64_t blocked_acquires = 0;  // acquires that had to wait
     uint64_t total_wait_micros = 0;
-    uint64_t acquire_timeouts = 0;  // AcquireFor deadline expiries
   };
   Stats stats() const EXCLUDES(mu_);
 

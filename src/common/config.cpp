@@ -101,7 +101,11 @@ std::optional<int64_t> Config::ParseSize(const std::string& text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<int64_t>(number * multiplier);
+  const double bytes = number * multiplier;
+  // Written so NaN fails too; 2^63 is the first double past int64_t, and
+  // casting it (or inf) would be undefined behaviour.
+  if (!(bytes >= 0.0 && bytes < 9223372036854775808.0)) return std::nullopt;
+  return static_cast<int64_t>(bytes);
 }
 
 }  // namespace jbs

@@ -1,6 +1,6 @@
 // Key/value configuration in the style of Hadoop's Configuration/JobConf.
-// All JBS tunables (transport buffer size, connection-cache capacity, slot
-// counts, ...) are carried through this type so examples and benches can
+// The runtime parameters JBS exposes (transport, buffer size, ablation
+// switches) are carried through this type so examples and benches can
 // sweep them uniformly.
 #pragma once
 
@@ -39,72 +39,29 @@ class Config {
     return entries_;
   }
 
+  /// Byte count of a size string, or nullopt when it is junk or names a
+  /// value an int64_t cannot hold (negative, NaN/inf, 2^63 and above).
   static std::optional<int64_t> ParseSize(const std::string& text);
 
  private:
   std::map<std::string, std::string> entries_;
 };
 
-/// Well-known configuration keys, kept in one place.
+/// The configuration keys JBS and the engine read, kept in one place.
+/// Every other JBS value is a component default (MofSupplier::Options,
+/// NetMerger::Options); a key earns its place here only with a reader.
 namespace conf {
+// Transport choice, "tcp" or "rdma" (the paper's portability, §IV).
+inline constexpr const char* kTransport = "jbs.transport";
+// Transport buffer size (the Fig. 11 sweep variable).
 inline constexpr const char* kTransportBufferSize = "jbs.transport.buffer.size";
-inline constexpr const char* kTransportBufferCount =
-    "jbs.transport.buffer.count";
-inline constexpr const char* kConnectionCacheCapacity =
-    "jbs.connection.cache.capacity";
-inline constexpr const char* kDataCacheSize = "jbs.mofsupplier.datacache.size";
-inline constexpr const char* kIndexCacheEntries =
-    "jbs.mofsupplier.indexcache.entries";
-inline constexpr const char* kPrefetchBatch = "jbs.mofsupplier.prefetch.batch";
-inline constexpr const char* kPrefetchThreads =
-    "jbs.mofsupplier.prefetch.threads";
-inline constexpr const char* kFdCacheEntries =
-    "jbs.mofsupplier.fdcache.entries";
-inline constexpr const char* kNetMergerDataThreads =
-    "jbs.netmerger.data.threads";
-inline constexpr const char* kFetchWindow = "jbs.netmerger.fetch.window";
-// Fetch-path robustness knobs (0 disables the bound).
-inline constexpr const char* kFetchDeadlineMs =
-    "jbs.netmerger.fetch.deadline_ms";
-inline constexpr const char* kConnectTimeoutMs =
-    "jbs.netmerger.connect.timeout_ms";
-inline constexpr const char* kChunkTimeoutMs =
-    "jbs.netmerger.chunk.timeout_ms";
-inline constexpr const char* kConnectionIdleMs =
-    "jbs.transport.connection.idle_ms";
-// Integrity + supplier-failover knobs.
-inline constexpr const char* kVerifyCrc = "jbs.fetch.verify_crc";
-inline constexpr const char* kHealthSuspectAfter =
-    "jbs.netmerger.health.suspect_after";
-inline constexpr const char* kHealthPenalizeAfter =
-    "jbs.netmerger.health.penalize_after";
-inline constexpr const char* kHealthPenaltyMs =
-    "jbs.netmerger.health.penalty_ms";
-inline constexpr const char* kHealthPenaltyMaxMs =
-    "jbs.netmerger.health.penalty_max_ms";
-// Negotiated wire-compression knobs (see DESIGN.md §14).
+// The paper's three ablation switches.
+inline constexpr const char* kPipelined = "jbs.mofsupplier.pipelined";
+inline constexpr const char* kConsolidate = "jbs.netmerger.consolidate";
+inline constexpr const char* kRoundRobin = "jbs.netmerger.roundrobin";
+// Negotiated wire compression (see DESIGN.md §14).
 inline constexpr const char* kWireCompressEnabled = "jbs.wire.compress.enabled";
-inline constexpr const char* kWireCompressMinBytes =
-    "jbs.wire.compress.min_bytes";
-inline constexpr const char* kWireCompressMinRatio =
-    "jbs.wire.compress.min_ratio";
-inline constexpr const char* kMaxFrameBytes = "jbs.transport.max_frame.bytes";
-// Overload-control knobs (see DESIGN.md §16). 0 disables the bound.
-inline constexpr const char* kAdmissionMaxQueue =
-    "jbs.mofsupplier.admission.max_queue";
-inline constexpr const char* kAdmissionMaxInflightBytes =
-    "jbs.mofsupplier.admission.max_inflight_bytes";
-inline constexpr const char* kAdmissionDataCacheWatermark =
-    "jbs.mofsupplier.admission.datacache_watermark";
-inline constexpr const char* kAdmissionAcquireTimeoutMs =
-    "jbs.mofsupplier.admission.acquire_timeout_ms";
-inline constexpr const char* kPushbackRetryBudget =
-    "jbs.netmerger.pushback.retry_budget";
-inline constexpr const char* kMapSlotsPerNode = "mapred.map.slots";
-inline constexpr const char* kReduceSlotsPerNode = "mapred.reduce.slots";
-inline constexpr const char* kBlockSize = "dfs.block.size";
-inline constexpr const char* kSortBufferSize = "mapred.sort.buffer.size";
-inline constexpr const char* kCopierThreads = "mapred.reduce.parallel.copies";
+// Map-output segment compression, read by the engine.
 inline constexpr const char* kCompressMapOutput = "mapred.compress.map.output";
 }  // namespace conf
 

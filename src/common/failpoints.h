@@ -1,10 +1,9 @@
 // Named, runtime-armed failpoints for the boundaries the chaos harness
 // cannot reach from outside the process: open(2)/pread in the fd cache and
-// prefetch stage, DataCache acquisition, and the dial/send edges of
-// FaultInjectingTransport. Each site asks `failpoints::Hit("name")` whether
-// to misbehave; an armed failpoint scripts the site to return
-// EIO/ENOSPC/EMFILE/short reads deterministically (seeded when
-// probabilistic).
+// prefetch stage, and the dial/send edges of FaultInjectingTransport. Each
+// site asks `failpoints::Hit("name")` whether to misbehave; an armed
+// failpoint scripts the site to return EIO/ENOSPC/EMFILE/short reads
+// deterministically (seeded when probabilistic).
 //
 // Arming is programmatic (`failpoints::Arm("fdcache.open", "emfile*3")`) or
 // via the JBS_FAILPOINTS environment variable, read before the first hit
@@ -21,8 +20,8 @@
 //       SetSeed(); deterministic run to run for a fixed seed)
 //
 // Entries are ';' or ','-separated; each modifier may appear at most once.
-// `false` is for boolean sites (DataCache acquisition) that degrade rather
-// than error, and parks a FaultInjectingTransport dial like a silent host.
+// `false` is for boolean sites that degrade rather than error: it parks a
+// FaultInjectingTransport dial like a silent host.
 //
 // Always compiled in. While nothing is armed, Hit() is one relaxed atomic
 // load and a predicted branch: no lock, no allocation (DESIGN.md §16).

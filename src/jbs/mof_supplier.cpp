@@ -53,12 +53,20 @@ Status PreadFd(int fd, const std::string& path, uint64_t offset,
 /// merger as a fetch error).
 constexpr int kPreadAttempts = 2;
 
+/// Index-file entries (one per MOF) kept parsed in memory.
+constexpr size_t kIndexCacheEntries = 1024;
+
+/// A wire-compressed chunk ships only if it came out at most this fraction
+/// of its raw size; otherwise the CPU was spent for too little gain and
+/// the raw bytes go out instead.
+constexpr double kWireCompressMinRatio = 0.9;
+
 }  // namespace
 
 MofSupplier::MofSupplier(Options options)
     : options_(options),
       data_cache_(options.buffer_size, options.buffer_count),
-      index_cache_(options.index_cache_entries),
+      index_cache_(kIndexCacheEntries),
       fd_cache_(options.fd_cache_entries),
       send_queue_(options.buffer_count) {
   if (options_.metrics != nullptr) {
@@ -101,14 +109,11 @@ MofSupplier::MofSupplier(Options options)
       metrics_->GetCounter("jbs_supplier_shed_total", shed_labels("queue"));
   shed_inflight_c_ = metrics_->GetCounter("jbs_supplier_shed_total",
                                           shed_labels("inflight_bytes"));
-  shed_datacache_c_ = metrics_->GetCounter("jbs_supplier_shed_total",
-                                           shed_labels("datacache"));
   queue_depth_h_ = metrics_->GetHistogram("jbs_mofsupplier_queue_depth", base);
 }
 
 void MofSupplier::StampChunkCrc(FetchDataHeader* header,
                                 std::span<const uint8_t> data) const {
-  if (!options_.chunk_crc) return;
   header->flags |= kChunkHasCrc;
   header->crc32 = ChunkWireCrc(*header, Crc32(data));
 }
@@ -143,12 +148,8 @@ void MofSupplier::RefreshGauges() const {
       static_cast<double>(data_cache_.capacity()));
   set("jbs_mofsupplier_datacache_buffers_in_use",
       static_cast<double>(data_cache_.capacity() - data_cache_.available()));
-  // Overload-control gauges (DESIGN.md §16): threads parked on the
-  // DataCache and bounded-wait expiries — the saturation signals admission
-  // control acts on.
+  // Overload gauge (DESIGN.md §16): disk threads parked on the DataCache.
   set("buffer_pool_waiters", static_cast<double>(data_cache_.waiters()));
-  set("jbs_mofsupplier_datacache_acquire_timeouts",
-      static_cast<double>(data_cache_.stats().acquire_timeouts));
   set("jbs_mofsupplier_send_queue_depth",
       static_cast<double>(send_queue_.size()));
   set("jbs_mofsupplier_pending_groups",
@@ -258,8 +259,7 @@ MofSupplier::SupplierStats MofSupplier::supplier_stats() const {
   out.bytes_wire = wire_bytes_wire_c_->value();
   out.chunks_compressed = chunks_compressed_c_->value();
   out.compress_bailouts = compress_bailouts_c_->value();
-  out.shed = shed_queue_c_->value() + shed_inflight_c_->value() +
-             shed_datacache_c_->value();
+  out.shed = shed_queue_c_->value() + shed_inflight_c_->value();
   out.index = index_cache_.stats();
   out.fd = fd_cache_.stats();
   out.request_latency_ms = request_latency_ms_h_->summary();
@@ -546,7 +546,7 @@ std::shared_ptr<const std::vector<uint8_t>> MofSupplier::CompressChunk(
     std::span<const uint8_t> data, uint32_t* crc) {
   std::vector<uint8_t> compressed = Compress(data);
   if (static_cast<double>(compressed.size()) >
-      static_cast<double>(data.size()) * options_.wire_compress_min_ratio) {
+      static_cast<double>(data.size()) * kWireCompressMinRatio) {
     compress_bailouts_c_->Increment();
     return nullptr;
   }
@@ -563,11 +563,8 @@ void MofSupplier::EnqueueCompressed(
   // kChunkCompressed must be in `flags` before the CRC fold — the flag is
   // header-covered so a stripped flag (which would make the client merge
   // compressed bytes as data) is detected as corruption.
-  header.flags |= kChunkCompressed;
-  if (options_.chunk_crc) {
-    header.flags |= kChunkHasCrc;
-    header.crc32 = ChunkWireCrc(header, payload_crc);
-  }
+  header.flags |= kChunkCompressed | kChunkHasCrc;
+  header.crc32 = ChunkWireCrc(header, payload_crc);
   chunks_compressed_c_->Increment();
   compress_ratio_h_->Observe(static_cast<double>(chunk) /
                              static_cast<double>(payload->size()));
@@ -602,43 +599,11 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   }
   // DataCache buffer: bounds in-flight disk reads *and* bytes parked on
   // the socket, since the buffer now travels with the frame until the
-  // transport drops its lease. Below the occupancy watermark, pool
-  // exhaustion blocks here — the pipeline's natural backpressure. At or
-  // above it (or when the `datacache.acquire` failpoint scripts
-  // exhaustion), the wait is bounded and expiry sheds the request with
-  // kErrorBusy instead of parking the disk thread (DESIGN.md §16).
-  PooledBuffer buffer;
-  bool exhausted = failpoints::Hit("datacache.acquire").kind ==
-                   failpoints::Action::Kind::kFalse;
-  const double watermark = options_.admission_datacache_watermark;
-  const bool watermarked =
-      !exhausted && watermark > 0 &&
-      static_cast<double>(data_cache_.capacity() - data_cache_.available()) >=
-          watermark * static_cast<double>(data_cache_.capacity());
-  if (watermarked) {
-    auto got = data_cache_.AcquireFor(std::chrono::milliseconds(
-        std::max(1, options_.admission_acquire_timeout_ms)));
-    if (got.ok()) {
-      buffer = std::move(got).value();
-    } else if (got.status().code() == StatusCode::kCancelled) {
-      return;  // shutting down
-    } else {
-      exhausted = true;
-    }
-  } else if (!exhausted) {
-    buffer = data_cache_.Acquire();
-    if (!buffer.valid()) return;  // pool cancelled: shutting down
-  }
-  if (exhausted) {
-    shed_datacache_c_->Increment();
-    size_t queued;
-    {
-      MutexLock lock(mu_);
-      queued = queued_requests_;
-    }
-    SendBusy(pending.conn, pending.request, RetryAfterHintMs(queued));
-    return;
-  }
+  // transport drops its lease. Pool exhaustion blocks here — the
+  // pipeline's natural backpressure; overload is shed earlier, at intake
+  // (DESIGN.md §16).
+  PooledBuffer buffer = data_cache_.Acquire();
+  if (!buffer.valid()) return;  // pool cancelled: shutting down
   if (chunk > 0) {
     Status st = PreadInto(handle, disk_offset,
                           {buffer.data(), static_cast<size_t>(chunk)});

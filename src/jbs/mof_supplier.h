@@ -54,20 +54,15 @@ class MofSupplier final : public mr::ShuffleServer {
     net::Transport* transport = nullptr;  // required
     size_t buffer_size = 128 * 1024;      // transport buffer (Fig. 11)
     size_t buffer_count = 64;             // DataCache = size * count
-    size_t index_cache_entries = 1024;
     size_t fd_cache_entries = 128;  // open MOF data-file descriptors
-    bool chunk_crc = true;    // stamp every data chunk with a CRC32 the
-                              // client can verify before merging
     // Negotiated wire compression: chunks served to clients that advertised
     // kCapWireCompression in their hello are LZSS-compressed in the
     // prefetch stage when at least `wire_compress_min_bytes` long and not
-    // already segment-compressed on disk. Chunks whose compressed size
-    // exceeds `chunk * wire_compress_min_ratio` ship raw. Off by default:
-    // the knob trades supplier CPU for wire bytes, which only pays on
-    // compressible workloads.
+    // already segment-compressed on disk. Chunks that do not shrink below
+    // 90% of their size ship raw. Off by default: the knob trades supplier
+    // CPU for wire bytes, which only pays on compressible workloads.
     bool wire_compress = false;
     uint64_t wire_compress_min_bytes = 4096;
-    double wire_compress_min_ratio = 0.9;
     int prefetch_batch = 4;   // requests served per group per turn
     int prefetch_threads = 2; // disk-stage pool (pipelined mode only)
     bool pipelined = true;    // ablation: false degrades to serialized
@@ -81,14 +76,6 @@ class MofSupplier final : public mr::ShuffleServer {
     // unboundedly. 0 disables each bound (legacy behavior).
     size_t admission_max_queue = 0;
     uint64_t admission_max_inflight_bytes = 0;
-    // DataCache occupancy watermark: once the fraction of pool buffers in
-    // use reaches it, the prefetch stage switches from "block on Acquire"
-    // (natural pipeline backpressure) to a bounded wait of
-    // `admission_acquire_timeout_ms` that sheds the request with
-    // kErrorBusy on expiry — saturation then pushes back to the merger
-    // instead of parking disk threads indefinitely. 0 disables.
-    double admission_datacache_watermark = 0;
-    int admission_acquire_timeout_ms = 100;
     // Calibrated disk model for benchmarking on hardware whose storage is
     // far faster than the paper's spindles: each pread is charged
     // `disk_seek_ms` when it does not continue that file's previous read,
@@ -215,8 +202,9 @@ class MofSupplier final : public mr::ShuffleServer {
                     const std::string& message);
   Status PreadInto(const mr::MofHandle& handle, uint64_t offset,
                    std::span<uint8_t> out);
-  /// Stamps `header` with the full wire CRC (kChunkHasCrc) when enabled.
-  /// Hashes `data` on every send, retransmits included.
+  /// Stamps `header` with the full wire CRC (kChunkHasCrc). Every data
+  /// chunk carries one; `data` is hashed on every send, retransmits
+  /// included.
   void StampChunkCrc(FetchDataHeader* header,
                      std::span<const uint8_t> data) const;
   /// True if this chunk should be considered for wire compression: the
@@ -281,11 +269,10 @@ class MofSupplier final : public mr::ShuffleServer {
   MetricCounter* disconnect_purges_c_ = nullptr;
   MetricHistogram* request_latency_ms_h_ = nullptr;
   // Overload-control series: jbs_supplier_shed_total broken out by the
-  // admission decision that shed the request (queue / inflight_bytes /
-  // datacache), plus a queue-depth histogram observed at every intake.
+  // admission decision that shed the request (queue / inflight_bytes),
+  // plus a queue-depth histogram observed at every intake.
   MetricCounter* shed_queue_c_ = nullptr;
   MetricCounter* shed_inflight_c_ = nullptr;
-  MetricCounter* shed_datacache_c_ = nullptr;
   MetricHistogram* queue_depth_h_ = nullptr;
 
   mutable Mutex mu_;

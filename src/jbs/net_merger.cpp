@@ -12,6 +12,9 @@ namespace jbs::shuffle {
 
 namespace {
 
+/// Fixed seed for the retry-backoff jitter, so retry timing replays.
+constexpr uint64_t kBackoffJitterSeed = 0x6A6274735F6E6D32ull;
+
 /// Maps one failed fetch attempt to the health-tracker taxonomy. A dial
 /// that never connected is a connect fault regardless of status code; past
 /// the dial, the status itself decides.
@@ -50,9 +53,8 @@ bool IsPushback(const Status& status) {
 
 NetMerger::NetMerger(Options options)
     : options_(options),
-      connections_(options.transport, options.connection_cache_capacity,
-                   options.connection_idle_ms),
-      rng_(options.backoff_jitter_seed) {
+      connections_(options.transport, options.connection_cache_capacity),
+      rng_(kBackoffJitterSeed) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -62,7 +64,7 @@ NetMerger::NetMerger(Options options)
   if (options_.trace != nullptr) {
     trace_ = options_.trace;
   } else {
-    owned_trace_ = std::make_unique<TraceRecorder>(options_.trace_capacity);
+    owned_trace_ = std::make_unique<TraceRecorder>();
     trace_ = owned_trace_.get();
   }
   // shuffle_* names are shared with the baseline MofCopierClient (same
@@ -757,20 +759,20 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     std::span<const uint8_t> data;
     auto header = DecodeData(*reply, &data);
     if (!header) return IoError("undecodable fetch data frame");
-    if (options_.verify_crc && (header->flags & kChunkHasCrc) != 0) {
-      // End-to-end integrity: recompute the wire CRC (header fields folded
-      // over the payload CRC) before any byte can enter the merge. Runs
-      // before the sequence check so a flipped offset or length field is
-      // attributed to corruption, not to a confused server.
-      const uint32_t got = ChunkWireCrc(*header, Crc32(data));
-      if (got != header->crc32) {
-        chunks_corrupt_c_->Increment();
-        trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
-                       static_cast<int64_t>(header->offset));
-        return IoError("chunk CRC mismatch for map " +
-                       std::to_string(task.source.map_task) + " at offset " +
-                       std::to_string(header->offset));
-      }
+    // End-to-end integrity: every chunk must carry a wire CRC (header
+    // fields folded over the payload CRC), recomputed here before any byte
+    // can enter the merge. A cleared kChunkHasCrc is itself a flipped bit,
+    // so it fails like a mismatch. Runs before the sequence check so a
+    // flipped offset or length field is attributed to corruption, not to
+    // a confused server.
+    if ((header->flags & kChunkHasCrc) == 0 ||
+        ChunkWireCrc(*header, Crc32(data)) != header->crc32) {
+      chunks_corrupt_c_->Increment();
+      trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
+                     static_cast<int64_t>(header->offset));
+      return IoError("chunk CRC mismatch for map " +
+                     std::to_string(task.source.map_task) + " at offset " +
+                     std::to_string(header->offset));
     }
     if (header->map_task != task.source.map_task ||
         header->partition != task.partition ||

@@ -63,10 +63,6 @@ class NetMerger final : public mr::ShuffleClient {
                                      // (0 = unbounded)
     int64_t connect_timeout_ms = 0;  // per-dial bound (0 = unbounded)
     int64_t chunk_timeout_ms = 0;    // per chunk round trip (0 = unbounded)
-    int64_t connection_idle_ms = 0;  // evict cached connections idle this
-                                     // long (0 = LRU only)
-    bool verify_crc = true;  // verify chunk CRCs before a byte enters the
-                             // merge; a mismatch is a retryable fetch fault
     // Advertise kCapWireCompression in the hello sent on every fresh dial,
     // inviting the supplier to ship eligible chunks compressed (the merger
     // can always decompress — this knob exists for the ablation bench).
@@ -81,14 +77,12 @@ class NetMerger final : public mr::ShuffleClient {
     int64_t health_penalty_max_ms = 10000;
     int max_failovers = 4;  // replica reroutes per fetch (bounds ping-pong
                             // between two half-dead replica holders)
-    uint64_t backoff_jitter_seed = 0x6A6274735F6E6D32ull;  // deterministic
     // Observability: a shared MetricsRegistry / TraceRecorder (e.g. the
     // plugin's, so client and server publish into one exposition), or
     // nullptr for a private one owned by this merger. `instance`
     // distinguishes per-instance gauges when the registry is shared.
     MetricsRegistry* metrics = nullptr;
     TraceRecorder* trace = nullptr;
-    size_t trace_capacity = 4096;  // private-recorder ring size
     std::string instance{};
   };
 

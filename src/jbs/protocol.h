@@ -61,7 +61,7 @@ struct FetchRequest {
 inline constexpr uint32_t kSegmentCompressed = 1u << 0;
 /// FetchDataHeader flag: `crc32` carries a per-chunk checksum covering the
 /// header fields and the payload (see ChunkWireCrc). Suppliers always set
-/// it; a client that doesn't verify just ignores the field.
+/// it, and the NetMerger rejects a data chunk without it as corrupt.
 inline constexpr uint32_t kChunkHasCrc = 1u << 1;
 /// FetchDataHeader flag: this chunk's payload is a Compress() stream of the
 /// logical chunk bytes. `offset` and `segment_total` stay in logical

@@ -75,57 +75,18 @@ TEST(BufferPoolTest, BlockedAcquireWakesOnRelease) {
   EXPECT_GE(pool.stats().blocked_acquires, 1u);
 }
 
-TEST(BufferPoolTest, AcquireForExpiresWithResourceExhausted) {
+TEST(BufferPoolTest, CancelUnblocksBlockedAcquire) {
+  // MofSupplier::Stop relies on this: a disk thread parked on a dry
+  // DataCache wakes with an invalid buffer and exits.
   BufferPool pool(64, 1);
   PooledBuffer held = pool.Acquire();
-  const auto start = std::chrono::steady_clock::now();
-  auto got = pool.AcquireFor(std::chrono::milliseconds(30));
-  EXPECT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(25));
-  EXPECT_EQ(pool.stats().acquire_timeouts, 1u);
-  EXPECT_EQ(pool.waiters(), 0u);  // gauge returns to zero after the wait
-}
-
-TEST(BufferPoolTest, AcquireForSucceedsImmediatelyWhenFree) {
-  BufferPool pool(64, 1);
-  auto got = pool.AcquireFor(std::chrono::milliseconds(0));
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->valid());
-  EXPECT_EQ(pool.stats().acquire_timeouts, 0u);
-}
-
-TEST(BufferPoolTest, AcquireForWakesOnRelease) {
-  BufferPool pool(64, 1);
-  PooledBuffer held = pool.Acquire();
-  std::atomic<bool> acquired{false};
-  std::thread waiter([&] {
-    auto got = pool.AcquireFor(std::chrono::milliseconds(2000));
-    acquired = got.ok();
-  });
-  // Wait until the waiter is visibly parked so the release below is what
-  // wakes it, not a lucky immediate grab.
-  while (pool.waiters() == 0) std::this_thread::yield();
-  held.Release();
-  waiter.join();
-  EXPECT_TRUE(acquired);
-  EXPECT_EQ(pool.stats().acquire_timeouts, 0u);
-  EXPECT_EQ(pool.available(), 1u);
-}
-
-TEST(BufferPoolTest, CancelUnblocksAcquireForWithCancelled) {
-  BufferPool pool(64, 1);
-  PooledBuffer held = pool.Acquire();
-  std::atomic<int> code{-1};
-  std::thread waiter([&] {
-    auto got = pool.AcquireFor(std::chrono::milliseconds(5000));
-    code = static_cast<int>(got.status().code());
-  });
+  std::atomic<bool> got_valid{true};
+  std::thread waiter([&] { got_valid = pool.Acquire().valid(); });
   while (pool.waiters() == 0) std::this_thread::yield();
   pool.Cancel();
   waiter.join();
-  EXPECT_EQ(code.load(), static_cast<int>(StatusCode::kCancelled));
+  EXPECT_FALSE(got_valid);
+  EXPECT_EQ(pool.waiters(), 0u);
 }
 
 TEST(BufferPoolTest, ConcurrentChurnKeepsInvariant) {

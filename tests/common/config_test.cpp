@@ -78,6 +78,11 @@ TEST(ConfigTest, ParseSizeRejectsJunk) {
   EXPECT_FALSE(Config::ParseSize("").has_value());
   EXPECT_FALSE(Config::ParseSize("abc").has_value());
   EXPECT_FALSE(Config::ParseSize("12XB").has_value());
+  // Values no int64_t byte count can hold.
+  EXPECT_FALSE(Config::ParseSize("-1KB").has_value());
+  EXPECT_FALSE(Config::ParseSize("1e30G").has_value());
+  EXPECT_FALSE(Config::ParseSize("nan").has_value());
+  EXPECT_FALSE(Config::ParseSize("inf").has_value());
 }
 
 TEST(ConfigTest, GetSizeUsesDefault) {

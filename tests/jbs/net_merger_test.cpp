@@ -264,12 +264,14 @@ TEST_F(NetMergerTest, SegmentMappingsReleaseWhenStreamsDrop) {
 /// A bare ServerEndpoint posing as a supplier: it answers every fetch
 /// request with the data reply `forge` builds for it, CRC-stamped so the
 /// reply passes integrity checks and only the protocol checks can catch
-/// it.
+/// it. The CRC is computed over the reply's own `flags`, so clearing
+/// kChunkHasCrc there forges a chunk that is otherwise valid.
 class ForgingSupplier {
  public:
   struct Reply {
     uint64_t segment_total = 0;
     size_t payload_bytes = 0;
+    uint32_t flags = kChunkHasCrc;
   };
   using Forge = std::function<Reply(const FetchRequest&)>;
 
@@ -288,7 +290,7 @@ class ForgingSupplier {
       header.partition = request->partition;
       header.offset = request->offset;
       header.segment_total = reply.segment_total;
-      header.flags = kChunkHasCrc;
+      header.flags = reply.flags;
       const std::vector<uint8_t> data(reply.payload_bytes, 0x5A);
       header.crc32 = ChunkWireCrc(header, Crc32(data));
       (void)endpoint_->SendAsync(conn, EncodeData(header, data));
@@ -305,9 +307,10 @@ class ForgingSupplier {
 };
 
 /// Fetches map 0 from a forging supplier with 1000-byte chunks and one
-/// attempt, returning the FetchAndMerge status.
-Status FetchFromForger(net::Transport& transport,
-                       ForgingSupplier::Forge forge) {
+/// attempt, returning the FetchAndMerge status (and, when asked, the
+/// merger's counters).
+Status FetchFromForger(net::Transport& transport, ForgingSupplier::Forge forge,
+                       NetMerger::MergerStats* stats = nullptr) {
   ForgingSupplier supplier(transport, std::move(forge));
   NetMerger::Options options;
   options.transport = &transport;
@@ -318,7 +321,26 @@ Status FetchFromForger(net::Transport& transport,
   auto stream =
       merger.FetchAndMerge(0, {{0, 0, "127.0.0.1", supplier.port()}});
   merger.Stop();
+  if (stats != nullptr) *stats = merger.merger_stats();
   return stream.status();
+}
+
+TEST_F(NetMergerTest, ChunkWithoutCrcFlagIsCorrupt) {
+  // A single flipped flag bit must not let a payload into the merge
+  // unverified: every chunk has to carry its CRC.
+  NetMerger::MergerStats stats;
+  const Status status = FetchFromForger(
+      *transport_,
+      [](const FetchRequest&) {
+        return ForgingSupplier::Reply{/*segment_total=*/1000, /*bytes=*/1000,
+                                      /*flags=*/0};
+      },
+      &stats);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("CRC"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(stats.chunks_corrupt, 1u);
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
 }
 
 TEST_F(NetMergerTest, RawChunkPastSegmentTotalIsProtocolBreach) {

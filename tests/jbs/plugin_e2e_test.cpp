@@ -92,10 +92,15 @@ class PluginE2eTest : public ::testing::Test {
     return spec;
   }
 
-  std::string RunWith(mr::ShufflePlugin& plugin, const std::string& tag) {
+  /// Runs the wordcount through `plugin` under `conf`; returns the output
+  /// and, when asked, the bytes the reducers fetched.
+  std::string RunWith(mr::ShufflePlugin& plugin, const std::string& tag,
+                      const Config& conf = Config(),
+                      uint64_t* shuffle_bytes = nullptr) {
     mr::LocalJobRunner::Options opts;
     opts.dfs = dfs_.get();
     opts.plugin = &plugin;
+    opts.conf = conf;
     opts.work_dir = root_ / ("work_" + tag);
     opts.num_nodes = 3;
     opts.map_slots = 2;
@@ -106,6 +111,7 @@ class PluginE2eTest : public ::testing::Test {
     EXPECT_TRUE(result.ok()) << tag << ": " << result.status().ToString();
     if (!result.ok()) return "<failed:" + tag + ">";
     EXPECT_GT(result->shuffle_bytes, 0u) << tag;
+    if (shuffle_bytes != nullptr) *shuffle_bytes = result->shuffle_bytes;
     std::string all;
     for (const auto& file : result->output_files) {
       std::vector<uint8_t> data;
@@ -209,17 +215,54 @@ TEST_F(PluginE2eTest, BaselineWithSpillsMatches) {
 }
 
 TEST_F(PluginE2eTest, OptionsFromConfigParsesKeys) {
+  // Every key the plugin reads, each set away from its default.
   Config conf;
-  conf.Set("jbs.transport", "rdma");
+  conf.Set(conf::kTransport, "rdma");
   conf.Set(conf::kTransportBufferSize, "64KB");
-  conf.SetInt(conf::kNetMergerDataThreads, 5);
-  conf.SetBool("jbs.netmerger.consolidate", false);
-  auto opts = shuffle::JbsShufflePlugin::OptionsFromConfig(conf);
+  conf.SetBool(conf::kPipelined, false);
+  conf.SetBool(conf::kConsolidate, false);
+  conf.SetBool(conf::kRoundRobin, false);
+  conf.SetBool(conf::kWireCompressEnabled, true);
+  conf.SetBool(conf::kCompressMapOutput, true);
+  const auto opts = shuffle::JbsShufflePlugin::OptionsFromConfig(conf);
   EXPECT_EQ(opts.transport, shuffle::TransportKind::kRdma);
   EXPECT_EQ(opts.buffer_size, 64u * 1024);
-  EXPECT_EQ(opts.data_threads, 5);
+  EXPECT_FALSE(opts.pipelined);
   EXPECT_FALSE(opts.consolidate);
-  EXPECT_TRUE(opts.round_robin);
+  EXPECT_FALSE(opts.round_robin);
+  EXPECT_TRUE(opts.wire_compress);
+
+  // The seventh key is the engine's: under the same Config the map side
+  // writes compressed segments, so the reducers fetch fewer bytes for the
+  // same output.
+  mr::LocalShufflePlugin local;
+  uint64_t raw_bytes = 0;
+  const std::string reference = RunWith(local, "local", Config(), &raw_bytes);
+  shuffle::JbsShufflePlugin jbs(opts);
+  uint64_t compressed_bytes = 0;
+  EXPECT_EQ(RunWith(jbs, "jbs_all_keys", conf, &compressed_bytes), reference);
+  EXPECT_LT(compressed_bytes, raw_bytes);
+}
+
+TEST_F(PluginE2eTest, OptionsFromConfigKeepsDefaultForUnusableBufferSize) {
+  const size_t fallback = shuffle::JbsOptions().buffer_size;
+  const auto parsed = [](const std::string& value) {
+    Config conf;
+    conf.Set(conf::kTransportBufferSize, value);
+    return shuffle::JbsShufflePlugin::OptionsFromConfig(conf).buffer_size;
+  };
+  // No room for a payload byte past the 32-byte data header: the chunk
+  // size would underflow.
+  EXPECT_EQ(parsed("16"), fallback);
+  EXPECT_EQ(parsed(std::to_string(shuffle::kDataHeaderSize)), fallback);
+  // Past the transports' 64 MiB frame cap (and a 64 GB DataCache).
+  EXPECT_EQ(parsed("1GB"), fallback);
+  // A negative size falls back too.
+  EXPECT_EQ(parsed("-1KB"), fallback);
+  // The edges themselves are usable.
+  EXPECT_EQ(parsed(std::to_string(shuffle::kDataHeaderSize + 1)),
+            shuffle::kDataHeaderSize + 1);
+  EXPECT_EQ(parsed("64MB"), 64u * 1024 * 1024);
 }
 
 }  // namespace

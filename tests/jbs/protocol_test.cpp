@@ -104,8 +104,8 @@ TEST(ProtocolTest, WireCrcCoversHeaderFields) {
 }
 
 TEST(ProtocolTest, LegacyHeaderWithoutCrcStillDecodes) {
-  // A peer that doesn't stamp CRCs (flag clear, field zero) must remain
-  // readable — verification is gated on kChunkHasCrc.
+  // A header without a CRC (flag clear, field zero) still decodes:
+  // rejecting it is the NetMerger's integrity check, not the codec's.
   FetchDataHeader header;
   header.map_task = 1;
   header.segment_total = 10;

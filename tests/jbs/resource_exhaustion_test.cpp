@@ -1,10 +1,10 @@
 // Resource-exhaustion survival driven by the failpoint layer (DESIGN.md
 // §16): scripted EIO/EMFILE and short reads at the syscall boundaries —
-// fd-cache open(2), the prefetch-stage pread, DataCache acquisition — must
-// be absorbed at the lowest layer that can recover them, and a full
-// shuffle must complete byte-identical to the fault-free run. Failpoints
-// are process-global, so every reference run happens before arming and
-// every test disarms on both ends.
+// fd-cache open(2) and the prefetch-stage pread — must be absorbed at the
+// lowest layer that can recover them, and a full shuffle must complete
+// byte-identical to the fault-free run. Failpoints are process-global, so
+// every reference run happens before arming and every test disarms on
+// both ends.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -202,34 +202,6 @@ TEST_F(ResourceExhaustionTest, PersistentPreadFailureFailsOverToReplica) {
   EXPECT_EQ(failpoints::FireCount("supplier.pread"), 2u);
   EXPECT_GE(merger.merger_stats().failovers, 1u);
   EXPECT_GE(primary->supplier_stats().errors, 1u);
-  merger.Stop();
-}
-
-// --- DataCache exhaustion -> kErrorBusy pushback ---
-
-TEST_F(ResourceExhaustionTest, DataCacheExhaustionShedsWithBusyPushback) {
-  shuffle::MofSupplier* supplier = Boot({}, {MakeMof(0)});
-  const std::vector<mr::MofLocation> locs = {
-      {0, 0, "127.0.0.1", supplier->port()}};
-  const std::vector<mr::Record> expected = Reference(locs);
-
-  // The first two buffer acquisitions report exhaustion: those requests
-  // shed with kErrorBusy, the merger's pushback budget rides them out,
-  // and crucially nothing is charged to failure accounting.
-  ASSERT_TRUE(failpoints::Arm("datacache.acquire", "false*2").ok());
-  auto options = MergerOptions();
-  options.health_penalize_after = 1;  // any recorded failure would show
-  shuffle::NetMerger merger(options);
-  auto stream = merger.FetchAndMerge(0, locs);
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_TRUE(Drain(**stream) == expected);
-
-  const auto stats = merger.merger_stats();
-  EXPECT_EQ(stats.pushbacks, 2u);
-  EXPECT_EQ(stats.fetch_retries, 0u);
-  EXPECT_EQ(stats.penalties, 0u);
-  EXPECT_EQ(stats.failovers, 0u);
-  EXPECT_EQ(supplier->supplier_stats().shed, 2u);
   merger.Stop();
 }
 
