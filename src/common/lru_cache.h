@@ -59,26 +59,6 @@ class LruCache {
     return &it->second->second;
   }
 
-  /// Erases every entry for which `pred(key, value)` returns true and
-  /// returns how many were erased. The eviction callback is NOT invoked —
-  /// the predicate owns disposal (it can close/inspect the value before
-  /// returning true), so callers can account for filtered eviction
-  /// (e.g. idle sweeps) separately from capacity eviction.
-  template <typename Pred>
-  size_t EraseIf(Pred pred) {
-    size_t erased = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (pred(it->first, it->second)) {
-        index_.erase(it->first);
-        it = entries_.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  }
-
   bool Erase(const Key& key) {
     auto it = index_.find(key);
     if (it == index_.end()) return false;

@@ -411,10 +411,14 @@ void MofSupplier::DiskLoop() {
   while (NextBatch(&batch, &group_key)) {
     batches_c_->Increment();
     for (const PendingRequest& pending : batch) {
-      if (options_.pipelined) {
-        PrefetchOne(pending);
-      } else {
-        ServeInline(pending);
+      if (auto ready = ReadChunk(pending)) {
+        if (options_.pipelined) {
+          // Push only fails once the queue is closed (shutdown); the
+          // dropped reply's lease returns the buffer via its destructor.
+          (void)send_queue_.Push(std::move(*ready));
+        } else {
+          Deliver(std::move(*ready));
+        }
       }
       // Admission byte budget: the request is no longer "inflight" once
       // the disk stage is done with it, whatever the outcome — replies
@@ -431,37 +435,24 @@ void MofSupplier::DiskLoop() {
   }
 }
 
-bool MofSupplier::ResolveRequest(
-    const PendingRequest& pending, mr::MofHandle* handle,
-    FetchDataHeader* header, uint64_t* disk_offset, uint64_t* chunk,
-    const std::function<void(const std::string&)>& fail) {
-  const FetchRequest& request = pending.request;
-  bool found = false;
+Status MofSupplier::ResolveRequest(const FetchRequest& request,
+                                   mr::MofHandle* handle,
+                                   FetchDataHeader* header,
+                                   uint64_t* disk_offset, uint64_t* chunk) {
   {
     MutexLock lock(mu_);
     auto it = published_.find(request.map_task);
-    if (it != published_.end()) {
-      *handle = it->second;
-      found = true;
-    }
-  }
-  if (!found) {
-    fail("unknown MOF");
-    return false;
+    if (it == published_.end()) return NotFound("unknown MOF");
+    *handle = it->second;
   }
   auto index = index_cache_.GetOrLoad(*handle);
-  if (!index.ok()) {
-    fail(index.status().ToString());
-    return false;
-  }
+  JBS_RETURN_IF_ERROR(index.status());
   if (request.partition < 0 || request.partition >= index->num_partitions()) {
-    fail("partition out of range");
-    return false;
+    return InvalidArgument("partition out of range");
   }
   const mr::IndexEntry& entry = index->entry(request.partition);
   if (request.offset > entry.length) {
-    fail("offset beyond segment");
-    return false;
+    return InvalidArgument("offset beyond segment");
   }
   // Chunk size: bounded by the client's ask, our transport buffer, and
   // what's left of the segment.
@@ -481,7 +472,7 @@ bool MofSupplier::ResolveRequest(
       request.map_task) {
     group_switches_c_->Increment();
   }
-  return true;
+  return Status::Ok();
 }
 
 Status MofSupplier::PreadInto(const mr::MofHandle& handle, uint64_t offset,
@@ -542,95 +533,76 @@ bool MofSupplier::WireCompressEligible(const PendingRequest& pending,
          chunk > 0 && (header.flags & kSegmentCompressed) == 0;
 }
 
-std::shared_ptr<const std::vector<uint8_t>> MofSupplier::CompressChunk(
-    std::span<const uint8_t> data, uint32_t* crc) {
-  std::vector<uint8_t> compressed = Compress(data);
-  if (static_cast<double>(compressed.size()) >
+bool MofSupplier::EncodeCompressed(FetchDataHeader header,
+                                   std::span<const uint8_t> data,
+                                   ReadyReply* ready) {
+  auto payload = std::make_shared<const std::vector<uint8_t>>(Compress(data));
+  if (static_cast<double>(payload->size()) >
       static_cast<double>(data.size()) * kWireCompressMinRatio) {
     compress_bailouts_c_->Increment();
-    return nullptr;
+    return false;
   }
-  auto shared =
-      std::make_shared<const std::vector<uint8_t>>(std::move(compressed));
-  *crc = Crc32(*shared);
-  return shared;
-}
-
-void MofSupplier::EnqueueCompressed(
-    const PendingRequest& pending, FetchDataHeader header, uint64_t chunk,
-    std::shared_ptr<const std::vector<uint8_t>> payload, uint32_t payload_crc,
-    bool inline_send) {
   // kChunkCompressed must be in `flags` before the CRC fold — the flag is
   // header-covered so a stripped flag (which would make the client merge
   // compressed bytes as data) is detected as corruption.
   header.flags |= kChunkCompressed | kChunkHasCrc;
-  header.crc32 = ChunkWireCrc(header, payload_crc);
+  header.crc32 = ChunkWireCrc(header, Crc32(*payload));
   chunks_compressed_c_->Increment();
-  compress_ratio_h_->Observe(static_cast<double>(chunk) /
+  compress_ratio_h_->Observe(static_cast<double>(data.size()) /
                              static_cast<double>(payload->size()));
-  ReadyReply ready;
-  ready.conn = pending.conn;
-  ready.chunk = chunk;
-  ready.wire = payload->size();
-  ready.enqueued = pending.enqueued;
+  ready->wire = payload->size();
   // The compressed vector is the frame's lease: it stays alive until the
   // transport has put its last byte on the wire.
   const std::span<const uint8_t> view{payload->data(), payload->size()};
-  ready.frame = EncodeDataZeroCopy(header, view, std::move(payload));
-  if (inline_send) {
-    SendData(ready.conn, std::move(ready.frame), ready.chunk, ready.wire,
-             ready.enqueued);
-    return;
-  }
-  (void)send_queue_.Push(std::move(ready));
+  ready->frame = EncodeDataZeroCopy(header, view, std::move(payload));
+  return true;
 }
 
-void MofSupplier::PrefetchOne(const PendingRequest& pending) {
+std::optional<MofSupplier::ReadyReply> MofSupplier::ReadChunk(
+    const PendingRequest& pending) {
+  ReadyReply ready;
+  ready.conn = pending.conn;
+  ready.enqueued = pending.enqueued;
+  const auto error_reply = [&](const Status& st) {
+    ready.is_error = true;
+    ready.error.map_task = pending.request.map_task;
+    ready.error.partition = pending.request.partition;
+    ready.error.message = st.ToString();
+    return std::move(ready);
+  };
   mr::MofHandle handle;
   FetchDataHeader header;
   uint64_t disk_offset = 0;
   uint64_t chunk = 0;
-  if (!ResolveRequest(pending, &handle, &header, &disk_offset, &chunk,
-                      [&](const std::string& message) {
-                        EnqueueError(pending.conn, pending.request, message,
-                                     pending.enqueued);
-                      })) {
-    return;
-  }
+  Status st = ResolveRequest(pending.request, &handle, &header, &disk_offset,
+                             &chunk);
+  if (!st.ok()) return error_reply(st);
   // DataCache buffer: bounds in-flight disk reads *and* bytes parked on
-  // the socket, since the buffer now travels with the frame until the
+  // the socket, since the buffer travels with the frame until the
   // transport drops its lease. Pool exhaustion blocks here — the
   // pipeline's natural backpressure; overload is shed earlier, at intake
   // (DESIGN.md §16).
   PooledBuffer buffer = data_cache_.Acquire();
-  if (!buffer.valid()) return;  // pool cancelled: shutting down
+  if (!buffer.valid()) return std::nullopt;  // pool cancelled: shutting down
   if (chunk > 0) {
-    Status st = PreadInto(handle, disk_offset,
-                          {buffer.data(), static_cast<size_t>(chunk)});
-    if (!st.ok()) {
-      EnqueueError(pending.conn, pending.request, st.ToString(),
-                   pending.enqueued);
-      return;
-    }
+    st = PreadInto(handle, disk_offset,
+                   {buffer.data(), static_cast<size_t>(chunk)});
+    if (!st.ok()) return error_reply(st);
   }
   buffer.set_size(static_cast<size_t>(chunk));
-  if (WireCompressEligible(pending, header, chunk)) {
-    uint32_t payload_crc = 0;
-    auto payload = CompressChunk({buffer.data(), static_cast<size_t>(chunk)},
-                                 &payload_crc);
-    if (payload != nullptr) {
-      // The pooled buffer is released here (compressed copy supersedes it).
-      EnqueueCompressed(pending, header, chunk, std::move(payload),
-                        payload_crc, /*inline_send=*/false);
-      return;
-    }
-    // Bail-out: fall through and ship the bytes we already read, raw.
+  ready.chunk = chunk;
+  const std::span<const uint8_t> data{buffer.data(),
+                                      static_cast<size_t>(chunk)};
+  // A compressed reply supersedes the pooled buffer, which is released on
+  // return; a bail-out ships the bytes already read, raw.
+  if (WireCompressEligible(pending, header, chunk) &&
+      EncodeCompressed(header, data, &ready)) {
+    return ready;
   }
   // CRC in the disk stage: the hash overlaps the send stage's transmits
   // the same way the reads do.
-  StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
-  ReadyReply ready;
-  ready.conn = pending.conn;
+  StampChunkCrc(&header, data);
+  ready.wire = chunk;
   // Ownership handoff, not a copy: the chunk rides as the frame's `ext`
   // view and the buffer itself becomes the frame's lease, returning to
   // the DataCache only when the transport finishes with it.
@@ -641,102 +613,33 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   const std::span<const uint8_t> chunk_view{
       static_cast<const uint8_t*>(lease.get()), static_cast<size_t>(chunk)};
   ready.frame = EncodeDataZeroCopy(header, chunk_view, std::move(lease));
-  ready.chunk = chunk;
-  ready.wire = chunk;
-  ready.enqueued = pending.enqueued;
-  // Push only fails once the queue is closed (shutdown); the dropped
-  // reply's lease returns the buffer via its destructor.
-  (void)send_queue_.Push(std::move(ready));
+  return ready;
 }
 
 void MofSupplier::SendLoop() {
-  while (auto ready = send_queue_.Pop()) {
-    if (ready->is_error) {
-      endpoint_->SendAsync(ready->conn, EncodeError(ready->error));
-      errors_c_->Increment();
-      continue;
-    }
-    // The frame was encoded in the disk stage (a 32-byte owned header plus
-    // a borrowed chunk view); nothing to copy here — just hand the lease
-    // to the transport.
-    SendData(ready->conn, std::move(ready->frame), ready->chunk, ready->wire,
-             ready->enqueued);
-  }
+  while (auto ready = send_queue_.Pop()) Deliver(std::move(*ready));
 }
 
-void MofSupplier::SendData(net::ConnId conn, Frame frame, uint64_t chunk,
-                           uint64_t wire,
-                           std::chrono::steady_clock::time_point enqueued) {
-  Status st = endpoint_->SendAsync(conn, std::move(frame));
-  const double latency_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - enqueued)
-                                .count();
-  if (st.ok()) {
-    bytes_served_c_->Increment(chunk);
-    wire_bytes_logical_c_->Increment(chunk);
-    wire_bytes_wire_c_->Increment(wire);
-    request_latency_ms_h_->Observe(latency_ms);
-  } else {
+void MofSupplier::Deliver(ReadyReply ready) {
+  if (ready.is_error) {
+    endpoint_->SendAsync(ready.conn, EncodeError(ready.error));
     errors_c_->Increment();
-  }
-}
-
-void MofSupplier::ServeInline(const PendingRequest& pending) {
-  const FetchRequest& request = pending.request;
-  mr::MofHandle handle;
-  FetchDataHeader header;
-  uint64_t disk_offset = 0;
-  uint64_t chunk = 0;
-  if (!ResolveRequest(pending, &handle, &header, &disk_offset, &chunk,
-                      [&](const std::string& message) {
-                        SendErrorNow(pending.conn, request, message);
-                      })) {
     return;
   }
-  PooledBuffer buffer = data_cache_.Acquire();
-  if (!buffer.valid()) return;
-  if (chunk > 0) {
-    Status st = PreadInto(handle, disk_offset,
-                          {buffer.data(), static_cast<size_t>(chunk)});
-    if (!st.ok()) {
-      SendErrorNow(pending.conn, request, st.ToString());
-      return;
-    }
+  // The frame was encoded in the disk stage (a 32-byte owned header plus
+  // a borrowed chunk view); nothing to copy here — just hand the lease to
+  // the transport.
+  if (!endpoint_->SendAsync(ready.conn, std::move(ready.frame)).ok()) {
+    errors_c_->Increment();
+    return;
   }
-  buffer.set_size(static_cast<size_t>(chunk));
-  // Same wire-compression gate as the pipelined path, transmitted inline.
-  if (WireCompressEligible(pending, header, chunk)) {
-    uint32_t payload_crc = 0;
-    auto payload = CompressChunk({buffer.data(), static_cast<size_t>(chunk)},
-                                 &payload_crc);
-    if (payload != nullptr) {
-      EnqueueCompressed(pending, header, chunk, std::move(payload),
-                        payload_crc, /*inline_send=*/true);
-      return;
-    }
-  }
-  StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
-  // Same zero-copy handoff as the pipelined path; "serialized" here means
-  // one request at a time, not extra memcpys.
-  auto lease = MakeBufferLease(std::move(buffer));
-  const std::span<const uint8_t> chunk_view{
-      static_cast<const uint8_t*>(lease.get()), static_cast<size_t>(chunk)};
-  SendData(pending.conn,
-           EncodeDataZeroCopy(header, chunk_view, std::move(lease)), chunk,
-           chunk, pending.enqueued);
-}
-
-void MofSupplier::EnqueueError(net::ConnId conn, const FetchRequest& request,
-                               const std::string& message,
-                               std::chrono::steady_clock::time_point enqueued) {
-  ReadyReply ready;
-  ready.conn = conn;
-  ready.is_error = true;
-  ready.error.map_task = request.map_task;
-  ready.error.partition = request.partition;
-  ready.error.message = message;
-  ready.enqueued = enqueued;
-  (void)send_queue_.Push(std::move(ready));
+  bytes_served_c_->Increment(ready.chunk);
+  wire_bytes_logical_c_->Increment(ready.chunk);
+  wire_bytes_wire_c_->Increment(ready.wire);
+  request_latency_ms_h_->Observe(
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - ready.enqueued)
+          .count());
 }
 
 void MofSupplier::SendBusy(net::ConnId conn, const FetchRequest& request,
@@ -755,16 +658,6 @@ uint32_t MofSupplier::RetryAfterHintMs(size_t queued) const {
   // deep queue spreads the retry storm out. Capped so a pathological
   // backlog can't park mergers for whole seconds per attempt.
   return static_cast<uint32_t>(std::min<size_t>(1000, 5 + queued));
-}
-
-void MofSupplier::SendErrorNow(net::ConnId conn, const FetchRequest& request,
-                               const std::string& message) {
-  FetchError error;
-  error.map_task = request.map_task;
-  error.partition = request.partition;
-  error.message = message;
-  endpoint_->SendAsync(conn, EncodeError(error));
-  errors_c_->Increment();
 }
 
 }  // namespace jbs::shuffle

@@ -3,33 +3,34 @@
 // grouped by their target MOF and ordered by requested segment; the serve
 // path is a two-stage pipeline:
 //
-//   prefetch stage — a pool of disk threads pops round-robin batches
-//     (one group checked out per thread at a time, so replies for a
-//     (map, partition) stay in offset order), preads segments into
-//     DataCache pooled buffers through an LRU fd cache, and hands ready
-//     buffers to the send stage;
+//   disk stage — a pool of disk threads pops round-robin batches (one
+//     group checked out per thread at a time, so replies for a
+//     (map, partition) stay in offset order) and turns each request into
+//     a ready reply (ReadChunk): pread into a DataCache pooled buffer
+//     through an LRU fd cache, compress or CRC-stamp, and encode a
+//     zero-copy frame whose lease is that buffer;
 //   send stage — one thread (so every connection's replies stay in
-//     order) that hands the pre-encoded scatter-gather frames to the
-//     transport's event thread. The chunk bytes are never copied into the
-//     frame: the pooled buffer rides along as the frame's lease and
-//     returns to the DataCache only after the transport has put its last
-//     byte on the wire.
+//     order) that hands the ready frames to the transport's event thread
+//     (Deliver). The chunk bytes are never copied into the frame: the
+//     pooled buffer returns to the DataCache only after the transport has
+//     put its last byte on the wire.
 //
 // Disk reads for request N+1 therefore overlap the network transmit of
-// request N (Fig. 5), and DataCache exhaustion — which now includes
-// buffers still in flight on the socket — throttles the disk stage ahead
-// of the network, where the stock HttpServlet serializes read and
-// transmit per request (Fig. 4). With `pipelined = false` the supplier
-// degrades to the seed's serialized single-thread read-then-send service
-// for the paper ablation.
+// request N (Fig. 5), and DataCache exhaustion — which includes buffers
+// still in flight on the socket — throttles the disk stage ahead of the
+// network, where the stock HttpServlet serializes read and transmit per
+// request (Fig. 4). With `pipelined = false` (the paper's ablation) one
+// disk thread serves a single FIFO one request at a time and delivers
+// each reply inline, with no send stage: the same ReadChunk and Deliver,
+// serialized.
 #pragma once
 
 #include <atomic>
 #include <climits>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -143,11 +144,10 @@ class MofSupplier final : public mr::ShuffleServer {
     bool compress_ok = false;
   };
 
-  /// One ready reply travelling from the prefetch stage to the send stage.
-  /// Data replies carry a pre-encoded scatter-gather frame whose lease
-  /// (pooled buffer or compressed vector) keeps the chunk bytes
-  /// alive until the transport has put them on the wire; error replies
-  /// carry just the FetchError.
+  /// One reply from the disk stage, ready to send. Data replies carry a
+  /// pre-encoded scatter-gather frame whose lease (pooled buffer or
+  /// compressed vector) keeps the chunk bytes alive until the transport
+  /// has put them on the wire; error replies carry just the FetchError.
   struct ReadyReply {
     net::ConnId conn = 0;
     bool is_error = false;
@@ -169,28 +169,21 @@ class MofSupplier final : public mr::ShuffleServer {
   /// exists or shutdown; false on shutdown. Drained group queues are erased.
   bool NextBatch(std::vector<PendingRequest>* batch, int* group_key)
       EXCLUDES(mu_);
-  /// Pipelined stage 1: pread into a pooled buffer, hand to the send stage.
-  void PrefetchOne(const PendingRequest& pending);
-  /// Serialized ablation path: read + encode + transmit inline (seed
-  /// behavior).
-  void ServeInline(const PendingRequest& pending);
-  /// Pipelined stage 2: hand encoded frames to the transport event thread.
+  /// Disk stage, both modes: resolve -> DataCache buffer -> pread ->
+  /// compress-or-CRC -> zero-copy frame. A failed resolve or read yields
+  /// an error reply; nullopt means the DataCache was cancelled (shutdown).
+  std::optional<ReadyReply> ReadChunk(const PendingRequest& pending);
+  /// Send stage (or the disk thread itself when serialized): hands one
+  /// reply to the transport and accounts for it — served logical and wire
+  /// bytes and latency from enqueue; a refused send or an error reply
+  /// counts as an error.
+  void Deliver(ReadyReply ready);
   void SendLoop();
-  /// Hands one encoded data frame to the transport and accounts for it:
-  /// `chunk` logical bytes served as `wire` payload bytes, latency measured
-  /// from `enqueued`; a refused send counts as an error.
-  void SendData(net::ConnId conn, Frame frame, uint64_t chunk, uint64_t wire,
-                std::chrono::steady_clock::time_point enqueued);
-  /// Resolves the request to (handle, index entry, chunk length); on any
-  /// validation failure reports the error via `fail` and returns false.
-  bool ResolveRequest(const PendingRequest& pending, mr::MofHandle* handle,
-                      FetchDataHeader* header, uint64_t* disk_offset,
-                      uint64_t* chunk,
-                      const std::function<void(const std::string&)>& fail)
-      EXCLUDES(mu_);
-  void EnqueueError(net::ConnId conn, const FetchRequest& request,
-                    const std::string& message,
-                    std::chrono::steady_clock::time_point enqueued);
+  /// Resolves the request to (handle, index entry, chunk length); any
+  /// validation failure is returned as the reply's error.
+  Status ResolveRequest(const FetchRequest& request, mr::MofHandle* handle,
+                        FetchDataHeader* header, uint64_t* disk_offset,
+                        uint64_t* chunk) EXCLUDES(mu_);
   /// Immediate kErrorBusy pushback for a shed request. Never blocks: the
   /// frame goes straight to the transport's async send queue, so shedding
   /// stays cheap exactly when the supplier is drowning.
@@ -198,8 +191,6 @@ class MofSupplier final : public mr::ShuffleServer {
                 uint32_t retry_after_ms);
   /// Backlog-proportional retry hint carried in busy replies.
   uint32_t RetryAfterHintMs(size_t queued) const;
-  void SendErrorNow(net::ConnId conn, const FetchRequest& request,
-                    const std::string& message);
   Status PreadInto(const mr::MofHandle& handle, uint64_t offset,
                    std::span<uint8_t> out);
   /// Stamps `header` with the full wire CRC (kChunkHasCrc). Every data
@@ -213,18 +204,12 @@ class MofSupplier final : public mr::ShuffleServer {
   bool WireCompressEligible(const PendingRequest& pending,
                             const FetchDataHeader& header,
                             uint64_t chunk) const;
-  /// Compresses a freshly read chunk and applies the min-ratio bail-out.
-  /// Returns the compressed payload (and its CRC) on success, nullptr when
-  /// the chunk ships raw.
-  std::shared_ptr<const std::vector<uint8_t>> CompressChunk(
-      std::span<const uint8_t> data, uint32_t* crc);
-  /// Queues a kChunkCompressed reply whose payload rides the compressed
-  /// vector as the frame's lease (no copy). `inline_send` transmits
-  /// directly (serialized ablation mode) instead of via the send stage.
-  void EnqueueCompressed(const PendingRequest& pending, FetchDataHeader header,
-                         uint64_t chunk,
-                         std::shared_ptr<const std::vector<uint8_t>> payload,
-                         uint32_t payload_crc, bool inline_send);
+  /// Compresses a freshly read chunk into `ready`'s frame as a
+  /// kChunkCompressed reply whose lease is the compressed vector (no
+  /// copy). Returns false, leaving `ready` untouched, when the chunk does
+  /// not shrink enough and ships raw instead.
+  bool EncodeCompressed(FetchDataHeader header, std::span<const uint8_t> data,
+                        ReadyReply* ready);
   /// Sleeps for the modeled disk time of a pread (see
   /// Options::disk_seek_ms); no-op when the model is disabled.
   void ChargeDiskModel(int fd, uint64_t offset, size_t bytes)

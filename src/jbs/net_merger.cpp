@@ -129,7 +129,6 @@ void NetMerger::RefreshConnectionGauges() const {
   set("jbs_connmgr_misses", static_cast<double>(cs.misses));
   set("jbs_connmgr_evictions", static_cast<double>(cs.evictions));
   set("jbs_connmgr_dial_failures", static_cast<double>(cs.dial_failures));
-  set("jbs_connmgr_idle_evictions", static_cast<double>(cs.idle_evictions));
   set("jbs_connmgr_active_connections",
       static_cast<double>(connections_.active_connections()));
 }
@@ -146,15 +145,10 @@ void NetMerger::Stop() {
   }
   cancelled_.store(true);
   work_cv_.NotifyAll();
-  // Wake data threads blocked in Send/Receive on a cached connection and
-  // make any racing dial fail fast.
+  // Wake data threads blocked in Send/Receive on a live connection (every
+  // conversation, consolidated or not, runs on a managed one) and make any
+  // racing dial fail fast.
   connections_.Shutdown();
-  {
-    // Ablation-mode per-fetch connections live outside the manager; close
-    // them too so those threads unblock.
-    MutexLock lock(inflight_mu_);
-    for (net::Connection* conn : inflight_conns_) conn->Close();
-  }
   // Fail every queued (never claimed) task so its FetchAndMerge caller
   // unblocks; in-flight tasks are failed by their own data thread once
   // its connection dies.
@@ -181,9 +175,8 @@ mr::ShuffleClient::Stats NetMerger::stats() const {
 
 NetMerger::MergerStats NetMerger::merger_stats() const {
   // Thin view over the registry counters. connections_opened is counted
-  // at the dial site in both modes (the manager reports whether a
-  // GetOrConnect actually dialed), so manager-routed dials are never
-  // double-counted against the old misses-derived estimate.
+  // at the dial site (the manager reports whether a GetOrConnect actually
+  // dialed), never derived from the manager's miss counter.
   RefreshConnectionGauges();
   MergerStats out;
   out.fetches = fetches_c_->value();
@@ -331,7 +324,7 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
     // per-task reroute budget so two half-dead replicas can't ping-pong a
     // task forever.
     {
-      std::vector<FetchTask> moved;
+      std::vector<std::pair<FetchTask, size_t>> moved;  // (task, alternate)
       for (auto it = node_queues_.begin(); it != node_queues_.end();) {
         if (it->second.empty() || !health_->penalized(it->first)) {
           ++it;
@@ -351,10 +344,8 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
           }
           const size_t alt_index =
               static_cast<size_t>(alternate - qit->alternates.begin());
-          FetchTask rerouted = std::move(*qit);
+          moved.emplace_back(std::move(*qit), alt_index);
           qit = queue.erase(qit);
-          std::swap(rerouted.source, rerouted.alternates[alt_index]);
-          moved.push_back(std::move(rerouted));
         }
         SetQueueDepth(it->first, queue.size());
         if (queue.empty()) {
@@ -363,16 +354,7 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
           ++it;
         }
       }
-      for (FetchTask& rerouted : moved) {
-        ++rerouted.reroutes;
-        failovers_c_->Increment();
-        trace_->Record(rerouted.fetch_id, TraceEvent::kFailover,
-                       static_cast<int64_t>(rerouted.alternates.size()));
-        const std::string dest = NodeKey(rerouted.source);
-        auto& queue = node_queues_[dest];
-        queue.push_back(std::move(rerouted));
-        SetQueueDepth(dest, queue.size());
-      }
+      for (auto& [rerouted, alt_index] : moved) Reroute(rerouted, alt_index);
     }
     // Candidate nodes: nonempty queue, not currently serviced by another
     // data thread (one in-flight conversation per connection), not in the
@@ -544,68 +526,32 @@ void NetMerger::ExecuteTask(const std::string& node, FetchTask task) {
     }
     const net::Deadline dial_deadline = net::Deadline::Sooner(
         fetch_deadline, net::Deadline::AfterMs(options_.connect_timeout_ms));
-    if (options_.consolidate) {
-      bool dialed = false;
-      auto conn = connections_.GetOrConnect(
-          task.source.host, task.source.port, dial_deadline, &dialed);
-      // The manager is the sole authority on whether this lookup opened a
-      // connection; counting here (not from the manager's miss counter)
-      // keeps one increment per dial across both modes.
-      if (dialed) connections_opened_c_->Increment();
-      if (conn.ok()) {
-        dialed_ok = true;
-        trace_->Record(task.fetch_id, TraceEvent::kDialed, attempt + 1);
-        // The capability hello goes out once per connection, not per
-        // fetch — a cache hit reuses a socket the server already knows.
-        Status hello_st = dialed ? SendHello(**conn, dial_deadline)
-                                 : Status::Ok();
-        if (hello_st.ok()) {
-          result = FetchSegment(**conn, task, fetch_deadline, &busy_hint_ms);
-        } else {
-          result = hello_st;
-        }
-        if (!result.ok()) {
-          connections_.Invalidate(task.source.host, task.source.port);
-        }
-      } else {
-        result = conn.status();
+    bool dialed = false;
+    auto conn = connections_.GetOrConnect(task.source.host, task.source.port,
+                                          dial_deadline, &dialed);
+    // The manager is the sole authority on whether this lookup opened a
+    // connection; counting here (not from the manager's miss counter)
+    // keeps one increment per dial.
+    if (dialed) connections_opened_c_->Increment();
+    if (conn.ok()) {
+      dialed_ok = true;
+      trace_->Record(task.fetch_id, TraceEvent::kDialed, attempt + 1);
+      // The capability hello goes out once per connection, not per
+      // fetch — a cache hit reuses a socket the server already knows.
+      Status hello_st =
+          dialed ? SendHello(**conn, dial_deadline) : Status::Ok();
+      result = hello_st.ok()
+                   ? FetchSegment(**conn, task, fetch_deadline, &busy_hint_ms)
+                   : StatusOr<FetchedSegment>(hello_st);
+      // A failed conversation leaves the socket mid-stream, so drop it. The
+      // consolidate=false ablation (Hadoop-style) drops it after every
+      // fetch, so each fetch dials fresh; busy_nodes_ keeps one
+      // conversation per host:port, so the cached entry is this one.
+      if (!result.ok() || !options_.consolidate) {
+        connections_.Invalidate(task.source.host, task.source.port);
       }
     } else {
-      // Ablation / Hadoop-style: a fresh connection per fetch.
-      auto conn = options_.transport->Connect(
-          task.source.host, task.source.port, dial_deadline);
-      if (conn.ok()) {
-        net::Connection* raw = conn->get();
-        bool raced_stop = false;
-        {
-          MutexLock lock(inflight_mu_);
-          if (cancelled_.load()) {
-            raced_stop = true;
-          } else {
-            inflight_conns_.insert(raw);
-          }
-        }
-        if (raced_stop) {
-          (*conn)->Close();
-          result = Unavailable("NetMerger stopped");
-          break;
-        }
-        connections_opened_c_->Increment();
-        dialed_ok = true;
-        trace_->Record(task.fetch_id, TraceEvent::kDialed, attempt + 1);
-        Status hello_st = SendHello(**conn, dial_deadline);
-        result = hello_st.ok()
-                     ? FetchSegment(**conn, task, fetch_deadline,
-                                    &busy_hint_ms)
-                     : StatusOr<FetchedSegment>(hello_st);
-        {
-          MutexLock lock(inflight_mu_);
-          inflight_conns_.erase(raw);
-        }
-        (*conn)->Close();
-      } else {
-        result = conn.status();
-      }
+      result = conn.status();
     }
     if (result.ok()) break;
     if (cancelled_.load()) break;
@@ -681,29 +627,27 @@ bool NetMerger::TryFailover(FetchTask& task, const Status& why) {
       break;
     }
   }
-  std::swap(task.source, task.alternates[pick]);
-  ++task.reroutes;
-  const std::string dest = NodeKey(task.source);
   {
     MutexLock lock(sched_mu_);
-    if (stopping_) {
-      // Undo so the caller completes the task against the node that
-      // actually produced `why`.
-      --task.reroutes;
-      std::swap(task.source, task.alternates[pick]);
-      return false;
-    }
-    failovers_c_->Increment();
-    trace_->Record(task.fetch_id, TraceEvent::kFailover,
-                   static_cast<int64_t>(task.alternates.size()));
-    JBS_DEBUG << "failover: map " << task.source.map_task << " -> " << dest
-              << " after: " << why.message();
-    auto& queue = node_queues_[dest];
-    queue.push_back(std::move(task));
-    SetQueueDepth(dest, queue.size());
+    if (stopping_) return false;
+    JBS_DEBUG << "failover: map " << task.source.map_task << " -> "
+              << NodeKey(task.alternates[pick]) << " after: " << why.message();
+    Reroute(task, pick);
   }
   work_cv_.NotifyAll();
   return true;
+}
+
+void NetMerger::Reroute(FetchTask& task, size_t alt) {
+  std::swap(task.source, task.alternates[alt]);
+  ++task.reroutes;
+  failovers_c_->Increment();
+  trace_->Record(task.fetch_id, TraceEvent::kFailover,
+                 static_cast<int64_t>(task.alternates.size()));
+  const std::string dest = NodeKey(task.source);
+  auto& queue = node_queues_[dest];
+  queue.push_back(std::move(task));
+  SetQueueDepth(dest, queue.size());
 }
 
 StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(

@@ -96,7 +96,7 @@ class NetMerger final : public mr::ShuffleClient {
   /// Cancels all fetch work and joins the data threads. Queued and
   /// in-flight fetches fail with kUnavailable, so every FetchAndMerge
   /// caller — including ones blocked on a silent peer — returns promptly.
-  void Stop() override EXCLUDES(sched_mu_, inflight_mu_);
+  void Stop() override EXCLUDES(sched_mu_);
   Stats stats() const override;
 
   /// Legacy stats view, now a thin read of the MetricsRegistry counters —
@@ -186,13 +186,16 @@ class NetMerger final : public mr::ShuffleClient {
   /// sentence expiry. Blocks until work exists or shutdown.
   bool NextTask(std::string* node, FetchTask* task) EXCLUDES(sched_mu_);
   void ExecuteTask(const std::string& node, FetchTask task)
-      EXCLUDES(sched_mu_, inflight_mu_);
+      EXCLUDES(sched_mu_);
   /// Re-enqueues `task` on its next replica after `source` failed with
   /// `why`. Returns false (leaving the task untouched) when no failover is
   /// possible — no alternates, reroute budget spent, fetch deadline blown,
   /// or the merger is stopping — in which case the caller must complete
   /// the task with `why`.
   bool TryFailover(FetchTask& task, const Status& why) EXCLUDES(sched_mu_);
+  /// Moves `task` onto its alternate `alt` (swapping it with `source`),
+  /// spends one reroute, and queues it on the new node.
+  void Reroute(FetchTask& task, size_t alt) REQUIRES(sched_mu_);
   /// Runs the chunked fetch conversation; returns the segment. Each chunk
   /// round trip is bounded by the sooner of `deadline` and the per-chunk
   /// timeout.
@@ -268,12 +271,6 @@ class NetMerger final : public mr::ShuffleClient {
   std::string rr_last_ GUARDED_BY(sched_mu_);
   bool stopping_ GUARDED_BY(sched_mu_) = false;
   std::atomic<bool> cancelled_{false};
-
-  // Ablation-mode (consolidate = false) connections aren't in the
-  // connection manager, so Stop() closes them through this set to wake
-  // any data thread blocked mid-conversation.
-  Mutex inflight_mu_;
-  std::set<net::Connection*> inflight_conns_ GUARDED_BY(inflight_mu_);
 
   Mutex rng_mu_;
   Rng rng_ GUARDED_BY(rng_mu_);

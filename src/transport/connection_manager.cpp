@@ -2,13 +2,11 @@
 
 namespace jbs::net {
 
-ConnectionManager::ConnectionManager(Transport* transport, size_t capacity,
-                                     int64_t idle_timeout_ms)
+ConnectionManager::ConnectionManager(Transport* transport, size_t capacity)
     : transport_(transport),
       capacity_(capacity),
-      idle_timeout_(std::chrono::milliseconds(
-          idle_timeout_ms > 0 ? idle_timeout_ms : 0)),
-      cache_(capacity, [this](const std::string&, Cached& cached)
+      cache_(capacity,
+             [this](const std::string&, std::shared_ptr<Connection>& conn)
                  // The eviction callback only ever runs from cache_ member
                  // calls, which all happen under mu_; the analysis cannot
                  // see through the std::function indirection.
@@ -16,14 +14,9 @@ ConnectionManager::ConnectionManager(Transport* transport, size_t capacity,
                    // Evicted under mu_; shared_ptr keeps in-flight users
                    // alive, but the connection is closed so they fail fast
                    // and re-dial.
-                   cached.conn->Close();
+                   conn->Close();
                    ++stats_.evictions;
                  }) {}
-
-bool ConnectionManager::IdleExpired(const Cached& cached) const {
-  return idle_timeout_.count() > 0 &&
-         std::chrono::steady_clock::now() - cached.last_used > idle_timeout_;
-}
 
 StatusOr<std::shared_ptr<Connection>> ConnectionManager::GetOrConnect(
     const std::string& host, uint16_t port, const Deadline& deadline,
@@ -34,15 +27,11 @@ StatusOr<std::shared_ptr<Connection>> ConnectionManager::GetOrConnect(
     MutexLock lock(mu_);
     if (shutdown_) return Unavailable("connection manager shut down");
     if (auto* cached = cache_.Get(key)) {
-      if (cached->conn->alive() && !IdleExpired(*cached)) {
+      if ((*cached)->alive()) {
         ++stats_.hits;
-        cached->last_used = std::chrono::steady_clock::now();
-        return cached->conn;
+        return *cached;
       }
-      // Dead, or cached-but-stale: re-dial rather than burn the caller's
-      // deadline discovering the staleness one failed I/O at a time.
-      if (cached->conn->alive()) ++stats_.idle_evictions;
-      cached->conn->Close();
+      (*cached)->Close();
       cache_.Erase(key);
     }
     ++stats_.misses;
@@ -65,13 +54,12 @@ StatusOr<std::shared_ptr<Connection>> ConnectionManager::GetOrConnect(
   }
   // A racing dial may have beaten us; prefer the existing live one.
   if (auto* cached = cache_.Get(key)) {
-    if (cached->conn->alive()) {
+    if ((*cached)->alive()) {
       shared->Close();
-      cached->last_used = std::chrono::steady_clock::now();
-      return cached->conn;
+      return *cached;
     }
   }
-  cache_.Put(key, Cached{shared, std::chrono::steady_clock::now()});
+  cache_.Put(key, shared);
   return shared;
 }
 
@@ -79,28 +67,9 @@ void ConnectionManager::Invalidate(const std::string& host, uint16_t port) {
   MutexLock lock(mu_);
   const std::string key = Key(host, port);
   if (auto* cached = cache_.Get(key)) {
-    cached->conn->Close();
+    (*cached)->Close();
     cache_.Erase(key);
   }
-}
-
-size_t ConnectionManager::SweepIdle() {
-  MutexLock lock(mu_);
-  if (shutdown_ || idle_timeout_.count() == 0) return 0;
-  const size_t evicted =
-      cache_.EraseIf([this](const std::string&, Cached& cached)
-                         NO_THREAD_SAFETY_ANALYSIS {
-                           if (!IdleExpired(cached)) return false;
-                           cached.conn->Close();
-                           ++stats_.idle_evictions;
-                           return true;
-                         });
-  return evicted;
-}
-
-void ConnectionManager::CloseAll() {
-  MutexLock lock(mu_);
-  cache_.Clear();
 }
 
 void ConnectionManager::Shutdown() {

@@ -152,45 +152,52 @@ TEST_P(FetchRobustnessTest, DeadlineExpiryLeavesCompleteTraceTimeline) {
 
 TEST_P(FetchRobustnessTest, StopUnblocksEveryFetchAndMergeCaller) {
   auto locations = MakeSuppliers(1);
-  // Every receive hangs forever and no deadlines are configured: without
-  // cancellation, all callers would block indefinitely.
-  flaky_->SetChaosSchedule(
-      {net::ChaosPhase{.ops = 1000, .blackhole_prob = 1}}, /*seed=*/1);
-  auto options = BaseOptions();
-  options.data_threads = 2;
-  options.max_fetch_attempts = 2;
-  shuffle::NetMerger merger(options);
+  // Consolidated fetches park on a cached connection; the consolidate=false
+  // ablation parks on a connection dialed for that one fetch. Stop() must
+  // reach both.
+  for (const bool consolidate : {true, false}) {
+    SCOPED_TRACE(consolidate ? "consolidate" : "connection per fetch");
+    // Every receive hangs forever and no deadlines are configured: without
+    // cancellation, all callers would block indefinitely.
+    flaky_->SetChaosSchedule(
+        {net::ChaosPhase{.ops = 1000, .blackhole_prob = 1}}, /*seed=*/1);
+    auto options = BaseOptions();
+    options.data_threads = 2;
+    options.max_fetch_attempts = 2;
+    options.consolidate = consolidate;
+    shuffle::NetMerger merger(options);
 
-  constexpr int kCallers = 4;
-  std::vector<std::future<Status>> callers;
-  callers.reserve(kCallers);
-  for (int i = 0; i < kCallers; ++i) {
-    callers.push_back(std::async(std::launch::async, [&] {
-      return merger.FetchAndMerge(0, locations).status();
-    }));
-  }
-  // Let some callers get in flight (parked in the blackhole) and the rest
-  // queue behind them on the single node.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    constexpr int kCallers = 4;
+    std::vector<std::future<Status>> callers;
+    callers.reserve(kCallers);
+    for (int i = 0; i < kCallers; ++i) {
+      callers.push_back(std::async(std::launch::async, [&] {
+        return merger.FetchAndMerge(0, locations).status();
+      }));
+    }
+    // Let some callers get in flight (parked in the blackhole) and the rest
+    // queue behind them on the single node.
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
-  const auto start = Clock::now();
-  merger.Stop();
-  for (auto& caller : callers) {
-    ASSERT_EQ(caller.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready)
-        << "FetchAndMerge caller still blocked after Stop()";
-    const Status status = caller.get();
-    EXPECT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable)
-        << status.ToString();
+    const auto start = Clock::now();
+    merger.Stop();
+    for (auto& caller : callers) {
+      ASSERT_EQ(caller.wait_for(std::chrono::seconds(10)),
+                std::future_status::ready)
+          << "FetchAndMerge caller still blocked after Stop()";
+      const Status status = caller.get();
+      EXPECT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable)
+          << status.ToString();
+    }
+    EXPECT_LT(ElapsedMs(start), 5000);
+    EXPECT_EQ(merger.pending_node_count(), 0u);
+    // Drained tasks are cancellations, not fetch failures.
+    EXPECT_EQ(merger.merger_stats().fetch_errors, 0u);
+    // A caller arriving after Stop() fails fast.
+    EXPECT_EQ(merger.FetchAndMerge(0, locations).status().code(),
+              StatusCode::kUnavailable);
   }
-  EXPECT_LT(ElapsedMs(start), 5000);
-  EXPECT_EQ(merger.pending_node_count(), 0u);
-  // Drained tasks are cancellations, not fetch failures.
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 0u);
-  // A caller arriving after Stop() fails fast.
-  EXPECT_EQ(merger.FetchAndMerge(0, locations).status().code(),
-            StatusCode::kUnavailable);
 }
 
 TEST_P(FetchRobustnessTest, ConnectTimeoutBoundsDial) {

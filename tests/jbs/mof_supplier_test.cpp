@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -55,6 +56,24 @@ class MofSupplierTest : public ::testing::Test {
     return MofSupplier(options);
   }
 
+  /// Runs `body` once per serve mode — the pipelined two-stage path and
+  /// the serialized ablation (`pipelined = false`) — each time against a
+  /// freshly started supplier with `mofs` published.
+  void ForEachServeMode(size_t buffer_size,
+                        const std::vector<mr::MofHandle>& mofs,
+                        const std::function<void(MofSupplier&)>& body) {
+    for (const bool pipelined : {true, false}) {
+      SCOPED_TRACE(pipelined ? "pipelined" : "serialized");
+      auto supplier = MakeSupplier(buffer_size, pipelined);
+      ASSERT_TRUE(supplier.Start().ok());
+      for (const mr::MofHandle& mof : mofs) {
+        ASSERT_TRUE(supplier.PublishMof(mof).ok());
+      }
+      body(supplier);
+      supplier.Stop();
+    }
+  }
+
   /// Full chunked fetch of one segment over one connection.
   StatusOr<std::vector<uint8_t>> Fetch(net::Connection& conn, int map_task,
                                        int partition, uint32_t chunk) {
@@ -86,147 +105,132 @@ class MofSupplierTest : public ::testing::Test {
 };
 
 TEST_F(MofSupplierTest, ServesWholeSegmentInChunks) {
-  auto supplier = MakeSupplier(/*buffer_size=*/1024);
-  ASSERT_TRUE(supplier.Start().ok());
   auto handle = MakeMof(0, 2, 50);
-  ASSERT_TRUE(supplier.PublishMof(handle).ok());
-
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  auto segment = Fetch(**conn, 0, 1, 900);
-  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
-
   // Compare against a direct disk read.
   auto reader = mr::MofReader::Open(handle);
   ASSERT_TRUE(reader.ok());
   std::vector<uint8_t> expected;
   ASSERT_TRUE(reader->ReadSegment(1, expected).ok());
-  EXPECT_EQ(*segment, expected);
-  EXPECT_GT(supplier.supplier_stats().requests, 1u);  // chunked
-  supplier.Stop();
+  ForEachServeMode(/*buffer_size=*/1024, {handle}, [&](MofSupplier& supplier) {
+    auto conn = transport_->Connect("127.0.0.1", supplier.port());
+    ASSERT_TRUE(conn.ok());
+    auto segment = Fetch(**conn, 0, 1, 900);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    EXPECT_EQ(*segment, expected);
+    EXPECT_GT(supplier.supplier_stats().requests, 1u);  // chunked
+  });
 }
 
 TEST_F(MofSupplierTest, ContentIsValidIFile) {
-  auto supplier = MakeSupplier();
-  ASSERT_TRUE(supplier.Start().ok());
-  ASSERT_TRUE(supplier.PublishMof(MakeMof(5, 1, 20)).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  auto segment = Fetch(**conn, 5, 0, 2048);
-  ASSERT_TRUE(segment.ok());
-  mr::IFileReader records(*segment);
-  ASSERT_TRUE(records.VerifyChecksum().ok());
-  mr::Record record;
-  int count = 0;
-  while (records.Next(&record)) ++count;
-  EXPECT_TRUE(records.status().ok());
-  EXPECT_EQ(count, 20);
-  supplier.Stop();
+  ForEachServeMode(4096, {MakeMof(5, 1, 20)}, [&](MofSupplier& supplier) {
+    auto conn = transport_->Connect("127.0.0.1", supplier.port());
+    ASSERT_TRUE(conn.ok());
+    auto segment = Fetch(**conn, 5, 0, 2048);
+    ASSERT_TRUE(segment.ok());
+    mr::IFileReader records(*segment);
+    ASSERT_TRUE(records.VerifyChecksum().ok());
+    mr::Record record;
+    int count = 0;
+    while (records.Next(&record)) ++count;
+    EXPECT_TRUE(records.status().ok());
+    EXPECT_EQ(count, 20);
+  });
 }
 
 TEST_F(MofSupplierTest, UnknownMofReturnsError) {
-  auto supplier = MakeSupplier();
-  ASSERT_TRUE(supplier.Start().ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE((*conn)->Send(EncodeRequest({99, 0, 0, 1024})).ok());
-  auto reply = (*conn)->Receive();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->type, kFetchError);
-  supplier.Stop();
+  ForEachServeMode(4096, {}, [&](MofSupplier& supplier) {
+    auto conn = transport_->Connect("127.0.0.1", supplier.port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE((*conn)->Send(EncodeRequest({99, 0, 0, 1024})).ok());
+    auto reply = (*conn)->Receive();
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->type, kFetchError);
+  });
 }
 
 TEST_F(MofSupplierTest, PartitionOutOfRangeReturnsError) {
-  auto supplier = MakeSupplier();
-  ASSERT_TRUE(supplier.Start().ok());
-  ASSERT_TRUE(supplier.PublishMof(MakeMof(1, 2, 5)).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE((*conn)->Send(EncodeRequest({1, 7, 0, 1024})).ok());
-  auto reply = (*conn)->Receive();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->type, kFetchError);
-  supplier.Stop();
+  ForEachServeMode(4096, {MakeMof(1, 2, 5)}, [&](MofSupplier& supplier) {
+    auto conn = transport_->Connect("127.0.0.1", supplier.port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE((*conn)->Send(EncodeRequest({1, 7, 0, 1024})).ok());
+    auto reply = (*conn)->Receive();
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->type, kFetchError);
+  });
 }
 
 TEST_F(MofSupplierTest, EmptySegmentFetchable) {
-  auto supplier = MakeSupplier();
-  ASSERT_TRUE(supplier.Start().ok());
-  ASSERT_TRUE(supplier.PublishMof(MakeMof(2, 1, 0)).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  auto segment = Fetch(**conn, 2, 0, 1024);
-  ASSERT_TRUE(segment.ok());
-  // An "empty" IFile segment still has the EOF marker + checksum.
-  mr::IFileReader records(*segment);
-  ASSERT_TRUE(records.VerifyChecksum().ok());
-  mr::Record record;
-  EXPECT_FALSE(records.Next(&record));
-  EXPECT_TRUE(records.status().ok());
-  supplier.Stop();
+  ForEachServeMode(4096, {MakeMof(2, 1, 0)}, [&](MofSupplier& supplier) {
+    auto conn = transport_->Connect("127.0.0.1", supplier.port());
+    ASSERT_TRUE(conn.ok());
+    auto segment = Fetch(**conn, 2, 0, 1024);
+    ASSERT_TRUE(segment.ok());
+    // An "empty" IFile segment still has the EOF marker + checksum.
+    mr::IFileReader records(*segment);
+    ASSERT_TRUE(records.VerifyChecksum().ok());
+    mr::Record record;
+    EXPECT_FALSE(records.Next(&record));
+    EXPECT_TRUE(records.status().ok());
+  });
 }
 
 TEST_F(MofSupplierTest, IndexCacheHitsOnRepeatedFetches) {
-  auto supplier = MakeSupplier();
-  ASSERT_TRUE(supplier.Start().ok());
-  ASSERT_TRUE(supplier.PublishMof(MakeMof(3, 4, 10)).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  for (int p = 0; p < 4; ++p) {
-    ASSERT_TRUE(Fetch(**conn, 3, p, 64 * 1024).ok());
-  }
-  auto stats = supplier.supplier_stats();
-  EXPECT_EQ(stats.index.misses, 1u);
-  EXPECT_GE(stats.index.hits, 3u);
-  supplier.Stop();
+  ForEachServeMode(4096, {MakeMof(3, 4, 10)}, [&](MofSupplier& supplier) {
+    auto conn = transport_->Connect("127.0.0.1", supplier.port());
+    ASSERT_TRUE(conn.ok());
+    for (int p = 0; p < 4; ++p) {
+      ASSERT_TRUE(Fetch(**conn, 3, p, 64 * 1024).ok());
+    }
+    auto stats = supplier.supplier_stats();
+    EXPECT_EQ(stats.index.misses, 1u);
+    EXPECT_GE(stats.index.hits, 3u);
+  });
 }
 
 TEST_F(MofSupplierTest, ConcurrentClientsAllServed) {
-  auto supplier = MakeSupplier(/*buffer_size=*/2048);
-  ASSERT_TRUE(supplier.Start().ok());
   constexpr int kMofs = 4;
+  std::vector<mr::MofHandle> handles;
   std::vector<std::vector<uint8_t>> expected(kMofs);
   for (int m = 0; m < kMofs; ++m) {
-    auto handle = MakeMof(m, 1, 40);
-    ASSERT_TRUE(supplier.PublishMof(handle).ok());
-    auto reader = mr::MofReader::Open(handle);
+    handles.push_back(MakeMof(m, 1, 40));
+    auto reader = mr::MofReader::Open(handles.back());
     ASSERT_TRUE(reader->ReadSegment(0, expected[static_cast<size_t>(m)]).ok());
   }
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kMofs; ++c) {
-    clients.emplace_back([&, c] {
-      auto conn = transport_->Connect("127.0.0.1", supplier.port());
-      if (!conn.ok()) {
-        ++failures;
-        return;
-      }
-      auto segment = Fetch(**conn, c, 0, 1500);
-      if (!segment.ok() || *segment != expected[static_cast<size_t>(c)]) {
-        ++failures;
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(supplier.supplier_stats().batches, 1u);
-  supplier.Stop();
+  ForEachServeMode(/*buffer_size=*/2048, handles, [&](MofSupplier& supplier) {
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kMofs; ++c) {
+      clients.emplace_back([&, c] {
+        auto conn = transport_->Connect("127.0.0.1", supplier.port());
+        if (!conn.ok()) {
+          ++failures;
+          return;
+        }
+        auto segment = Fetch(**conn, c, 0, 1500);
+        if (!segment.ok() || *segment != expected[static_cast<size_t>(c)]) {
+          ++failures;
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GE(supplier.supplier_stats().batches, 1u);
+  });
 }
 
 TEST_F(MofSupplierTest, ServePathCopiesZeroPayloadBytes) {
   // The zero-copy contract end to end: chunk bytes go pread -> pooled
-  // buffer -> sendmsg with no user-space payload copy in between.
-  auto supplier = MakeSupplier(/*buffer_size=*/4096);
-  ASSERT_TRUE(supplier.Start().ok());
-  ASSERT_TRUE(supplier.PublishMof(MakeMof(0, 1, 60)).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  const uint64_t copied_before = PayloadCopyBytes();
-  auto segment = Fetch(**conn, 0, 0, 2048);
-  ASSERT_TRUE(segment.ok());
-  EXPECT_GT(segment->size(), 4096u);  // several chunks actually moved
-  EXPECT_EQ(PayloadCopyBytes(), copied_before);
-  supplier.Stop();
+  // buffer -> sendmsg with no user-space payload copy in between, whether
+  // a send stage or the disk thread itself hands the frame over.
+  ForEachServeMode(4096, {MakeMof(0, 1, 60)}, [&](MofSupplier& supplier) {
+    auto conn = transport_->Connect("127.0.0.1", supplier.port());
+    ASSERT_TRUE(conn.ok());
+    const uint64_t copied_before = PayloadCopyBytes();
+    auto segment = Fetch(**conn, 0, 0, 2048);
+    ASSERT_TRUE(segment.ok());
+    EXPECT_GT(segment->size(), 4096u);  // several chunks actually moved
+    EXPECT_EQ(PayloadCopyBytes(), copied_before);
+  });
 }
 
 TEST_F(MofSupplierTest, RetransmitSweepIsByteIdenticalAndStamped) {

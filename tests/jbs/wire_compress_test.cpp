@@ -76,14 +76,14 @@ class WireCompressTest : public ::testing::Test {
   }
 
   MofSupplier* MakeSupplier(bool wire_compress = true,
-                            uint64_t min_bytes = 64,
-                            size_t buffer_size = 4096) {
+                            bool pipelined = true) {
     MofSupplier::Options options;
     options.transport = transport_.get();
-    options.buffer_size = buffer_size;
+    options.buffer_size = 4096;
     options.buffer_count = 8;
     options.wire_compress = wire_compress;
-    options.wire_compress_min_bytes = min_bytes;
+    options.wire_compress_min_bytes = 64;
+    options.pipelined = pipelined;
     suppliers_.push_back(std::make_unique<MofSupplier>(options));
     MofSupplier* supplier = suppliers_.back().get();
     EXPECT_TRUE(supplier->Start().ok());
@@ -163,25 +163,30 @@ class WireCompressTest : public ::testing::Test {
 };
 
 TEST_F(WireCompressTest, AdvertisedClientGetsCompressedByteIdenticalChunks) {
-  MofSupplier* supplier = MakeSupplier();
   auto handle = MakeCompressibleMof(0, 2, 60);
-  ASSERT_TRUE(supplier->PublishMof(handle).ok());
+  // Both serve modes compress in the disk stage; the serialized ablation
+  // then delivers the compressed frame inline.
+  for (const bool pipelined : {true, false}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "serialized");
+    MofSupplier* supplier = MakeSupplier(/*wire_compress=*/true, pipelined);
+    ASSERT_TRUE(supplier->PublishMof(handle).ok());
 
-  auto conn = transport_->Connect("127.0.0.1", supplier->port());
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE(SendHello(**conn, kCapWireCompression).ok());
+    auto conn = transport_->Connect("127.0.0.1", supplier->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(SendHello(**conn, kCapWireCompression).ok());
 
-  auto fetched = Fetch(**conn, 0, 1, 1 << 16);
-  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
-  EXPECT_GT(fetched->compressed_chunks, 0);
-  EXPECT_EQ(fetched->segment, DiskSegment(handle, 1));
-  // The wire carried fewer payload bytes than the logical segment.
-  EXPECT_LT(fetched->wire_payload_bytes, fetched->segment.size());
+    auto fetched = Fetch(**conn, 0, 1, 1 << 16);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    EXPECT_GT(fetched->compressed_chunks, 0);
+    EXPECT_EQ(fetched->segment, DiskSegment(handle, 1));
+    // The wire carried fewer payload bytes than the logical segment.
+    EXPECT_LT(fetched->wire_payload_bytes, fetched->segment.size());
 
-  const auto stats = supplier->supplier_stats();
-  EXPECT_GT(stats.chunks_compressed, 0u);
-  EXPECT_GT(stats.bytes_logical, stats.bytes_wire);
-  supplier->Stop();
+    const auto stats = supplier->supplier_stats();
+    EXPECT_GT(stats.chunks_compressed, 0u);
+    EXPECT_GT(stats.bytes_logical, stats.bytes_wire);
+    supplier->Stop();
+  }
 }
 
 TEST_F(WireCompressTest, HellolessClientStillGetsRawChunks) {
@@ -217,34 +222,37 @@ TEST_F(WireCompressTest, KnobOffIgnoresAdvertisement) {
 }
 
 TEST_F(WireCompressTest, IncompressibleChunksShipRawViaBailout) {
-  MofSupplier* supplier = MakeSupplier();
   auto handle = MakeRandomMof(7, 80);
-  ASSERT_TRUE(supplier->PublishMof(handle).ok());
+  for (const bool pipelined : {true, false}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "serialized");
+    MofSupplier* supplier = MakeSupplier(/*wire_compress=*/true, pipelined);
+    ASSERT_TRUE(supplier->PublishMof(handle).ok());
 
-  auto conn = transport_->Connect("127.0.0.1", supplier->port());
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE(SendHello(**conn, kCapWireCompression).ok());
-  auto fetched = Fetch(**conn, 7, 0, 1 << 16);
-  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
-  EXPECT_EQ(fetched->compressed_chunks, 0);
-  EXPECT_EQ(fetched->segment, DiskSegment(handle, 0));
+    auto conn = transport_->Connect("127.0.0.1", supplier->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(SendHello(**conn, kCapWireCompression).ok());
+    auto fetched = Fetch(**conn, 7, 0, 1 << 16);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    EXPECT_EQ(fetched->compressed_chunks, 0);
+    EXPECT_EQ(fetched->segment, DiskSegment(handle, 0));
 
-  const auto stats = supplier->supplier_stats();
-  EXPECT_GT(stats.compress_bailouts, 0u);
-  EXPECT_EQ(stats.chunks_compressed, 0u);
-  EXPECT_EQ(stats.bytes_logical, stats.bytes_wire);
+    const auto stats = supplier->supplier_stats();
+    EXPECT_GT(stats.compress_bailouts, 0u);
+    EXPECT_EQ(stats.chunks_compressed, 0u);
+    EXPECT_EQ(stats.bytes_logical, stats.bytes_wire);
 
-  // A second fetch tries again and bails out again: still raw, and one
-  // more bail-out per chunk.
-  auto again = Fetch(**conn, 7, 0, 1 << 16);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(again->compressed_chunks, 0);
-  EXPECT_EQ(again->segment, DiskSegment(handle, 0));
-  const auto stats2 = supplier->supplier_stats();
-  EXPECT_EQ(stats2.compress_bailouts, 2 * stats.compress_bailouts);
-  EXPECT_EQ(stats2.chunks_compressed, 0u);
-  EXPECT_EQ(stats2.bytes_logical, stats2.bytes_wire);
-  supplier->Stop();
+    // A second fetch tries again and bails out again: still raw, and one
+    // more bail-out per chunk.
+    auto again = Fetch(**conn, 7, 0, 1 << 16);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->compressed_chunks, 0);
+    EXPECT_EQ(again->segment, DiskSegment(handle, 0));
+    const auto stats2 = supplier->supplier_stats();
+    EXPECT_EQ(stats2.compress_bailouts, 2 * stats.compress_bailouts);
+    EXPECT_EQ(stats2.chunks_compressed, 0u);
+    EXPECT_EQ(stats2.bytes_logical, stats2.bytes_wire);
+    supplier->Stop();
+  }
 }
 
 TEST_F(WireCompressTest, RefetchRecompressesByteIdentical) {

@@ -166,70 +166,9 @@ TEST(ConnectionManagerTest, InvalidateOnPenaltyClosesAndRedialsCleanly) {
   EXPECT_FALSE(dialed);  // the bystander kept its cached connection
 }
 
-TEST(ConnectionManagerTest, CloseAllEmptiesCache) {
-  FakeTransport transport;
-  ConnectionManager manager(&transport, 8);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(manager.GetOrConnect("n" + std::to_string(i), 1).ok());
-  }
-  manager.CloseAll();
-  EXPECT_EQ(manager.active_connections(), 0u);
-  EXPECT_EQ(transport.closed.load(), 5);
-}
-
-TEST(ConnectionManagerTest, IdleConnectionEvictedAndRedialed) {
-  FakeTransport transport;
-  ConnectionManager manager(&transport, 4, /*idle_timeout_ms=*/1);
-  auto c1 = manager.GetOrConnect("n1", 1);
-  ASSERT_TRUE(c1.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  auto c2 = manager.GetOrConnect("n1", 1);
-  ASSERT_TRUE(c2.ok());
-  EXPECT_NE(c1->get(), c2->get());
-  EXPECT_EQ(transport.dials.load(), 2);
-  EXPECT_EQ(manager.stats().idle_evictions, 1u);
-  EXPECT_FALSE((*c1)->alive());  // stale connection was closed, not leaked
-}
-
-TEST(ConnectionManagerTest, ZeroIdleTimeoutNeverEvictsByAge) {
-  FakeTransport transport;
-  ConnectionManager manager(&transport, 4, /*idle_timeout_ms=*/0);
-  ASSERT_TRUE(manager.GetOrConnect("n1", 1).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_TRUE(manager.GetOrConnect("n1", 1).ok());
-  EXPECT_EQ(transport.dials.load(), 1);
-  EXPECT_EQ(manager.stats().idle_evictions, 0u);
-}
-
-TEST(ConnectionManagerTest, SweepIdleEvictsOnlyExpiredEntries) {
-  FakeTransport transport;
-  ConnectionManager manager(&transport, 8, /*idle_timeout_ms=*/40);
-  auto old_conn = manager.GetOrConnect("stale", 1);
-  ASSERT_TRUE(old_conn.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  ASSERT_TRUE(manager.GetOrConnect("fresh", 1).ok());
-  EXPECT_EQ(manager.SweepIdle(), 1u);
-  EXPECT_EQ(manager.active_connections(), 1u);
-  EXPECT_EQ(manager.stats().idle_evictions, 1u);
-  EXPECT_FALSE((*old_conn)->alive());  // closed, not leaked
-  // The survivor still serves without a re-dial.
-  const int dials_before = transport.dials.load();
-  ASSERT_TRUE(manager.GetOrConnect("fresh", 1).ok());
-  EXPECT_EQ(transport.dials.load(), dials_before);
-}
-
-TEST(ConnectionManagerTest, SweepIdleWithoutTimeoutIsNoOp) {
-  FakeTransport transport;
-  ConnectionManager manager(&transport, 8, /*idle_timeout_ms=*/0);
-  ASSERT_TRUE(manager.GetOrConnect("n1", 1).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(manager.SweepIdle(), 0u);
-  EXPECT_EQ(manager.active_connections(), 1u);
-  EXPECT_EQ(manager.stats().idle_evictions, 0u);
-}
-
-TEST(ConnectionManagerTest, IdleEvictionMidFlushReleasesEveryLeaseOnce) {
-  // Regression for idle eviction racing an in-flight flush: the manager
+TEST(ConnectionManagerTest, InvalidateMidFlushReleasesEveryLeaseOnce) {
+  // Invalidate racing an in-flight flush (the path a failed fetch, a
+  // health penalty and every consolidate=false fetch take): the manager
   // closes a cached connection while the serving peer's OutFrame queue
   // still holds buffer leases for it. The serve side must fail the
   // connection and release every parked lease exactly once — the pool
@@ -247,7 +186,7 @@ TEST(ConnectionManagerTest, IdleEvictionMidFlushReleasesEveryLeaseOnce) {
   handlers.on_disconnect = [&](ConnId) { gone.set_value(); };
   ASSERT_TRUE((*server)->Start(handlers).ok());
 
-  ConnectionManager manager(transport.get(), 4, /*idle_timeout_ms=*/30);
+  ConnectionManager manager(transport.get(), 4);
   auto conn = manager.GetOrConnect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(conn.ok());
   ASSERT_TRUE(WaitUntil([&] { return peer.load() != 0; }));
@@ -273,18 +212,17 @@ TEST(ConnectionManagerTest, IdleEvictionMidFlushReleasesEveryLeaseOnce) {
   }
   EXPECT_LT(pool.available(), 4u);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_EQ(manager.SweepIdle(), 1u);
-  EXPECT_EQ(manager.stats().idle_evictions, 1u);
+  manager.Invalidate("127.0.0.1", (*server)->port());
+  EXPECT_EQ(manager.active_connections(), 0u);
   EXPECT_FALSE((*conn)->alive());
-  // Eviction shut the connection down; dropping the last fetch-side
+  // Invalidate shut the connection down; dropping the last fetch-side
   // reference closes the descriptor, which is what the serving peer
   // observes (a reset, since the receive queue is non-empty).
   conn->reset();
   ASSERT_EQ(gone.get_future().wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
   ASSERT_TRUE(WaitUntil([&] { return pool.available() == 4; }))
-      << "eviction mid-flush must release every queued lease exactly once";
+      << "invalidate mid-flush must release every queued lease exactly once";
   (*server)->Stop();
 }
 

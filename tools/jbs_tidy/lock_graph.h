@@ -5,7 +5,7 @@
 // acquired" edges from the TSA annotations and MutexLock scopes, and
 // appends them to a YAML sidecar named by $JBS_LOCK_GRAPH_OUT. A lock
 // cycle that spans translation units — NetMerger takes its lock then
-// calls into ConnectionManager, ConnectionManager's sweep calls back
+// calls into ConnectionManager, ConnectionManager's eviction callback runs
 // under its own lock — is invisible per-TU, so the CI gate merges every
 // sidecar with the `jbs_lock_graph` tool built from this header and
 // fails on any cycle in the union graph.
