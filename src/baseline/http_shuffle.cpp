@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "baseline/http.h"
@@ -84,9 +85,7 @@ Status HttpShuffleServer::Start() {
 uint16_t HttpShuffleServer::port() const { return port_; }
 
 Status HttpShuffleServer::PublishMof(const mr::MofHandle& handle) {
-  MutexLock lock(mu_);
-  published_[handle.map_task] = handle;
-  return Status::Ok();
+  return published_.Publish(handle);
 }
 
 void HttpShuffleServer::Stop() {
@@ -160,22 +159,14 @@ void HttpShuffleServer::HandleConnection(net::Fd conn) {
                    conn_header->second == "keep-alive";
       const int map_task = std::atoi(request->query["map"].c_str());
       const int partition = std::atoi(request->query["reduce"].c_str());
-      mr::MofHandle handle;
-      bool found = false;
-      {
-        MutexLock lock(mu_);
-        auto it = published_.find(map_task);
-        if (it != published_.end()) {
-          handle = it->second;
-          found = true;
-        }
-      }
-      if (!found) {
+      auto mof = published_.Lookup(map_task);
+      if (!mof.ok()) {
         status = 404;
       } else {
         // The serialized HttpServlet path (Fig. 4): resolve the index,
         // read the WHOLE segment from disk, and only then transmit.
-        auto reader = mr::MofReader::Open(handle);
+        auto reader = mr::MofReader::Open(
+            {map_task, 0, mof->data_path, mof->index_path});
         if (reader.ok() && partition >= 0 &&
             partition < reader->index().num_partitions()) {
           Status read_status = reader->ReadSegment(partition, body);

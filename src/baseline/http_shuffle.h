@@ -18,7 +18,6 @@
 #include <atomic>
 #include <deque>
 #include <filesystem>
-#include <map>
 #include <thread>
 
 #include "baseline/throttle.h"
@@ -64,7 +63,7 @@ class HttpShuffleServer final : public mr::ShuffleServer {
 
   Status Start() override;
   uint16_t port() const override;
-  Status PublishMof(const mr::MofHandle& handle) override EXCLUDES(mu_);
+  Status PublishMof(const mr::MofHandle& handle) override;
   void Stop() override EXCLUDES(mu_);
   Stats stats() const override;
 
@@ -88,8 +87,8 @@ class HttpShuffleServer final : public mr::ShuffleServer {
   Mutex mu_;
   CondVar conn_cv_;
   std::deque<net::Fd> pending_conns_ GUARDED_BY(mu_);
-  std::map<int, mr::MofHandle> published_ GUARDED_BY(mu_);
 
+  mr::MofRegistry published_;
   Throttle disk_throttle_;
   Throttle net_throttle_;
 

@@ -2,19 +2,20 @@
 
 namespace jbs::shuffle {
 
-StatusOr<mr::MofIndex> IndexCache::GetOrLoad(const mr::MofHandle& handle) {
+StatusOr<mr::MofIndex> IndexCache::GetOrLoad(int map_task,
+                                              const std::string& index_path) {
   {
     MutexLock lock(mu_);
-    if (auto* cached = cache_.Get(handle.map_task)) {
+    if (auto* cached = cache_.Get(map_task)) {
       ++stats_.hits;
       return *cached;
     }
     ++stats_.misses;
   }
-  auto index = mr::MofIndex::Load(handle.index_path);
+  auto index = mr::MofIndex::Load(index_path);
   JBS_RETURN_IF_ERROR(index.status());
   MutexLock lock(mu_);
-  cache_.Put(handle.map_task, *index);
+  cache_.Put(map_task, *index);
   return std::move(index).value();
 }
 

@@ -14,8 +14,10 @@ class IndexCache {
  public:
   explicit IndexCache(size_t capacity = 1024) : cache_(capacity) {}
 
-  /// Returns the index for `handle`, loading and caching it on a miss.
-  StatusOr<mr::MofIndex> GetOrLoad(const mr::MofHandle& handle) EXCLUDES(mu_);
+  /// Returns `map_task`'s index, loading `index_path` and caching it on a
+  /// miss.
+  StatusOr<mr::MofIndex> GetOrLoad(int map_task, const std::string& index_path)
+      EXCLUDES(mu_);
 
   struct Stats {
     uint64_t hits = 0;

@@ -209,9 +209,7 @@ uint16_t MofSupplier::port() const {
 }
 
 Status MofSupplier::PublishMof(const mr::MofHandle& handle) {
-  MutexLock lock(mu_);
-  published_[handle.map_task] = handle;
-  return Status::Ok();
+  return published_.Publish(handle);
 }
 
 void MofSupplier::Stop() {
@@ -436,17 +434,14 @@ void MofSupplier::DiskLoop() {
 }
 
 Status MofSupplier::ResolveRequest(const FetchRequest& request,
-                                   mr::MofHandle* handle,
+                                   std::string* data_path,
                                    FetchDataHeader* header,
                                    uint64_t* disk_offset, uint64_t* chunk) {
-  {
-    MutexLock lock(mu_);
-    auto it = published_.find(request.map_task);
-    if (it == published_.end()) return NotFound("unknown MOF");
-    *handle = it->second;
-  }
-  auto index = index_cache_.GetOrLoad(*handle);
+  auto mof = published_.Lookup(request.map_task);
+  JBS_RETURN_IF_ERROR(mof.status());
+  auto index = index_cache_.GetOrLoad(request.map_task, mof->index_path);
   JBS_RETURN_IF_ERROR(index.status());
+  *data_path = std::move(mof->data_path);
   if (request.partition < 0 || request.partition >= index->num_partitions()) {
     return InvalidArgument("partition out of range");
   }
@@ -475,9 +470,8 @@ Status MofSupplier::ResolveRequest(const FetchRequest& request,
   return Status::Ok();
 }
 
-Status MofSupplier::PreadInto(const mr::MofHandle& handle, uint64_t offset,
+Status MofSupplier::PreadInto(const std::string& path, uint64_t offset,
                               std::span<uint8_t> out) {
-  const std::string path = handle.data_path.string();
   Status st = Internal("pread not attempted");
   for (int attempt = 0; attempt < kPreadAttempts; ++attempt) {
     auto file = fd_cache_.Open(path);
@@ -570,12 +564,12 @@ std::optional<MofSupplier::ReadyReply> MofSupplier::ReadChunk(
     ready.error.message = st.ToString();
     return std::move(ready);
   };
-  mr::MofHandle handle;
+  std::string data_path;
   FetchDataHeader header;
   uint64_t disk_offset = 0;
   uint64_t chunk = 0;
-  Status st = ResolveRequest(pending.request, &handle, &header, &disk_offset,
-                             &chunk);
+  Status st = ResolveRequest(pending.request, &data_path, &header,
+                             &disk_offset, &chunk);
   if (!st.ok()) return error_reply(st);
   // DataCache buffer: bounds in-flight disk reads *and* bytes parked on
   // the socket, since the buffer travels with the frame until the
@@ -585,7 +579,7 @@ std::optional<MofSupplier::ReadyReply> MofSupplier::ReadChunk(
   PooledBuffer buffer = data_cache_.Acquire();
   if (!buffer.valid()) return std::nullopt;  // pool cancelled: shutting down
   if (chunk > 0) {
-    st = PreadInto(handle, disk_offset,
+    st = PreadInto(data_path, disk_offset,
                    {buffer.data(), static_cast<size_t>(chunk)});
     if (!st.ok()) return error_reply(st);
   }

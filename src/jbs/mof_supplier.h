@@ -100,7 +100,7 @@ class MofSupplier final : public mr::ShuffleServer {
 
   Status Start() override;
   uint16_t port() const override;
-  Status PublishMof(const mr::MofHandle& handle) override EXCLUDES(mu_);
+  Status PublishMof(const mr::MofHandle& handle) override;
   void Stop() override EXCLUDES(mu_);
   Stats stats() const override;
 
@@ -179,11 +179,11 @@ class MofSupplier final : public mr::ShuffleServer {
   /// counts as an error.
   void Deliver(ReadyReply ready);
   void SendLoop();
-  /// Resolves the request to (handle, index entry, chunk length); any
+  /// Resolves the request to (data path, index entry, chunk length); any
   /// validation failure is returned as the reply's error.
-  Status ResolveRequest(const FetchRequest& request, mr::MofHandle* handle,
+  Status ResolveRequest(const FetchRequest& request, std::string* data_path,
                         FetchDataHeader* header, uint64_t* disk_offset,
-                        uint64_t* chunk) EXCLUDES(mu_);
+                        uint64_t* chunk);
   /// Immediate kErrorBusy pushback for a shed request. Never blocks: the
   /// frame goes straight to the transport's async send queue, so shedding
   /// stays cheap exactly when the supplier is drowning.
@@ -191,7 +191,7 @@ class MofSupplier final : public mr::ShuffleServer {
                 uint32_t retry_after_ms);
   /// Backlog-proportional retry hint carried in busy replies.
   uint32_t RetryAfterHintMs(size_t queued) const;
-  Status PreadInto(const mr::MofHandle& handle, uint64_t offset,
+  Status PreadInto(const std::string& data_path, uint64_t offset,
                    std::span<uint8_t> out);
   /// Stamps `header` with the full wire CRC (kChunkHasCrc). Every data
   /// chunk carries one; `data` is hashed on every send, retransmits
@@ -225,6 +225,7 @@ class MofSupplier final : public mr::ShuffleServer {
   Options options_;
   std::unique_ptr<net::ServerEndpoint> endpoint_;
   BufferPool data_cache_;
+  mr::MofRegistry published_;
   IndexCache index_cache_;
 
   MetricCounter* chunks_compressed_c_ = nullptr;
@@ -262,8 +263,6 @@ class MofSupplier final : public mr::ShuffleServer {
 
   mutable Mutex mu_;
   CondVar work_cv_;
-  // map_task -> handle
-  std::map<int, mr::MofHandle> published_ GUARDED_BY(mu_);
   // Request grouping: one queue per target MOF, requests within a group
   // ordered by intended segment offset via ordered insertion. Queues are
   // erased as they drain (and recreated on demand), so long-running

@@ -2,31 +2,11 @@
 
 namespace jbs::mr {
 
-Status LocalMofRegistry::Publish(const MofHandle& handle) {
-  MutexLock lock(mu_);
-  mofs_[handle.map_task] = handle;
-  return Status::Ok();
-}
-
-StatusOr<MofHandle> LocalMofRegistry::Lookup(int map_task) const {
-  MutexLock lock(mu_);
-  auto it = mofs_.find(map_task);
-  if (it == mofs_.end()) {
-    return NotFound("MOF for map task " + std::to_string(map_task));
-  }
-  return it->second;
-}
-
-size_t LocalMofRegistry::size() const {
-  MutexLock lock(mu_);
-  return mofs_.size();
-}
-
 namespace {
 
 class LocalServer final : public ShuffleServer {
  public:
-  explicit LocalServer(LocalMofRegistry* registry) : registry_(registry) {}
+  explicit LocalServer(MofRegistry* registry) : registry_(registry) {}
 
   Status Start() override { return Status::Ok(); }
   uint16_t port() const override { return 0; }
@@ -36,12 +16,12 @@ class LocalServer final : public ShuffleServer {
   void Stop() override {}
 
  private:
-  LocalMofRegistry* registry_;
+  MofRegistry* registry_;
 };
 
 class LocalClient final : public ShuffleClient {
  public:
-  explicit LocalClient(LocalMofRegistry* registry) : registry_(registry) {}
+  explicit LocalClient(MofRegistry* registry) : registry_(registry) {}
 
   StatusOr<std::unique_ptr<RecordStream>> FetchAndMerge(
       int partition, const std::vector<MofLocation>& sources) override {
@@ -49,9 +29,10 @@ class LocalClient final : public ShuffleClient {
     streams.reserve(sources.size());
     MutexLock lock(mu_);
     for (const MofLocation& source : sources) {
-      auto handle = registry_->Lookup(source.map_task);
-      JBS_RETURN_IF_ERROR(handle.status());
-      auto reader = MofReader::Open(*handle);
+      auto mof = registry_->Lookup(source.map_task);
+      JBS_RETURN_IF_ERROR(mof.status());
+      auto reader = MofReader::Open(
+          {source.map_task, 0, mof->data_path, mof->index_path});
       JBS_RETURN_IF_ERROR(reader.status());
       std::vector<uint8_t> segment;
       JBS_RETURN_IF_ERROR(reader->ReadSegment(partition, segment));
@@ -73,7 +54,7 @@ class LocalClient final : public ShuffleClient {
   }
 
  private:
-  LocalMofRegistry* registry_;
+  MofRegistry* registry_;
   mutable Mutex mu_;
   Stats stats_ GUARDED_BY(mu_);
 };

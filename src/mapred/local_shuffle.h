@@ -4,24 +4,9 @@
 // for benches, and a worked example of the plug-in interface.
 #pragma once
 
-#include <map>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "mapred/shuffle.h"
 
 namespace jbs::mr {
-
-class LocalMofRegistry {
- public:
-  Status Publish(const MofHandle& handle) EXCLUDES(mu_);
-  StatusOr<MofHandle> Lookup(int map_task) const EXCLUDES(mu_);
-  size_t size() const EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_;
-  std::map<int, MofHandle> mofs_ GUARDED_BY(mu_);  // map_task -> handle
-};
 
 class LocalShufflePlugin final : public ShufflePlugin {
  public:
@@ -33,10 +18,8 @@ class LocalShufflePlugin final : public ShufflePlugin {
   std::unique_ptr<ShuffleClient> CreateClient(int node,
                                               const Config& conf) override;
 
-  LocalMofRegistry& registry() { return registry_; }
-
  private:
-  LocalMofRegistry registry_;
+  MofRegistry registry_;
 };
 
 }  // namespace jbs::mr

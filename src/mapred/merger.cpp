@@ -1,5 +1,8 @@
 #include "mapred/merger.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/compress.h"
 
 namespace jbs::mr {
@@ -41,36 +44,75 @@ StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
       std::make_unique<SegmentStream>(segment, std::move(owner)));
 }
 
-KWayMerger::KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs)
-    : inputs_(std::move(inputs)) {}
+namespace {
 
-bool KWayMerger::Refill(size_t source) {
-  Record record;
-  if (inputs_[source]->Next(&record)) {
-    heap_.push({std::move(record), source});
-    return true;
+uint64_t KeyPrefix(const std::string& key) {
+  uint8_t bytes[8] = {};
+  std::memcpy(bytes, key.data(), std::min<size_t>(key.size(), 8));
+  uint64_t prefix = 0;
+  for (uint8_t byte : bytes) prefix = (prefix << 8) | byte;
+  return prefix;
+}
+
+}  // namespace
+
+KWayMerger::KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs)
+    : inputs_(std::move(inputs)),
+      heads_(inputs_.size()),
+      prefixes_(inputs_.size()),
+      live_(inputs_.size()),
+      losers_(inputs_.size(), kNobody) {}
+
+bool KWayMerger::Before(size_t a, size_t b) const {
+  if (prefixes_[a] != prefixes_[b]) return prefixes_[a] < prefixes_[b];
+  if (live_[a] != live_[b]) return live_[a] != 0;
+  if (live_[a]) {
+    const int cmp = heads_[a].key.compare(heads_[b].key);
+    if (cmp != 0) return cmp < 0;
   }
-  if (!inputs_[source]->status().ok()) {
-    status_ = inputs_[source]->status();
+  return a < b;
+}
+
+void KWayMerger::Refill(size_t source) {
+  live_[source] = inputs_[source]->Next(&heads_[source]);
+  if (live_[source]) {
+    prefixes_[source] = KeyPrefix(heads_[source].key);
+    return;
   }
-  return false;
+  prefixes_[source] = UINT64_MAX;
+  if (!inputs_[source]->status().ok()) status_ = inputs_[source]->status();
+}
+
+void KWayMerger::Replay(size_t source) {
+  // Climbs from the source's leaf, playing the stored loser at each node.
+  // While priming, the first climber to reach a node parks there and
+  // waits for the winner of the node's other subtree.
+  size_t winner = source;
+  for (size_t n = (inputs_.size() + source) / 2; n >= 1; n /= 2) {
+    if (losers_[n] == kNobody) {
+      losers_[n] = winner;
+      return;
+    }
+    if (Before(losers_[n], winner)) std::swap(losers_[n], winner);
+  }
+  losers_[0] = winner;
 }
 
 bool KWayMerger::Next(Record* record) {
-  if (!status_.ok()) return false;
+  if (!status_.ok() || inputs_.empty()) return false;
   if (!primed_) {
     primed_ = true;
     for (size_t i = 0; i < inputs_.size(); ++i) {
       Refill(i);
       if (!status_.ok()) return false;
+      Replay(i);
     }
   }
-  if (heap_.empty()) return false;
-  const HeapItem& top = heap_.top();
-  *record = top.record;
-  const size_t source = top.source;
-  heap_.pop();
-  Refill(source);
+  const size_t winner = losers_[0];
+  if (!live_[winner]) return false;
+  std::swap(*record, heads_[winner]);
+  Refill(winner);
+  Replay(winner);
   return status_.ok();
 }
 

@@ -1,12 +1,11 @@
 // K-way merge machinery shared by the map-side spill merge, the baseline
 // reduce merge, and the JBS NetMerger's network-levitated merge. A
 // RecordStream is any sorted (key,value) iterator; KWayMerger merges many
-// of them with a binary heap; GroupIterator turns the merged stream into
+// of them with a tree of losers; GroupIterator turns the merged stream into
 // (key, values...) groups for the reduce function.
 #pragma once
 
 #include <memory>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -67,7 +66,12 @@ class VectorStream final : public RecordStream {
 
 /// Merges N sorted streams into one sorted stream. Stable across inputs:
 /// ties are broken by input index, so records from earlier streams come
-/// first within equal keys.
+/// first within equal keys. A tournament tree of losers (Knuth, TAOCP
+/// Vol. 3 §5.4.1) picks the winner in ceil(log2 N) compares per record,
+/// most of them on a cached 8-byte key prefix. Each source keeps one head
+/// Record; Next swaps it out to the caller and refills the source into the
+/// caller's old strings, so a drain that reuses its Record allocates
+/// nothing per record. The first source error ends the stream.
 class KWayMerger final : public RecordStream {
  public:
   explicit KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs);
@@ -76,21 +80,25 @@ class KWayMerger final : public RecordStream {
   const Status& status() const override { return status_; }
 
  private:
-  struct HeapItem {
-    Record record;
-    size_t source;
-  };
-  struct HeapCompare {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      if (a.record.key != b.record.key) return a.record.key > b.record.key;
-      return a.source > b.source;
-    }
-  };
+  /// True if `a`'s head sorts before `b`'s; exhausted sources sort last.
+  bool Before(size_t a, size_t b) const;
+  /// Reads the source's next head into heads_[source], reusing its strings.
+  void Refill(size_t source);
+  /// Replays the source's leaf-to-root path; the winner lands in losers_[0].
+  void Replay(size_t source);
 
-  bool Refill(size_t source);
+  static constexpr size_t kNobody = SIZE_MAX;
 
   std::vector<std::unique_ptr<RecordStream>> inputs_;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, HeapCompare> heap_;
+  std::vector<Record> heads_;
+  // Big-endian first 8 key bytes, zero-padded, all ones once exhausted:
+  // orders like the key unless equal, then Before compares in full.
+  std::vector<uint64_t> prefixes_;
+  std::vector<char> live_;
+  // Source i is leaf k + i; internal node n (1 <= n < k) holds the loser
+  // of the match played there (kNobody before priming reaches it), and
+  // losers_[0] the overall winner.
+  std::vector<size_t> losers_;
   Status status_;
   bool primed_ = false;
 };

@@ -103,6 +103,25 @@ StatusOr<MofHandle> MofWriter::Finish(int map_task, int node) {
   return handle;
 }
 
+Status MofRegistry::Publish(const MofHandle& handle) {
+  PublishedMof mof{handle.data_path.string(), handle.index_path.string()};
+  MutexLock lock(mu_);
+  mofs_.insert_or_assign(handle.map_task, std::move(mof));
+  return Status::Ok();
+}
+
+StatusOr<PublishedMof> MofRegistry::Lookup(int map_task) const {
+  MutexLock lock(mu_);
+  auto it = mofs_.find(map_task);
+  if (it == mofs_.end()) return NotFound("unknown MOF");
+  return it->second;
+}
+
+size_t MofRegistry::size() const {
+  MutexLock lock(mu_);
+  return mofs_.size();
+}
+
 StatusOr<MofReader> MofReader::Open(const MofHandle& handle) {
   auto index = MofIndex::Load(handle.index_path);
   JBS_RETURN_IF_ERROR(index.status());

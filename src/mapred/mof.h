@@ -14,11 +14,14 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "mapred/types.h"
 
 namespace jbs::mr {
@@ -66,6 +69,28 @@ struct MofHandle {
   int node = 0;  // logical node that produced it
   std::filesystem::path data_path;
   std::filesystem::path index_path;
+};
+
+/// What a shuffle server keeps per published MOF: the paths as plain
+/// strings. A std::filesystem::path also keeps its parsed components,
+/// which made an entry ~4x larger.
+struct PublishedMof {
+  std::string data_path;
+  std::string index_path;
+};
+
+/// map_task -> published MOF, the registry behind every ShuffleServer's
+/// PublishMof. Republishing a map task replaces its entry.
+class MofRegistry {
+ public:
+  Status Publish(const MofHandle& handle) EXCLUDES(mu_);
+  /// NotFound("unknown MOF") for a map task never published.
+  StatusOr<PublishedMof> Lookup(int map_task) const EXCLUDES(mu_);
+  size_t size() const EXCLUDES(mu_);
+
+ private:
+  mutable Mutex mu_;
+  std::map<int, PublishedMof> mofs_ GUARDED_BY(mu_);
 };
 
 /// Writes a MOF from per-partition finished IFile segments.

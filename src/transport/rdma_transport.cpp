@@ -236,24 +236,19 @@ class RdmaServerEndpoint final : public ServerEndpoint {
       // already live, so a completion can reach RecvLoop the instant a
       // buffer is posted — if the conn isn't in the map yet, that first
       // request frame would be dropped and its buffer never reposted,
-      // leaving the client blocked forever.
+      // leaving the client blocked forever. Post under the same lock, so
+      // a DropConn for an early disconnect cannot free the ring mid-post.
+      bool ok = true;
       {
         MutexLock lock(mu_);
         conns_[id] = ConnState{accepted, std::move(ring)};
-      }
-      // Post with conn-qualified wr_ids into the shared CQ.
-      bool ok = true;
-      for (size_t i = 0; i < options_.buffers_per_connection; ++i) {
-        if (!accepted->PostRecv(MakeWr(id, i), ring_ptr->region(i)).ok()) {
-          ok = false;
-          break;
+        // Post with conn-qualified wr_ids into the shared CQ.
+        for (size_t i = 0; ok && i < options_.buffers_per_connection; ++i) {
+          ok = accepted->PostRecv(MakeWr(id, i), ring_ptr->region(i)).ok();
         }
+        if (!ok) conns_.erase(id);
       }
-      if (!ok) {
-        MutexLock lock(mu_);
-        conns_.erase(id);
-        continue;
-      }
+      if (!ok) continue;
       {
         MutexLock lock(stats_mu_);
         ++stats_.connections_accepted;

@@ -114,6 +114,152 @@ TEST(KWayMergerTest, PropagatesStreamError) {
   EXPECT_FALSE(merger.status().ok());
 }
 
+// Emits `records`, then ends with `error` (Ok for a clean end).
+class ScriptedStream final : public RecordStream {
+ public:
+  ScriptedStream(std::vector<Record> records, Status error)
+      : records_(std::move(records)), status_(std::move(error)) {}
+
+  bool Next(Record* record) override {
+    if (index_ >= records_.size()) return false;
+    *record = records_[index_++];
+    return true;
+  }
+  const Status& status() const override {
+    return index_ >= records_.size() ? status_ : ok_;
+  }
+
+ private:
+  std::vector<Record> records_;
+  size_t index_ = 0;
+  Status status_;
+  Status ok_;
+};
+
+// The oracle: std::stable_sort of the sources' concatenation. Values
+// name their source and position, so equality also checks tie order.
+std::vector<Record> StableSorted(
+    const std::vector<std::vector<Record>>& sources) {
+  std::vector<Record> all;
+  for (const auto& source : sources) {
+    all.insert(all.end(), source.begin(), source.end());
+  }
+  std::stable_sort(
+      all.begin(), all.end(),
+      [](const Record& a, const Record& b) { return a.key < b.key; });
+  return all;
+}
+
+std::vector<Record> Merge(const std::vector<std::vector<Record>>& sources) {
+  std::vector<std::unique_ptr<RecordStream>> inputs;
+  for (const auto& source : sources) inputs.push_back(Stream(source));
+  KWayMerger merger(std::move(inputs));
+  auto merged = Drain(merger);
+  EXPECT_TRUE(merger.status().ok()) << merger.status().ToString();
+  return merged;
+}
+
+// Sorts each source by key and tags every value with its position.
+std::vector<std::vector<Record>> Sources(
+    std::vector<std::vector<std::string>> keys) {
+  std::vector<std::vector<Record>> sources;
+  for (size_t s = 0; s < keys.size(); ++s) {
+    std::sort(keys[s].begin(), keys[s].end());
+    sources.emplace_back();
+    for (size_t i = 0; i < keys[s].size(); ++i) {
+      sources.back().push_back(
+          {keys[s][i], std::to_string(s) + "#" + std::to_string(i)});
+    }
+  }
+  return sources;
+}
+
+TEST(KWayMergerTest, FanInsThatAreNotPowersOfTwo) {
+  Rng rng(11);
+  for (size_t k : {1, 2, 3, 5, 32, 33}) {
+    std::vector<std::vector<std::string>> keys(k);
+    for (auto& source : keys) {
+      const int n = static_cast<int>(rng.Below(40));
+      for (int i = 0; i < n; ++i) {
+        // Short keys over a 3-letter alphabet: plenty of ties and prefixes.
+        std::string key(rng.Below(12), 'a');
+        for (char& c : key) c = static_cast<char>('a' + rng.Below(3));
+        source.push_back(std::move(key));
+      }
+    }
+    const auto sources = Sources(std::move(keys));
+    EXPECT_EQ(Merge(sources), StableSorted(sources)) << "k=" << k;
+  }
+}
+
+TEST(KWayMergerTest, KeysSharingEightBytePrefixDifferAfterIt) {
+  const auto sources = Sources({
+      {"prefix00b", "prefix00", "prefix00a\xff", "prefix01"},
+      {"prefix00a", "prefix00\x01", "prefix00ab", "prefix00"},
+      {"prefix00\xff", "prefix00aa", "prefix00\x80z"},
+  });
+  EXPECT_EQ(Merge(sources), StableSorted(sources));
+}
+
+TEST(KWayMergerTest, ShortKeysAndTrailingZeroBytesDoNotTie) {
+  using namespace std::string_literals;
+  // Zero-padding gives "a", "a\0" and "a\0\0" the same 8-byte prefix; the
+  // full compare must still order them by length.
+  const auto sources = Sources({
+      {"a\0"s, ""s, "b"s},
+      {"a"s, "a\0\0"s, "\0"s},
+      {"a\0"s, "a"s, "\xff"s, "a\0\1"s},
+  });
+  const auto merged = Merge(sources);
+  EXPECT_EQ(merged, StableSorted(sources));
+  ASSERT_GE(merged.size(), 5u);
+  EXPECT_EQ(merged[0].key, ""s);
+  EXPECT_EQ(merged[1].key, "\0"s);
+  EXPECT_EQ(merged[2].key, "a"s);
+  EXPECT_EQ(merged[3].key, "a"s);
+  EXPECT_EQ(merged[4].key, "a\0"s);
+}
+
+TEST(KWayMergerTest, EmptySourcesMixedWithNonEmpty) {
+  const auto sources = Sources({
+      {}, {"m", "c"}, {}, {}, {"a", "z", "c"}, {}, {"c"}, {},
+  });
+  EXPECT_EQ(Merge(sources), StableSorted(sources));
+}
+
+TEST(KWayMergerTest, ErrorAfterOtherSourcesEmittedStopsTheStream) {
+  const auto sources = Sources({{"a", "c", "e"}, {"b", "d"}, {"a", "f"}});
+  std::vector<std::unique_ptr<RecordStream>> inputs;
+  inputs.push_back(Stream(sources[0]));
+  // Source 1 fails when asked for the record after "b".
+  inputs.push_back(std::make_unique<ScriptedStream>(
+      std::vector<Record>{sources[1][0]}, IoError("segment corrupted")));
+  inputs.push_back(Stream(sources[2]));
+  KWayMerger merger(std::move(inputs));
+  const auto merged = Drain(merger);
+  EXPECT_FALSE(merger.status().ok());
+  Record record;
+  EXPECT_FALSE(merger.Next(&record));  // stays stopped
+  // Everything before the refill that failed came out in order: "a"
+  // twice; "b" was handed out by the failing call itself.
+  const auto expected = StableSorted(sources);
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged,
+            std::vector<Record>(expected.begin(), expected.begin() + 2));
+}
+
+TEST(KWayMergerTest, TiesStayInSourceOrderAcrossThirtyTwoSources) {
+  std::vector<std::vector<std::string>> keys(32, {"k", "k", "tie", "z"});
+  const auto sources = Sources(std::move(keys));
+  const auto merged = Merge(sources);
+  EXPECT_EQ(merged, StableSorted(sources));
+  ASSERT_EQ(merged.size(), 128u);
+  EXPECT_EQ(merged[0].value, "0#0");
+  EXPECT_EQ(merged[1].value, "0#1");
+  EXPECT_EQ(merged[2].value, "1#0");
+  EXPECT_EQ(merged[63].value, "31#1");
+}
+
 TEST(GroupIteratorTest, GroupsConsecutiveKeys) {
   VectorStream stream(
       {{"a", "1"}, {"a", "2"}, {"b", "3"}, {"c", "4"}, {"c", "5"}});

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 
 #include "mapred/ifile.h"
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 namespace jbs::mr {
 namespace {
@@ -139,6 +144,56 @@ TEST_F(MofTest, MissingIndexFileFailsOpen) {
   handle.data_path = dir_ / "nope.data";
   handle.index_path = dir_ / "nope.index";
   EXPECT_FALSE(MofReader::Open(handle).ok());
+}
+
+MofHandle HandleWithPaths(int map_task, const char* data_format,
+                          const char* index_format) {
+  char data[64];
+  char index[64];
+  std::snprintf(data, sizeof(data), data_format, map_task);
+  std::snprintf(index, sizeof(index), index_format, map_task);
+  return {map_task, 0, data, index};
+}
+
+TEST(MofRegistryTest, EntryHeapFootprintIsCompact) {
+#ifdef __GLIBC__
+  constexpr int kEntries = 10000;
+  MofRegistry registry;
+  const size_t before = mallinfo2().uordblks;
+  for (int m = 0; m < kEntries; ++m) {
+    // 48-character data and index paths.
+    const MofHandle handle =
+        HandleWithPaths(m, "/var/lib/jbs/local/job_0001/mof_m%010d.data",
+                        "/var/lib/jbs/local/job_0001/mof_m%09d.index");
+    ASSERT_EQ(handle.data_path.string().size(), 48u);
+    ASSERT_EQ(handle.index_path.string().size(), 48u);
+    ASSERT_TRUE(registry.Publish(handle).ok());
+  }
+  const size_t after = mallinfo2().uordblks;
+  EXPECT_EQ(registry.size(), static_cast<size_t>(kEntries));
+  const size_t per_entry = after > before ? (after - before) / kEntries : 0;
+  EXPECT_LE(per_entry, 400u);
+#else
+  GTEST_SKIP() << "heap accounting needs glibc mallinfo2";
+#endif
+}
+
+TEST(MofRegistryTest, RepublishReplacesAndUnknownIsNotFound) {
+  MofRegistry registry;
+  ASSERT_TRUE(registry.Publish(HandleWithPaths(7, "a/%d.data", "a/%d.index"))
+                  .ok());
+  ASSERT_TRUE(registry.Publish(HandleWithPaths(7, "b/%d.data", "b/%d.index"))
+                  .ok());
+  EXPECT_EQ(registry.size(), 1u);
+  auto mof = registry.Lookup(7);
+  ASSERT_TRUE(mof.ok()) << mof.status().ToString();
+  EXPECT_EQ(mof->data_path, "b/7.data");
+  EXPECT_EQ(mof->index_path, "b/7.index");
+
+  auto unknown = registry.Lookup(8);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.status().message(), "unknown MOF");
 }
 
 }  // namespace
