@@ -1,6 +1,7 @@
 // google-benchmark micro benches for the hot data-plane components: IFile
-// encode/decode, varints, CRC32, k-way merge, framing, buffer pool and the
-// map-side collector. These guard the real-mode code paths' costs.
+// encode/decode, varints, CRC32, k-way merge, framing, buffer pool, the
+// map-side collector and reduce-side segment fill. These guard the
+// real-mode code paths' costs.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include "common/framing.h"
 #include "common/lru_cache.h"
 #include "common/rng.h"
+#include "jbs/segment_buffer.h"
 #include "mapred/collector.h"
 #include "mapred/ifile.h"
 #include "mapred/merger.h"
@@ -202,6 +204,36 @@ void BM_CollectorSortSpill(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_CollectorSortSpill);
+
+void BM_SegmentFill(benchmark::State& state) {
+  // One bulk_1sup-sized segment (4 MiB) filled in 128 KiB chunk appends,
+  // on a fresh mapping (arg 0: page faults and kernel zeroing on every
+  // touch) or on a warm pooled one (arg 1: the NetMerger receive path).
+  constexpr size_t kSegment = 4 << 20;
+  constexpr size_t kChunk = 128 << 10;
+  std::vector<uint8_t> chunk(kChunk);
+  Rng rng(5);
+  for (auto& b : chunk) b = static_cast<uint8_t>(rng.Next());
+  const bool pooled = state.range(0) != 0;
+  // A zero budget keeps nothing: every Acquire maps fresh.
+  auto pool = std::make_shared<shuffle::SegmentPool>(
+      pooled ? shuffle::kSegmentPoolBudgetBytes : 0);
+  for (auto _ : state) {
+    auto buffer = pool->Acquire(kSegment);
+    if (!buffer.ok()) {
+      state.SkipWithError(buffer.status().ToString().c_str());
+      break;
+    }
+    for (size_t filled = 0; filled < kSegment; filled += kChunk) {
+      (void)(*buffer)->Append(chunk);
+    }
+    benchmark::DoNotOptimize((*buffer)->bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(pooled ? "warm pool" : "fresh mapping");
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kSegment));
+}
+BENCHMARK(BM_SegmentFill)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace jbs

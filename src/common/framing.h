@@ -10,8 +10,10 @@
 //   payload  — small owned bytes (protocol headers, control messages)
 //   ext      — a borrowed view over buffer(s) kept alive by `lease`
 // so the serve path hands a DataCache buffer to the transport without
-// copying it. Receivers always produce contiguous frames (ext empty); the
-// wire format is identical either way.
+// copying it. Receivers produce contiguous frames (ext empty) unless the
+// caller asked for a placed receive, whose `ext` views the caller's own
+// storage (Connection::ReceivePlaced); the wire format is identical
+// either way.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +29,9 @@ namespace jbs {
 struct Frame {
   uint8_t type = 0;
   std::vector<uint8_t> payload;
-  /// Borrowed payload tail. Valid only while `lease` is held; senders may
-  /// read it until the last queued reference drops, nobody may write it.
+  /// Borrowed payload tail. Valid only while `lease` is held (or, on a
+  /// placed receive, while the caller's storage lives); senders may read
+  /// it until the last queued reference drops, nobody may write it.
   std::span<const uint8_t> ext{};
   /// Ownership token for `ext`: released when the final sender reference
   /// is destroyed (last byte on the socket, or the connection died with

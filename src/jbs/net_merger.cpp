@@ -93,6 +93,10 @@ NetMerger::NetMerger(Options options)
       metrics_->GetCounter("jbs_netmerger_chunks_compressed_total", base);
   failovers_c_ = metrics_->GetCounter("jbs_netmerger_failovers_total", base);
   pushback_c_ = metrics_->GetCounter("jbs_netmerger_pushback_total", base);
+  // Receive-side twin of jbs_serve_bytes_copied_total: chunk bytes copied
+  // into a segment instead of received in place.
+  bytes_copied_c_ =
+      metrics_->GetCounter("jbs_netmerger_bytes_copied_total", base);
   health_ = std::make_unique<NodeHealthTracker>(
       NodeHealthTracker::Options{
           options_.health_suspect_after, options_.health_penalize_after,
@@ -119,7 +123,7 @@ void NetMerger::SetQueueDepth(const std::string& node, size_t depth) {
       ->Set(static_cast<double>(depth));
 }
 
-void NetMerger::RefreshConnectionGauges() const {
+void NetMerger::RefreshGauges() const {
   const net::ConnectionManager::Stats cs = connections_.stats();
   const MetricLabels base = BaseLabels();
   const auto set = [&](const char* name, double v) {
@@ -131,6 +135,10 @@ void NetMerger::RefreshConnectionGauges() const {
   set("jbs_connmgr_dial_failures", static_cast<double>(cs.dial_failures));
   set("jbs_connmgr_active_connections",
       static_cast<double>(connections_.active_connections()));
+  set("jbs_netmerger_segment_live_bytes",
+      static_cast<double>(segments_->live_bytes()));
+  set("jbs_netmerger_segment_pooled_bytes",
+      static_cast<double>(segments_->pooled_bytes()));
 }
 
 NetMerger::~NetMerger() { Stop(); }
@@ -161,7 +169,8 @@ void NetMerger::Stop() {
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  RefreshConnectionGauges();
+  segments_->Close();
+  RefreshGauges();
 }
 
 mr::ShuffleClient::Stats NetMerger::stats() const {
@@ -177,7 +186,7 @@ NetMerger::MergerStats NetMerger::merger_stats() const {
   // Thin view over the registry counters. connections_opened is counted
   // at the dial site (the manager reports whether a GetOrConnect actually
   // dialed), never derived from the manager's miss counter.
-  RefreshConnectionGauges();
+  RefreshGauges();
   MergerStats out;
   out.fetches = fetches_c_->value();
   out.chunks = chunks_c_->value();
@@ -192,6 +201,7 @@ NetMerger::MergerStats NetMerger::merger_stats() const {
   out.failovers = failovers_c_->value();
   out.penalties = health_->penalties();
   out.pushbacks = pushback_c_->value();
+  out.bytes_copied = bytes_copied_c_->value();
   return out;
 }
 
@@ -659,6 +669,7 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
   // not one per round trip.
   uint64_t local_chunks = 0;
   uint64_t local_bytes = 0;
+  uint64_t local_copied = 0;
 
   // Each wire operation gets the tighter of the fetch budget and the
   // per-chunk timeout; the chunk clock restarts per operation, so a slow
@@ -676,11 +687,29 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     request.max_len = static_cast<uint32_t>(options_.chunk_size);
     return conn.Send(EncodeRequest(request), op_deadline());
   };
+  // Receive in place (DESIGN.md §13): once the first reply has sized the
+  // segment, a raw chunk that fits lands straight in the buffer's spare
+  // bytes. It stays uncommitted, out of bytes(), until it is verified.
+  const net::Connection::Placement place =
+      [&](uint8_t type, std::span<const uint8_t> head,
+          size_t tail_len) -> std::span<uint8_t> {
+    if (fetched.buffer == nullptr || type != kFetchData) return {};
+    const auto header = DecodeDataHeader(head);
+    if (!header || (header->flags & kChunkCompressed) != 0 ||
+        header->segment_total != fetched.buffer->capacity() ||
+        tail_len > options_.chunk_size) {
+      return {};
+    }
+    const std::span<uint8_t> spare = fetched.buffer->spare();
+    if (tail_len > spare.size()) return {};
+    return spare.first(tail_len);
+  };
   // Receives one data reply, validating it continues the segment at
-  // `expect_offset`; appends the payload and returns its logical size.
+  // `expect_offset`; adds the payload to the segment and returns its
+  // logical size.
   const auto receive_chunk =
       [&](uint64_t expect_offset) -> StatusOr<uint64_t> {
-    auto reply = conn.Receive(op_deadline());
+    auto reply = conn.ReceivePlaced(kDataHeaderSize, place, op_deadline());
     JBS_RETURN_IF_ERROR(reply.status());
     if (reply->type == kFetchError) {
       auto error = DecodeError(*reply);
@@ -726,7 +755,7 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     // The first reply fixes segment_total and sizes the segment's mapping
     // once; every later reply must repeat it.
     if (fetched.buffer == nullptr) {
-      auto buffer = SegmentBuffer::Create(header->segment_total);
+      auto buffer = segments_->Acquire(header->segment_total);
       JBS_RETURN_IF_ERROR(buffer.status());
       fetched.buffer = std::move(buffer).value();
     } else if (header->segment_total != fetched.buffer->capacity()) {
@@ -756,13 +785,20 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     }
     // The server must honor our max_len ask and the segment bound in
     // logical bytes, raw or compressed; a violation is a protocol breach,
-    // not line noise, so it is not retried as corruption. Append refuses
-    // to write past segment_total.
+    // not line noise, so it is not retried as corruption. Append and
+    // Commit refuse to run past segment_total.
     if (logical.size() > options_.chunk_size) {
       return Internal("chunk of " + std::to_string(logical.size()) +
                       " bytes exceeds the requested max_len");
     }
-    JBS_RETURN_IF_ERROR(fetched.buffer->Append(logical));
+    // Verified: a chunk received in place already sits at the buffer's
+    // end and only needs committing; any other is copied there.
+    if (!reply->ext.empty() && !wire_compressed) {
+      JBS_RETURN_IF_ERROR(fetched.buffer->Commit(logical.size()));
+    } else {
+      JBS_RETURN_IF_ERROR(fetched.buffer->Append(logical));
+      local_copied += logical.size();
+    }
     if (wire_compressed) chunks_compressed_c_->Increment();
     ++local_chunks;
     local_bytes += logical.size();
@@ -810,6 +846,7 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
   }
   chunks_c_->Increment(local_chunks);
   bytes_fetched_c_->Increment(local_bytes);
+  bytes_copied_c_->Increment(local_copied);
   fetches_c_->Increment();
   return fetched;
 }

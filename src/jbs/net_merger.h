@@ -116,6 +116,7 @@ class NetMerger final : public mr::ShuffleClient {
     uint64_t failovers = 0;         // fetches rerouted to a replica
     uint64_t penalties = 0;         // penalty-box sentences handed out
     uint64_t pushbacks = 0;         // kErrorBusy replies honored
+    uint64_t bytes_copied = 0;      // payload bytes memcpy'd into segments
   };
   MergerStats merger_stats() const;
 
@@ -139,9 +140,9 @@ class NetMerger final : public mr::ShuffleClient {
   size_t pending_node_count() const EXCLUDES(sched_mu_);
 
  private:
-  /// A fully fetched segment plus how to interpret it. The buffer is
-  /// mapped once, at the first reply's segment_total, and becomes the
-  /// merge stream's lease: the pages go back to the kernel when the
+  /// A fully fetched segment plus how to interpret it. The buffer comes
+  /// from segments_ once, at the first reply's segment_total, and becomes
+  /// the merge stream's lease: the mapping goes back to the pool when the
   /// reducer drops the stream.
   struct FetchedSegment {
     std::shared_ptr<SegmentBuffer> buffer;
@@ -229,13 +230,17 @@ class NetMerger final : public mr::ShuffleClient {
   /// registry, so it is callable with or without sched_mu_ held (the
   /// registry lock is a leaf, so nesting under sched_mu_ is safe).
   void SetQueueDepth(const std::string& node, size_t depth);
-  /// Re-exports the connection-manager counters as gauges (they're owned
-  /// by the manager, not the registry). Called from the stats accessors
-  /// and Stop(), so dumps taken after shutdown still carry final values.
-  void RefreshConnectionGauges() const;
+  /// Re-exports the connection-manager counters and the segment pool's
+  /// mapped bytes as gauges (they're owned by the manager and the pool,
+  /// not the registry). Called from the stats accessors and Stop(), so
+  /// dumps taken after shutdown still carry final values.
+  void RefreshGauges() const;
 
   Options options_;
   net::ConnectionManager connections_;
+  // Receive storage: recycled segment mappings (DESIGN.md §13). Closed by
+  // Stop(); streams still holding a buffer keep it alive until they drop.
+  std::shared_ptr<SegmentPool> segments_ = std::make_shared<SegmentPool>();
 
   // Observability plumbing: pointers into metrics_ (never null; falls back
   // to the owned registry/recorder when options don't share one).
@@ -255,6 +260,7 @@ class NetMerger final : public mr::ShuffleClient {
   MetricCounter* chunks_compressed_c_ = nullptr;
   MetricCounter* failovers_c_ = nullptr;
   MetricCounter* pushback_c_ = nullptr;
+  MetricCounter* bytes_copied_c_ = nullptr;
   MetricHistogram* fetch_latency_ms_h_ = nullptr;
   MetricHistogram* fetch_attempts_h_ = nullptr;
 

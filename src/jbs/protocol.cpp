@@ -81,12 +81,10 @@ Frame EncodeDataZeroCopy(const FetchDataHeader& header,
   return frame;
 }
 
-std::optional<FetchDataHeader> DecodeData(const Frame& frame,
-                                          std::span<const uint8_t>* data) {
-  if (frame.type != kFetchData || frame.payload.size() < kDataHeaderSize) {
-    return std::nullopt;
-  }
-  const uint8_t* p = frame.payload.data();
+std::optional<FetchDataHeader> DecodeDataHeader(
+    std::span<const uint8_t> head) {
+  if (head.size() < kDataHeaderSize) return std::nullopt;
+  const uint8_t* p = head.data();
   FetchDataHeader header;
   header.map_task = static_cast<int32_t>(GetU32(p));
   header.partition = static_cast<int32_t>(GetU32(p + 4));
@@ -94,8 +92,16 @@ std::optional<FetchDataHeader> DecodeData(const Frame& frame,
   header.segment_total = GetU64(p + 16);
   header.flags = GetU32(p + 24);
   header.crc32 = GetU32(p + 28);
-  // Received frames are contiguous; a locally built zero-copy frame keeps
-  // its chunk bytes in `ext`.
+  return header;
+}
+
+std::optional<FetchDataHeader> DecodeData(const Frame& frame,
+                                          std::span<const uint8_t>* data) {
+  if (frame.type != kFetchData) return std::nullopt;
+  auto header = DecodeDataHeader(frame.payload);
+  if (!header) return std::nullopt;
+  // Contiguous frames carry the chunk bytes after the header; a locally
+  // built zero-copy frame, or one received in place, keeps them in `ext`.
   if (frame.payload.size() == kDataHeaderSize && !frame.ext.empty()) {
     *data = frame.ext;
   } else {
@@ -108,14 +114,20 @@ uint32_t ChunkWireCrc(const FetchDataHeader& header, uint32_t data_crc) {
   // Fold the header fields (in wire order, crc field excluded) into the
   // payload CRC. Crc32's seed threading makes this equal to one CRC over
   // payload ++ header-prefix, so both sides compute it the same way
-  // whichever part they hash first.
-  std::vector<uint8_t> prefix;
-  prefix.reserve(kDataHeaderSize - 4);
-  PutU32(prefix, static_cast<uint32_t>(header.map_task));
-  PutU32(prefix, static_cast<uint32_t>(header.partition));
-  PutU64(prefix, header.offset);
-  PutU64(prefix, header.segment_total);
-  PutU32(prefix, header.flags);
+  // whichever part they hash first. Runs once per chunk on both sides, so
+  // the prefix is built on the stack.
+  uint8_t prefix[kDataHeaderSize - 4];
+  uint8_t* p = prefix;
+  const auto put = [&p](uint64_t v, int bytes) {
+    for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+      *p++ = static_cast<uint8_t>(v >> shift);
+    }
+  };
+  put(static_cast<uint32_t>(header.map_task), 4);
+  put(static_cast<uint32_t>(header.partition), 4);
+  put(header.offset, 8);
+  put(header.segment_total, 8);
+  put(header.flags, 4);
   return Crc32(prefix, data_crc);
 }
 

@@ -118,10 +118,14 @@ Frame EncodeDataZeroCopy(const FetchDataHeader& header,
                          std::span<const uint8_t> data,
                          std::shared_ptr<const void> lease);
 
-/// Decodes header; `data` is set to the payload bytes after it (view into
-/// the frame's payload).
+/// Decodes header; `data` is set to the chunk bytes after it (a view into
+/// the frame's payload, or its `ext` when the chunk bytes live there).
 std::optional<FetchDataHeader> DecodeData(const Frame& frame,
                                           std::span<const uint8_t>* data);
+/// Decodes the header from the first kDataHeaderSize bytes of a data
+/// payload, e.g. a frame head seen before its chunk bytes are placed.
+std::optional<FetchDataHeader> DecodeDataHeader(
+    std::span<const uint8_t> head);
 
 Frame EncodeError(const FetchError& error);
 std::optional<FetchError> DecodeError(const Frame& frame);

@@ -23,6 +23,11 @@ class FaultInjectingTransport::FlakyConnection final : public Connection {
   }
 
   StatusOr<Frame> Receive(const Deadline& deadline) override {
+    return ReceivePlaced(0, nullptr, deadline);
+  }
+
+  StatusOr<Frame> ReceivePlaced(size_t head_len, const Placement& place,
+                                const Deadline& deadline) override {
     using Action = ChaosDecision::Action;
     const ChaosDecision chaos = owner_->NextChaosDecision();
     switch (chaos.action) {
@@ -49,15 +54,30 @@ class FaultInjectingTransport::FlakyConnection final : public Connection {
       case Action::kCorrupt:
         break;
     }
-    auto frame = inner_->Receive(deadline);
+    // Placement is forwarded, and the span it named is kept so a flipped
+    // bit can land in placed bytes too.
+    std::span<uint8_t> placed;
+    Placement track;
+    if (place) {
+      track = [&](uint8_t type, std::span<const uint8_t> head,
+                  size_t tail_len) {
+        placed = place(type, head, tail_len);
+        return placed;
+      };
+    }
+    auto frame = inner_->ReceivePlaced(head_len, track, deadline);
     if (chaos.action == Action::kCorrupt && frame.ok() &&
         frame->payload_size() > 0) {
       // One flipped bit anywhere in the payload — header fields and data
-      // bytes alike — exactly the fault the chunk CRC must catch. Received
-      // frames are contiguous, so `payload` holds every byte.
+      // bytes alike — exactly the fault the chunk CRC must catch. A frame
+      // received in place keeps its tail in `ext`, which views `placed`.
       const uint64_t bit =
-          chaos.entropy % (static_cast<uint64_t>(frame->payload.size()) * 8);
-      frame->payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+          chaos.entropy % (static_cast<uint64_t>(frame->payload_size()) * 8);
+      const uint64_t byte = bit / 8;
+      uint8_t& target = byte < frame->payload.size()
+                            ? frame->payload[byte]
+                            : placed[byte - frame->payload.size()];
+      target ^= static_cast<uint8_t>(1u << (bit % 8));
       owner_->chaos_corruptions_.fetch_add(1);
     }
     return frame;

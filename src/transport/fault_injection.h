@@ -25,12 +25,13 @@
 
 namespace jbs::net {
 
-/// One phase of a scripted chaos schedule: the next `ops` Receive() calls
-/// (across all connections) each independently suffer at most one fault,
-/// chosen by the schedule's seeded RNG with these probabilities evaluated
-/// in order drop -> blackhole -> delay -> corrupt. A corrupt op flips one
-/// random bit of the received frame payload — the end-to-end CRC's job is
-/// to catch exactly this. Phases with ops <= 0 are skipped; after the last
+/// One phase of a scripted chaos schedule: the next `ops` Receive() or
+/// ReceivePlaced() calls (across all connections) each independently
+/// suffer at most one fault, chosen by the schedule's seeded RNG with these
+/// probabilities evaluated in order drop -> blackhole -> delay -> corrupt.
+/// A corrupt op flips one random bit of the received frame payload, bytes
+/// placed in caller storage included — the end-to-end CRC's job is to
+/// catch exactly this. Phases with ops <= 0 are skipped; after the last
 /// phase the wire is clean again.
 struct ChaosPhase {
   int ops = 0;

@@ -1,6 +1,7 @@
 #include "transport/rdma_transport.h"
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <unordered_map>
 
@@ -98,6 +99,11 @@ class RdmaConnection final : public Connection {
   }
 
   StatusOr<Frame> Receive(const Deadline& deadline) override {
+    return ReceivePlaced(0, nullptr, deadline);
+  }
+
+  StatusOr<Frame> ReceivePlaced(size_t head_len, const Placement& place,
+                                const Deadline& deadline) override {
     auto wc = recv_cq_->WaitPoll(deadline);
     if (!wc) {
       if (deadline.expired()) {
@@ -114,7 +120,22 @@ class RdmaConnection final : public Connection {
     Frame frame;
     frame.type = wc->msg_type;
     const MemoryRegion& mr = ring_->region(wc->wr_id);
-    frame.payload.assign(mr.addr, mr.addr + wc->byte_len);
+    const std::span<const uint8_t> message(mr.addr, wc->byte_len);
+    // Receive in place: one copy from the posted region straight into the
+    // caller's storage, instead of into an owned payload and on from there.
+    std::span<uint8_t> tail;
+    if (place && message.size() > head_len) {
+      const size_t tail_len = message.size() - head_len;
+      tail = place(frame.type, message.first(head_len), tail_len);
+      if (tail.size() != tail_len) tail = {};
+    }
+    if (!tail.empty()) {
+      frame.payload.assign(message.begin(), message.begin() + head_len);
+      std::memcpy(tail.data(), message.data() + head_len, tail.size());
+      frame.ext = tail;
+    } else {
+      frame.payload.assign(message.begin(), message.end());
+    }
     JBS_RETURN_IF_ERROR(ring_->Repost(qp_.get(), wc->wr_id));
     return frame;
   }

@@ -71,13 +71,19 @@ class TcpConnection final : public Connection {
   }
 
   StatusOr<Frame> Receive(const Deadline& deadline) override {
+    return ReceivePlaced(0, nullptr, deadline);
+  }
+
+  StatusOr<Frame> ReceivePlaced(size_t head_len, const Placement& place,
+                                const Deadline& deadline) override {
     if (!alive_) return Unavailable("connection closed");
-    uint8_t header[kFrameHeaderSize];
-    Status st = RecvAll(fd_.get(), header, deadline);
-    if (!st.ok()) {
-      alive_ = false;
+    const auto recv = [&](std::span<uint8_t> out) {
+      Status st = RecvAll(fd_.get(), out, deadline);
+      if (!st.ok()) alive_ = false;
       return st;
-    }
+    };
+    uint8_t header[kFrameHeaderSize];
+    JBS_RETURN_IF_ERROR(recv(header));
     const uint32_t length = GetU32(header);
     if (length > max_frame_bytes_) {
       // The length prefix is attacker-controlled: refuse the allocation
@@ -88,12 +94,22 @@ class TcpConnection final : public Connection {
     }
     Frame frame;
     frame.type = header[4];
-    frame.payload.resize(length);
-    if (length > 0) {
-      st = RecvAll(fd_.get(), frame.payload, deadline);
-      if (!st.ok()) {
-        alive_ = false;
-        return st;
+    // Receive in place: read just the head, then recv(2) the tail straight
+    // into the caller's storage when it names some.
+    const size_t head = place && length > head_len ? head_len : length;
+    frame.payload.resize(head);
+    JBS_RETURN_IF_ERROR(recv(frame.payload));
+    if (head < length) {
+      const size_t tail_len = length - head;
+      const std::span<uint8_t> tail =
+          place(frame.type, frame.payload, tail_len);
+      if (tail.size() == tail_len) {
+        JBS_RETURN_IF_ERROR(recv(tail));
+        frame.ext = tail;
+      } else {
+        frame.payload.resize(length);
+        JBS_RETURN_IF_ERROR(
+            recv(std::span<uint8_t>(frame.payload).subspan(head)));
       }
     }
     bytes_received_ += kFrameHeaderSize + length;

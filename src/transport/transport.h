@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/framing.h"
@@ -42,11 +43,35 @@ using ConnId = uint64_t;
 /// promptly (the blocked call fails with kUnavailable).
 class Connection {
  public:
+  /// Where a received frame's payload tail goes (see ReceivePlaced). Gets
+  /// the frame type, the first `head_len` payload bytes and the count of
+  /// bytes after them; returns exactly that many writable bytes, or an
+  /// empty span to receive the frame owned.
+  using Placement = std::function<std::span<uint8_t>(
+      uint8_t type, std::span<const uint8_t> head, size_t tail_len)>;
+
   virtual ~Connection() = default;
   virtual Status Send(const Frame& frame, const Deadline& deadline) = 0;
   virtual StatusOr<Frame> Receive(const Deadline& deadline) = 0;
   Status Send(const Frame& frame) { return Send(frame, Deadline()); }
   StatusOr<Frame> Receive() { return Receive(Deadline()); }
+
+  /// Receive in place (DESIGN.md §13). Reads a frame's type and its first
+  /// `head_len` payload bytes, then asks `place` where the rest goes. When
+  /// `place` supplies storage, the tail is written straight into it: the
+  /// returned frame's `payload` holds the head and `ext` views the placed
+  /// bytes, with no lease — the caller owns that storage. When it declines,
+  /// for frames no longer than the head, and on connections that cannot
+  /// place (the default), the frame arrives owned, exactly as Receive
+  /// returns it. Placed bytes are unverified wire bytes, and a failed
+  /// receive may leave a partial tail behind: the caller must not treat the
+  /// storage as valid until its own checks pass.
+  virtual StatusOr<Frame> ReceivePlaced(size_t /*head_len*/,
+                                        const Placement& /*place*/,
+                                        const Deadline& deadline) {
+    return Receive(deadline);
+  }
+
   virtual void Close() = 0;
   virtual bool alive() const = 0;
   /// Bytes moved in each direction (for shuffle accounting).

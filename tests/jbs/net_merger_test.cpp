@@ -12,6 +12,8 @@
 #include "jbs/protocol.h"
 #include "jbs/segment_buffer.h"
 #include "mapred/ifile.h"
+#include "transport/fault_injection.h"
+#include "transport/rdma_transport.h"
 #include "transport/transport.h"
 
 namespace jbs::shuffle {
@@ -261,17 +263,109 @@ TEST_F(NetMergerTest, SegmentMappingsReleaseWhenStreamsDrop) {
   merger.Stop();
 }
 
+TEST_F(NetMergerTest, SegmentPoolWarmsAcrossShufflesAndEmptiesOnStop) {
+  auto locations = MakeCluster(2, 2, 1, 40);
+  auto merger = MakeMerger();
+  ASSERT_EQ(PooledSegmentMappedBytes(), 0u);
+  for (int shuffle = 0; shuffle < 3; ++shuffle) {
+    auto stream = merger.FetchAndMerge(0, locations);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    CheckMerged(**stream, 0, 4 * 40);
+  }
+  // Dropped streams parked their mappings; each shuffle reused them, so
+  // the pool holds one shuffle's worth, not three.
+  const uint64_t pooled = PooledSegmentMappedBytes();
+  EXPECT_GT(pooled, 0u);
+  EXPECT_LE(pooled, 4 * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)));
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  const auto gauge = [&](const char* name) {
+    return merger.metrics().GetGauge(name, {{"client", "netmerger"}})->value();
+  };
+  (void)merger.merger_stats();  // refreshes the gauges
+  EXPECT_EQ(gauge("jbs_netmerger_segment_pooled_bytes"),
+            static_cast<double>(pooled));
+  EXPECT_EQ(gauge("jbs_netmerger_segment_live_bytes"), 0.0);
+  merger.Stop();
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  EXPECT_EQ(PooledSegmentMappedBytes(), 0u);
+  EXPECT_EQ(gauge("jbs_netmerger_segment_pooled_bytes"), 0.0);
+  EXPECT_EQ(gauge("jbs_netmerger_segment_live_bytes"), 0.0);
+}
+
+TEST_F(NetMergerTest, StreamsOutliveStopAndTheMerger) {
+  // A merge stream holds its segment's mapping, and that mapping's pool:
+  // draining it after Stop(), or after the merger is gone, must neither
+  // touch freed memory nor leave a mapping behind.
+  auto locations = MakeCluster(2, 2, 1, 40);
+  NetMerger::Options options;
+  options.transport = transport_.get();
+  options.chunk_size = 1500;
+  auto merger = std::make_unique<NetMerger>(options);
+  auto after_stop = merger->FetchAndMerge(0, locations);
+  auto after_destruction = merger->FetchAndMerge(0, locations);
+  ASSERT_TRUE(after_stop.ok() && after_destruction.ok());
+  merger->Stop();
+  EXPECT_EQ(PooledSegmentMappedBytes(), 0u);
+  CheckMerged(**after_stop, 0, 4 * 40);
+  after_stop->reset();
+  merger.reset();
+  CheckMerged(**after_destruction, 0, 4 * 40);
+  EXPECT_GT(LiveSegmentMappedBytes(), 0u);
+  after_destruction->reset();
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  EXPECT_EQ(PooledSegmentMappedBytes(), 0u);
+}
+
+TEST_F(NetMergerTest, RawMultiChunkFetchCopiesOnlyFirstChunks) {
+  // Receive in place: after the first chunk of a segment has sized its
+  // mapping, every raw chunk lands in it directly. The copy counter sees
+  // exactly the first chunk of each segment.
+  auto locations = MakeCluster(/*nodes=*/2, /*mofs=*/2, /*partitions=*/1,
+                               /*records=*/999);
+  NetMerger::Options options;
+  options.transport = transport_.get();
+  options.chunk_size = 256;  // ~12 KiB segments: dozens of chunks each
+  NetMerger merger(options);
+  auto stream = merger.FetchAndMerge(0, locations);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  CheckMerged(**stream, 0, 4 * 999);
+  merger.Stop();
+  std::map<uint64_t, int64_t> first_chunk;  // fetch id -> bytes
+  for (const TraceEntry& entry : merger.trace().Snapshot()) {
+    if (entry.event == TraceEvent::kChunkReceived) {
+      first_chunk.emplace(entry.fetch_id, entry.detail);
+    }
+  }
+  ASSERT_EQ(first_chunk.size(), 4u);
+  uint64_t expected = 0;
+  for (const auto& [fetch, bytes] : first_chunk) {
+    expected += static_cast<uint64_t>(bytes);
+  }
+  const NetMerger::MergerStats stats = merger.merger_stats();
+  EXPECT_EQ(stats.bytes_copied, expected);
+  EXPECT_GE(stats.chunks, 4u * 32);
+  EXPECT_LE(stats.bytes_copied, stats.bytes_fetched / 32);
+  const std::string series =
+      "jbs_netmerger_bytes_copied_total{client=\"netmerger\"} ";
+  const std::string text = merger.metrics().DumpText();
+  EXPECT_NE(text.find(series + std::to_string(expected)), std::string::npos)
+      << text;
+}
+
 /// A bare ServerEndpoint posing as a supplier: it answers every fetch
 /// request with the data reply `forge` builds for it, CRC-stamped so the
 /// reply passes integrity checks and only the protocol checks can catch
-/// it. The CRC is computed over the reply's own `flags`, so clearing
-/// kChunkHasCrc there forges a chunk that is otherwise valid.
+/// it. The CRC is computed over the reply's own `flags` and offset, so
+/// clearing kChunkHasCrc there forges a chunk that is otherwise valid,
+/// and so does skewing the offset; `bad_crc` stamps a CRC that fails.
 class ForgingSupplier {
  public:
   struct Reply {
     uint64_t segment_total = 0;
     size_t payload_bytes = 0;
     uint32_t flags = kChunkHasCrc;
+    bool bad_crc = false;
+    uint64_t offset_skew = 0;  // added to the requested offset
   };
   using Forge = std::function<Reply(const FetchRequest&)>;
 
@@ -288,11 +382,12 @@ class ForgingSupplier {
       FetchDataHeader header;
       header.map_task = request->map_task;
       header.partition = request->partition;
-      header.offset = request->offset;
+      header.offset = request->offset + reply.offset_skew;
       header.segment_total = reply.segment_total;
       header.flags = reply.flags;
       const std::vector<uint8_t> data(reply.payload_bytes, 0x5A);
       header.crc32 = ChunkWireCrc(header, Crc32(data));
+      if (reply.bad_crc) header.crc32 ^= 1;
       (void)endpoint_->SendAsync(conn, EncodeData(header, data));
     };
     EXPECT_TRUE(endpoint_->Start(handlers).ok());
@@ -308,9 +403,10 @@ class ForgingSupplier {
 
 /// Fetches map 0 from a forging supplier with 1000-byte chunks and one
 /// attempt, returning the FetchAndMerge status (and, when asked, the
-/// merger's counters).
+/// merger's counters and the chunk bytes it verified and committed).
 Status FetchFromForger(net::Transport& transport, ForgingSupplier::Forge forge,
-                       NetMerger::MergerStats* stats = nullptr) {
+                       NetMerger::MergerStats* stats = nullptr,
+                       uint64_t* committed = nullptr) {
   ForgingSupplier supplier(transport, std::move(forge));
   NetMerger::Options options;
   options.transport = &transport;
@@ -322,6 +418,15 @@ Status FetchFromForger(net::Transport& transport, ForgingSupplier::Forge forge,
       merger.FetchAndMerge(0, {{0, 0, "127.0.0.1", supplier.port()}});
   merger.Stop();
   if (stats != nullptr) *stats = merger.merger_stats();
+  if (committed != nullptr) {
+    // A chunk is traced as received only once it is committed.
+    *committed = 0;
+    for (const TraceEntry& entry : merger.trace().Snapshot()) {
+      if (entry.event == TraceEvent::kChunkReceived) {
+        *committed += static_cast<uint64_t>(entry.detail);
+      }
+    }
+  }
   return stream.status();
 }
 
@@ -380,6 +485,115 @@ TEST_F(NetMergerTest, ForgedHugeSegmentTotalIsResourceExhausted) {
   });
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
       << status.ToString();
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  EXPECT_EQ(PooledSegmentMappedBytes(), 0u);
+}
+
+/// The transports a chunk can be received in place on: TCP (recv(2) into
+/// the segment), SoftRdma (one copy out of the posted region) and the
+/// fault injector forwarding placement to TCP.
+class PlacedReceiveTransports {
+ public:
+  PlacedReceiveTransports()
+      : tcp_(net::MakeTcpTransport()),
+        rdma_(net::MakeSoftRdmaTransport()),
+        faults_(tcp_.get()) {}
+  std::vector<net::Transport*> all() {
+    return {tcp_.get(), rdma_.get(), &faults_};
+  }
+  net::FaultInjectingTransport& faults() { return faults_; }
+
+ private:
+  std::unique_ptr<net::Transport> tcp_;
+  std::unique_ptr<net::Transport> rdma_;
+  net::FaultInjectingTransport faults_;
+};
+
+TEST_F(NetMergerTest, SecondChunkBadCrcFailsBeforeCommit) {
+  PlacedReceiveTransports transports;
+  for (net::Transport* transport : transports.all()) {
+    NetMerger::MergerStats stats;
+    uint64_t committed = 0;
+    const Status status = FetchFromForger(
+        *transport,
+        [](const FetchRequest& request) {
+          ForgingSupplier::Reply reply{/*segment_total=*/3000,
+                                       /*bytes=*/1000};
+          reply.bad_crc = request.offset == 1000;
+          return reply;
+        },
+        &stats, &committed);
+    EXPECT_FALSE(status.ok()) << transport->name();
+    EXPECT_NE(status.message().find("CRC"), std::string::npos)
+        << transport->name() << ": " << status.ToString();
+    EXPECT_EQ(stats.chunks_corrupt, 1u) << transport->name();
+    EXPECT_EQ(committed, 1000u) << transport->name();
+    EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  }
+}
+
+TEST_F(NetMergerTest, SecondChunkWrongOffsetIsOutOfSequence) {
+  PlacedReceiveTransports transports;
+  for (net::Transport* transport : transports.all()) {
+    uint64_t committed = 0;
+    const Status status = FetchFromForger(
+        *transport,
+        [](const FetchRequest& request) {
+          ForgingSupplier::Reply reply{/*segment_total=*/3000,
+                                       /*bytes=*/1000};
+          if (request.offset == 1000) reply.offset_skew = 1000;
+          return reply;
+        },
+        nullptr, &committed);
+    EXPECT_EQ(status.code(), StatusCode::kInternal)
+        << transport->name() << ": " << status.ToString();
+    EXPECT_NE(status.message().find("out of sequence"), std::string::npos)
+        << transport->name() << ": " << status.ToString();
+    EXPECT_EQ(committed, 1000u) << transport->name();
+  }
+}
+
+TEST_F(NetMergerTest, ChaosFlipInPlacedChunkIsCaughtBeforeCommit) {
+  // The injector's bit flip reaches chunks received in place: the second
+  // chunk's receive is corrupted, and its CRC check rejects it before a
+  // byte of it joins the segment.
+  PlacedReceiveTransports transports;
+  transports.faults().SetChaosSchedule(
+      {net::ChaosPhase{.ops = 1}, net::ChaosPhase{.ops = 1, .corrupt_prob = 1}},
+      /*seed=*/21);
+  NetMerger::MergerStats stats;
+  uint64_t committed = 0;
+  const Status status = FetchFromForger(
+      transports.faults(),
+      [](const FetchRequest&) {
+        return ForgingSupplier::Reply{/*segment_total=*/3000, /*bytes=*/1000};
+      },
+      &stats, &committed);
+  EXPECT_EQ(transports.faults().chaos_corruptions(), 1);
+  EXPECT_NE(status.message().find("CRC"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(stats.chunks_corrupt, 1u);
+  EXPECT_EQ(committed, 1000u);
+}
+
+TEST_F(NetMergerTest, PlacedChunksReassembleTheSegmentOnEveryTransport) {
+  PlacedReceiveTransports transports;
+  for (net::Transport* transport : transports.all()) {
+    NetMerger::MergerStats stats;
+    uint64_t committed = 0;
+    // 5000 bytes of 0x5A: not an IFile, so the merge itself fails to
+    // open — but only after every chunk was fetched and committed.
+    (void)FetchFromForger(
+        *transport,
+        [](const FetchRequest&) {
+          return ForgingSupplier::Reply{/*segment_total=*/5000,
+                                        /*bytes=*/1000};
+        },
+        &stats, &committed);
+    EXPECT_EQ(committed, 5000u) << transport->name();
+    EXPECT_EQ(stats.chunks, 5u) << transport->name();
+    EXPECT_EQ(stats.bytes_copied, 1000u) << transport->name();
+  }
 }
 
 TEST_F(NetMergerTest, StopUnblocksWorkers) {

@@ -103,6 +103,29 @@ TEST(ProtocolTest, WireCrcCoversHeaderFields) {
   EXPECT_NE(ChunkWireCrc(tampered, data_crc), header.crc32);
 }
 
+TEST(ProtocolTest, WireCrcIsPinned) {
+  // Known-answer vectors: the chunk CRC is part of the wire format, so any
+  // change to how the header is folded must fail here, not in the field.
+  FetchDataHeader header;
+  header.map_task = 7;
+  header.partition = 3;
+  header.offset = 0x0102030405060708ull;
+  header.segment_total = 0x1122334455667788ull;
+  header.flags = kChunkHasCrc | kSegmentCompressed;
+  header.crc32 = 0xFFFFFFFFu;  // excluded from the fold
+  std::vector<uint8_t> data(100);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  EXPECT_EQ(ChunkWireCrc(header, Crc32(data)), 0xEBAC4234u);
+
+  FetchDataHeader negative;
+  negative.map_task = -1;
+  negative.partition = -2;
+  negative.flags = kChunkHasCrc | kChunkCompressed;
+  EXPECT_EQ(ChunkWireCrc(negative, Crc32({})), 0xD578EC8Bu);
+}
+
 TEST(ProtocolTest, LegacyHeaderWithoutCrcStillDecodes) {
   // A header without a CRC (flag clear, field zero) still decodes:
   // rejecting it is the NetMerger's integrity check, not the codec's.

@@ -1,9 +1,11 @@
-// The page-backed segment buffer NetMerger reassembles fetched chunks in.
+// The page-backed segment buffer NetMerger reassembles fetched chunks in,
+// and the pool that recycles its mappings.
 #include "jbs/segment_buffer.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -17,8 +19,16 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t salt) {
   return out;
 }
 
+/// A buffer on a fresh mapping of its own: a pool with no budget keeps
+/// nothing, so the buffer unmaps when it is dropped.
+StatusOr<std::unique_ptr<SegmentBuffer>> Map(uint64_t capacity) {
+  return std::make_shared<SegmentPool>(/*budget_bytes=*/0)->Acquire(capacity);
+}
+
+uint64_t Page() { return static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)); }
+
 TEST(SegmentBufferTest, AppendsUpToCapacity) {
-  auto buffer = SegmentBuffer::Create(10000);
+  auto buffer = Map(10000);
   ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
   const auto a = Pattern(4000, 1);
   const auto b = Pattern(6000, 2);
@@ -33,7 +43,7 @@ TEST(SegmentBufferTest, AppendsUpToCapacity) {
 }
 
 TEST(SegmentBufferTest, OverrunIsRejectedWithoutWriting) {
-  auto buffer = SegmentBuffer::Create(100);
+  auto buffer = Map(100);
   ASSERT_TRUE(buffer.ok());
   ASSERT_TRUE((*buffer)->Append(Pattern(60, 3)).ok());
   // The mapping has a whole page of room, but the segment ends at 100.
@@ -47,7 +57,7 @@ TEST(SegmentBufferTest, OverrunIsRejectedWithoutWriting) {
 
 TEST(SegmentBufferTest, ZeroLengthSegmentMapsNothing) {
   const uint64_t live_before = LiveSegmentMappedBytes();
-  auto buffer = SegmentBuffer::Create(0);
+  auto buffer = Map(0);
   ASSERT_TRUE(buffer.ok());
   EXPECT_EQ(LiveSegmentMappedBytes(), live_before);
   EXPECT_EQ((*buffer)->size(), 0u);
@@ -57,27 +67,162 @@ TEST(SegmentBufferTest, ZeroLengthSegmentMapsNothing) {
 }
 
 TEST(SegmentBufferTest, HugeSizeIsResourceExhausted) {
+  // A forged size fails before anything is mapped, so it can neither
+  // enter nor pin the pool.
+  auto pool = std::make_shared<SegmentPool>();
+  const uint64_t live_before = LiveSegmentMappedBytes();
   for (const uint64_t size :
        {uint64_t{1} << 62, std::numeric_limits<uint64_t>::max()}) {
-    const uint64_t live_before = LiveSegmentMappedBytes();
-    auto buffer = SegmentBuffer::Create(size);
+    auto buffer = pool->Acquire(size);
     ASSERT_FALSE(buffer.ok()) << size;
     EXPECT_EQ(buffer.status().code(), StatusCode::kResourceExhausted)
         << buffer.status().ToString();
     EXPECT_EQ(LiveSegmentMappedBytes(), live_before);
   }
+  EXPECT_EQ(pool->live_bytes(), 0u);
+  EXPECT_EQ(pool->pooled_bytes(), 0u);
+  EXPECT_TRUE(pool->Acquire(Page()).ok());
 }
 
 TEST(SegmentBufferTest, LiveMappedBytesCountsWholePages) {
   const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
   const uint64_t live_before = LiveSegmentMappedBytes();
   {
-    auto one = SegmentBuffer::Create(1);
-    auto two = SegmentBuffer::Create(page + 1);
+    auto one = Map(1);
+    auto two = Map(page + 1);
     ASSERT_TRUE(one.ok() && two.ok());
     EXPECT_EQ(LiveSegmentMappedBytes(), live_before + 3 * page);
   }
   EXPECT_EQ(LiveSegmentMappedBytes(), live_before);
+}
+
+TEST(SegmentBufferTest, CommitExposesSpareBytesOnlyWhenCommitted) {
+  auto buffer = Map(3000);
+  ASSERT_TRUE(buffer.ok());
+  ASSERT_TRUE((*buffer)->Append(Pattern(1000, 8)).ok());
+  std::span<uint8_t> spare = (*buffer)->spare();
+  ASSERT_EQ(spare.size(), 2000u);
+  const auto placed = Pattern(1500, 9);
+  std::copy(placed.begin(), placed.end(), spare.begin());
+  EXPECT_EQ((*buffer)->size(), 1000u);  // written, not yet committed
+  ASSERT_TRUE((*buffer)->Commit(placed.size()).ok());
+  EXPECT_EQ((*buffer)->size(), 2500u);
+  const auto bytes = (*buffer)->bytes();
+  EXPECT_TRUE(std::equal(placed.begin(), placed.end(), bytes.begin() + 1000));
+  EXPECT_EQ((*buffer)->Commit(501).code(), StatusCode::kInternal);
+  EXPECT_EQ((*buffer)->size(), 2500u);
+  EXPECT_TRUE((*buffer)->Commit(500).ok());
+  EXPECT_TRUE((*buffer)->spare().empty());
+}
+
+TEST(SegmentPoolTest, SamePageRoundedSizeReusesTheMapping) {
+  auto pool = std::make_shared<SegmentPool>();
+  const uint64_t live_before = LiveSegmentMappedBytes();
+  const uint8_t* first = nullptr;
+  {
+    auto buffer = pool->Acquire(3 * Page() - 10);
+    ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
+    first = (*buffer)->spare().data();
+    EXPECT_EQ(pool->live_bytes(), 3 * Page());
+    EXPECT_EQ(LiveSegmentMappedBytes(), live_before + 3 * Page());
+  }
+  // Freed into the pool, not unmapped.
+  EXPECT_EQ(pool->live_bytes(), 0u);
+  EXPECT_EQ(pool->pooled_bytes(), 3 * Page());
+  EXPECT_EQ(LiveSegmentMappedBytes(), live_before);
+  auto again = pool->Acquire(2 * Page() + 1);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->spare().data(), first);
+  EXPECT_EQ((*again)->capacity(), 2 * Page() + 1);
+  EXPECT_EQ(pool->pooled_bytes(), 0u);
+  EXPECT_EQ(pool->live_bytes(), 3 * Page());
+}
+
+TEST(SegmentPoolTest, SlackBeyondTwiceTheRequestMapsFresh) {
+  auto pool = std::make_shared<SegmentPool>();
+  const uint8_t* big = nullptr;
+  {
+    auto buffer = pool->Acquire(4 * Page());
+    ASSERT_TRUE(buffer.ok());
+    big = (*buffer)->spare().data();
+  }
+  {
+    // One page would pin four: not a fit.
+    auto small = pool->Acquire(Page());
+    ASSERT_TRUE(small.ok());
+    EXPECT_NE((*small)->spare().data(), big);
+    EXPECT_EQ(pool->pooled_bytes(), 4 * Page());
+  }
+  auto fits = pool->Acquire(2 * Page());  // 4 <= 2 x 2 pages
+  ASSERT_TRUE(fits.ok());
+  EXPECT_EQ((*fits)->spare().data(), big);
+}
+
+TEST(SegmentPoolTest, ReusedBufferShowsOnlyItsOwnBytes) {
+  auto pool = std::make_shared<SegmentPool>();
+  const auto stale = Pattern(8000, 10);
+  {
+    auto buffer = pool->Acquire(stale.size());
+    ASSERT_TRUE(buffer.ok());
+    ASSERT_TRUE((*buffer)->Append(stale).ok());
+  }
+  auto buffer = pool->Acquire(stale.size());
+  ASSERT_TRUE(buffer.ok());
+  EXPECT_EQ(pool->pooled_bytes(), 0u);  // the same mapping came back
+  EXPECT_EQ((*buffer)->size(), 0u);
+  EXPECT_TRUE((*buffer)->bytes().empty());
+  const auto fresh = Pattern(100, 11);
+  ASSERT_TRUE((*buffer)->Append(fresh).ok());
+  const auto bytes = (*buffer)->bytes();
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()), fresh);
+}
+
+TEST(SegmentPoolTest, FreePastTheBudgetUnmaps) {
+  auto pool = std::make_shared<SegmentPool>(/*budget_bytes=*/2 * Page());
+  const uint64_t live_before = LiveSegmentMappedBytes();
+  const uint64_t pooled_before = PooledSegmentMappedBytes();
+  {
+    auto a = pool->Acquire(Page());
+    auto b = pool->Acquire(Page());
+    auto c = pool->Acquire(Page());
+    auto huge = pool->Acquire(3 * Page());  // alone exceeds the budget
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok() && huge.ok());
+    EXPECT_EQ(pool->live_bytes(), 6 * Page());
+  }
+  EXPECT_EQ(pool->pooled_bytes(), 2 * Page());
+  EXPECT_EQ(PooledSegmentMappedBytes(), pooled_before + 2 * Page());
+  EXPECT_EQ(LiveSegmentMappedBytes(), live_before);
+  EXPECT_EQ(pool->live_bytes(), 0u);
+}
+
+TEST(SegmentPoolTest, CloseUnmapsIdleAndLaterFrees) {
+  const uint64_t live_before = LiveSegmentMappedBytes();
+  const uint64_t pooled_before = PooledSegmentMappedBytes();
+  auto pool = std::make_shared<SegmentPool>();
+  ASSERT_TRUE(pool->Acquire(Page()).ok());  // dropped at once: pooled
+  auto held = pool->Acquire(5 * Page());
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(PooledSegmentMappedBytes(), pooled_before + Page());
+  pool->Close();
+  EXPECT_EQ(pool->pooled_bytes(), 0u);
+  EXPECT_EQ(PooledSegmentMappedBytes(), pooled_before);
+  // The owner lets go of the pool while a buffer is still out: the buffer
+  // keeps it alive, and its free unmaps because the pool is closed.
+  pool.reset();
+  ASSERT_TRUE((*held)->Append(Pattern(5 * Page(), 12)).ok());
+  held->reset();
+  EXPECT_EQ(LiveSegmentMappedBytes(), live_before);
+  EXPECT_EQ(PooledSegmentMappedBytes(), pooled_before);
+}
+
+TEST(SegmentPoolTest, DestroyedPoolReturnsItsIdlePages) {
+  const uint64_t pooled_before = PooledSegmentMappedBytes();
+  {
+    auto pool = std::make_shared<SegmentPool>();
+    ASSERT_TRUE(pool->Acquire(2 * Page()).ok());
+    EXPECT_EQ(PooledSegmentMappedBytes(), pooled_before + 2 * Page());
+  }
+  EXPECT_EQ(PooledSegmentMappedBytes(), pooled_before);
 }
 
 }  // namespace

@@ -78,6 +78,46 @@ TEST_F(FaultInjectionTest, ChaosCorruptionFlipsExactlyOneBit) {
   EXPECT_EQ(flaky_->chaos_corruptions(), 1);
 }
 
+TEST_F(FaultInjectionTest, ChaosCorruptionReachesPlacedBytes) {
+  // A frame received in place keeps most of its bytes in caller storage:
+  // the flip must be able to land there, or chaos would stop covering the
+  // placed receive path.
+  constexpr int kOps = 16;
+  flaky_->SetChaosSchedule({ChaosPhase{.ops = kOps, .corrupt_prob = 1.0}}, 77);
+  auto conn = flaky_->Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(conn.ok());
+  Frame f;
+  f.type = 1;
+  f.payload.resize(4 + 4096);
+  for (size_t i = 0; i < f.payload.size(); ++i) {
+    f.payload[i] = static_cast<uint8_t>(i * 13);
+  }
+  int in_placed = 0;
+  for (int op = 0; op < kOps; ++op) {
+    ASSERT_TRUE((*conn)->Send(f).ok());
+    std::vector<uint8_t> storage(4096);
+    auto reply = (*conn)->ReceivePlaced(
+        4, [&](uint8_t, std::span<const uint8_t>, size_t) {
+          return std::span<uint8_t>(storage);
+        },
+        Deadline());
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply->ext.data(), storage.data());
+    int head_bits = 0;
+    int placed_bits = 0;
+    for (size_t i = 0; i < 4; ++i) {
+      head_bits += __builtin_popcount(reply->payload[i] ^ f.payload[i]);
+    }
+    for (size_t i = 0; i < storage.size(); ++i) {
+      placed_bits += __builtin_popcount(storage[i] ^ f.payload[4 + i]);
+    }
+    EXPECT_EQ(head_bits + placed_bits, 1) << "op " << op;
+    in_placed += placed_bits;
+  }
+  EXPECT_EQ(flaky_->chaos_corruptions(), kOps);
+  EXPECT_GT(in_placed, 0);
+}
+
 TEST_F(FaultInjectionTest, ChaosScheduleExhaustsPhaseThenGoesClean) {
   flaky_->SetChaosSchedule({ChaosPhase{.ops = 2, .corrupt_prob = 1.0}}, 7);
   auto conn = flaky_->Connect("127.0.0.1", server_->port());

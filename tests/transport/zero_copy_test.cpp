@@ -1,5 +1,6 @@
 // Zero-copy serve path (DESIGN.md §13): vectored partial writes, buffer
-// ownership handoff, and the inbound frame cap.
+// ownership handoff, and the inbound frame cap; and its receive-side
+// twin, frames received in place into caller storage.
 #include <gtest/gtest.h>
 
 #include <pthread.h>
@@ -16,6 +17,7 @@
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
 #include "common/framing.h"
+#include "transport/fault_injection.h"
 #include "transport/rdma_transport.h"
 #include "transport/socket_util.h"
 #include "transport/transport.h"
@@ -505,6 +507,128 @@ TEST(FrameCapTest, RdmaReceiverKillsOversizedMessage) {
   EXPECT_EQ(frames.load(), 0);
   (*server)->Stop();
 }
+
+// ---- Receive in place: a frame's tail lands in caller storage -----------
+
+/// Echo server on one transport family: "tcp", "rdma", or "faults" (the
+/// fault injector over TCP with no fault armed, forwarding placement).
+class PlacedReceiveTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == "rdma") {
+      inner_ = MakeSoftRdmaTransport();
+    } else {
+      inner_ = MakeTcpTransport();
+    }
+    client_ = inner_.get();
+    if (GetParam() == "faults") {
+      faults_ = std::make_unique<FaultInjectingTransport>(inner_.get());
+      client_ = faults_.get();
+    }
+    auto server = inner_->CreateServer();
+    ASSERT_TRUE(server.ok());
+    server_ = std::move(*server);
+    ServerEndpoint::Handlers handlers;
+    handlers.on_frame = [this](ConnId conn, Frame frame) {
+      (void)server_->SendAsync(conn, std::move(frame));
+    };
+    ASSERT_TRUE(server_->Start(handlers).ok());
+    auto conn = client_->Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(conn.ok());
+    conn_ = std::move(*conn);
+  }
+  void TearDown() override {
+    conn_.reset();
+    if (server_) server_->Stop();
+  }
+
+  /// Echoes a frame carrying `payload` and receives the echo with a
+  /// 32-byte head, asking `place` where the rest goes.
+  StatusOr<Frame> EchoPlaced(const std::vector<uint8_t>& payload,
+                             const Connection::Placement& place) {
+    Frame frame;
+    frame.type = 9;
+    frame.payload = payload;
+    JBS_RETURN_IF_ERROR(conn_->Send(frame));
+    return conn_->ReceivePlaced(32, place,
+                                Deadline::After(std::chrono::seconds(5)));
+  }
+
+  std::unique_ptr<Transport> inner_;
+  std::unique_ptr<FaultInjectingTransport> faults_;
+  Transport* client_ = nullptr;
+  std::unique_ptr<ServerEndpoint> server_;
+  std::unique_ptr<Connection> conn_;
+};
+
+TEST_P(PlacedReceiveTest, TailLandsInCallerStorage) {
+  const std::vector<uint8_t> payload = Pattern(32 + 5000, 21);
+  std::vector<uint8_t> storage(5000);
+  int calls = 0;
+  auto got = EchoPlaced(payload, [&](uint8_t type,
+                                     std::span<const uint8_t> head,
+                                     size_t tail_len) {
+    ++calls;
+    EXPECT_EQ(type, 9);
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), payload.begin()));
+    EXPECT_EQ(head.size(), 32u);
+    EXPECT_EQ(tail_len, 5000u);
+    return std::span<uint8_t>(storage);
+  });
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(got->type, 9);
+  EXPECT_EQ(got->payload,
+            std::vector<uint8_t>(payload.begin(), payload.begin() + 32));
+  EXPECT_EQ(got->ext.data(), storage.data());
+  EXPECT_EQ(got->ext.size(), storage.size());
+  EXPECT_EQ(got->lease, nullptr);
+  EXPECT_TRUE(std::equal(storage.begin(), storage.end(), payload.begin() + 32));
+  EXPECT_EQ(got->payload_size(), payload.size());
+
+  // The stream stays in step: the next frame arrives whole and owned.
+  Frame next;
+  next.type = 3;
+  next.payload = Pattern(700, 22);
+  ASSERT_TRUE(conn_->Send(next).ok());
+  auto owned = conn_->Receive(Deadline::After(std::chrono::seconds(5)));
+  ASSERT_TRUE(owned.ok());
+  EXPECT_EQ(owned->payload, next.payload);
+  EXPECT_TRUE(owned->ext.empty());
+}
+
+TEST_P(PlacedReceiveTest, DeclinedOrMisSizedPlacementArrivesOwned) {
+  const std::vector<uint8_t> payload = Pattern(32 + 900, 23);
+  for (const size_t offered : {size_t{0}, size_t{899}, size_t{900} + 1}) {
+    std::vector<uint8_t> room(offered);
+    auto got = EchoPlaced(payload, [&](uint8_t, std::span<const uint8_t>,
+                                       size_t) {
+      return std::span<uint8_t>(room);
+    });
+    ASSERT_TRUE(got.ok()) << offered;
+    EXPECT_EQ(got->payload, payload) << offered;
+    EXPECT_TRUE(got->ext.empty()) << offered;
+  }
+}
+
+TEST_P(PlacedReceiveTest, FrameNoLongerThanTheHeadIsNeverPlaced) {
+  for (const size_t size : {size_t{0}, size_t{20}, size_t{32}}) {
+    const std::vector<uint8_t> payload = Pattern(size, 24);
+    bool asked = false;
+    auto got = EchoPlaced(payload, [&](uint8_t, std::span<const uint8_t>,
+                                       size_t) {
+      asked = true;
+      return std::span<uint8_t>();
+    });
+    ASSERT_TRUE(got.ok()) << size;
+    EXPECT_FALSE(asked) << size;
+    EXPECT_EQ(got->payload, payload) << size;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, PlacedReceiveTest,
+                         ::testing::Values("tcp", "rdma", "faults"),
+                         [](const auto& param) { return param.param; });
 
 }  // namespace
 }  // namespace jbs::net
