@@ -14,64 +14,29 @@
 //   MutexLock lock(mu_);
 //   while (!closed_ && items_.empty()) cv_.Wait(lock);
 //
-// Under JBS_DEADLOCK_DETECT=ON (the `deadlock` preset) every acquisition
-// and release additionally reports to the runtime lock-order detector
-// (common/deadlock.h) with the call site captured via
-// __builtin_FILE/__builtin_LINE default arguments, and the process aborts
-// with both sites on the first observed lock-order inversion. With the
-// option off (the default) the JBS_DL_* hooks below expand to nothing and
-// these wrappers compile to exactly the bare std primitives.
+// Lock order is checked twice over: statically by the jbs-lock-order
+// clang check (DESIGN.md §17) and at runtime by ThreadSanitizer, which
+// sees straight through these wrappers to the std primitives and reports
+// any lock-order inversion, including a CondVar wait's reacquire under a
+// nested lock (tests/common/tsan_lock_order_probe.cpp).
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 
-#include "common/deadlock.h"
 #include "common/thread_annotations.h"
-
-#if defined(JBS_DEADLOCK_DETECT_ENABLED)
-#define JBS_DL_SITE \
-  const char* jbs_dl_file = __builtin_FILE(), int jbs_dl_line = __builtin_LINE()
-#define JBS_DL_SITE_TAIL \
-  , const char* jbs_dl_file = __builtin_FILE(), int jbs_dl_line = __builtin_LINE()
-#define JBS_DL_FWD jbs_dl_file, jbs_dl_line
-#define JBS_DL_ACQUIRED(mu) ::jbs::deadlock::OnAcquire((mu), jbs_dl_file, jbs_dl_line)
-#define JBS_DL_RELEASED(mu) ::jbs::deadlock::OnRelease((mu))
-#else
-#define JBS_DL_SITE
-#define JBS_DL_SITE_TAIL
-#define JBS_DL_FWD
-#define JBS_DL_ACQUIRED(mu) ((void)0)
-#define JBS_DL_RELEASED(mu) ((void)0)
-#endif
 
 namespace jbs {
 
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-#if defined(JBS_DEADLOCK_DETECT_ENABLED)
-  // Retire this address from the order graph so a later Mutex allocated
-  // at the same spot cannot inherit stale edges.
-  ~Mutex() { ::jbs::deadlock::OnDestroy(this); }
-#endif
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock(JBS_DL_SITE) ACQUIRE() {
-    mu_.lock();
-    JBS_DL_ACQUIRED(this);
-  }
-  void Unlock() RELEASE() {
-    JBS_DL_RELEASED(this);
-    mu_.unlock();
-  }
-  bool TryLock(JBS_DL_SITE) TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    JBS_DL_ACQUIRED(this);
-    return true;
-  }
+  void Lock() ACQUIRE() { mu_.lock(); }
+  void Unlock() RELEASE() { mu_.unlock(); }
 
  private:
   friend class CondVar;
@@ -83,9 +48,7 @@ class CAPABILITY("mutex") Mutex {
 /// or to run a callback); the destructor releases only if still held.
 class SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu JBS_DL_SITE_TAIL) ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock(JBS_DL_FWD);
-  }
+  explicit MutexLock(Mutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
   ~MutexLock() RELEASE() {
     if (held_) mu_.Unlock();
   }
@@ -96,8 +59,8 @@ class SCOPED_CAPABILITY MutexLock {
     mu_.Unlock();
     held_ = false;
   }
-  void Lock(JBS_DL_SITE) ACQUIRE() {
-    mu_.Lock(JBS_DL_FWD);
+  void Lock() ACQUIRE() {
+    mu_.Lock();
     held_ = true;
   }
 
@@ -117,40 +80,17 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  // Waits tell the lock-order detector about the hidden release/reacquire
-  // pair: the wait releases the mutex from wherever it sits in this
-  // thread's held stack (waits under a nested lock release out of LIFO
-  // order) and the post-wakeup reacquire is a fresh acquisition, re-checked
-  // against everything still held — the inversion class a pure
-  // lock/unlock tracer misses.
-  JBS_BLOCKING void Wait(MutexLock& lock JBS_DL_SITE_TAIL) {
+  JBS_BLOCKING void Wait(MutexLock& lock) {
     std::unique_lock<std::mutex> native(lock.mu_.mu_, std::adopt_lock);
-    JBS_DL_RELEASED(&lock.mu_);
     cv_.wait(native);
-    JBS_DL_ACQUIRED(&lock.mu_);
     native.release();
   }
 
   template <typename Clock, typename Duration>
   JBS_BLOCKING std::cv_status WaitUntil(
-      MutexLock& lock,
-      const std::chrono::time_point<Clock, Duration>& when JBS_DL_SITE_TAIL) {
+      MutexLock& lock, const std::chrono::time_point<Clock, Duration>& when) {
     std::unique_lock<std::mutex> native(lock.mu_.mu_, std::adopt_lock);
-    JBS_DL_RELEASED(&lock.mu_);
     const std::cv_status status = cv_.wait_until(native, when);
-    JBS_DL_ACQUIRED(&lock.mu_);
-    native.release();
-    return status;
-  }
-
-  template <typename Rep, typename Period>
-  JBS_BLOCKING std::cv_status WaitFor(
-      MutexLock& lock,
-      const std::chrono::duration<Rep, Period>& timeout JBS_DL_SITE_TAIL) {
-    std::unique_lock<std::mutex> native(lock.mu_.mu_, std::adopt_lock);
-    JBS_DL_RELEASED(&lock.mu_);
-    const std::cv_status status = cv_.wait_for(native, timeout);
-    JBS_DL_ACQUIRED(&lock.mu_);
     native.release();
     return status;
   }
