@@ -1,10 +1,12 @@
 // google-benchmark micro benches for the hot data-plane components: IFile
-// encode/decode, varints, CRC32, k-way merge, framing, buffer pool, the
-// map-side collector and reduce-side segment fill. These guard the
-// real-mode code paths' costs.
+// encode/decode, varints, CRC32, the wire codec, k-way merge, framing,
+// buffer pool, the map-side collector and reduce-side segment fill. These
+// guard the real-mode code paths' costs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
@@ -47,31 +49,73 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(128 << 10)->Arg(1 << 20);
 
-void BM_CompressShuffleSegment(benchmark::State& state) {
-  // A realistic sorted-segment payload (shared key prefixes).
-  std::vector<uint8_t> input;
-  for (int i = 0; i < 20000; ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "user_event_%08d\tcount=1\n", i);
-    const auto* p = reinterpret_cast<const uint8_t*>(buf);
-    input.insert(input.end(), p, p + 24);
+// The wire codec's inputs: one 128 KiB chunk (the default chunk size)
+// shaped like perfbench's zipf_compress segments, sorted 10-byte random
+// keys with values of zipf-drawn words, and one of random bytes, which
+// the supplier's bail-out gives up on.
+constexpr size_t kCodecChunkBytes = 128 * 1024;
+
+std::vector<uint8_t> ZipfChunk() {
+  static const char* const kVocab[] = {
+      "clickstream", "impression", "session", "checkout", "pageview",
+      "search",      "basket",     "login",   "logout",   "refund",
+      "cart",        "banner",     "referrer", "campaign", "mobile",
+      "desktop"};
+  Rng rng(1);
+  std::vector<mr::Record> records(1000);
+  for (mr::Record& record : records) {
+    record.key.resize(10);
+    for (char& c : record.key) c = static_cast<char>(' ' + rng.Below(95));
+    while (record.value.size() < 150) {
+      record.value += kVocab[rng.NextZipf(std::size(kVocab), 1.2) - 1];
+      record.value += ' ';
+    }
   }
+  std::sort(records.begin(), records.end(),
+            [](const mr::Record& a, const mr::Record& b) {
+              return a.key < b.key;
+            });
+  mr::IFileWriter writer;
+  for (const mr::Record& record : records) writer.Append(record);
+  std::vector<uint8_t> chunk = writer.Finish();
+  chunk.resize(kCodecChunkBytes);
+  return chunk;
+}
+
+std::vector<uint8_t> RandomChunk() {
+  std::vector<uint8_t> chunk(kCodecChunkBytes);
+  Rng rng(2);
+  for (auto& b : chunk) b = static_cast<uint8_t>(rng.Next());
+  return chunk;
+}
+
+void BM_CompressZipfChunk(benchmark::State& state) {
+  const auto input = ZipfChunk();
+  size_t stream = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Compress(input));
+    stream = Compress(input).size();
+    benchmark::DoNotOptimize(stream);
+  }
+  state.counters["wire_ratio"] =
+      static_cast<double>(stream) / static_cast<double>(input.size());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_CompressZipfChunk);
+
+void BM_CompressRandomChunkBailout(benchmark::State& state) {
+  // The supplier's call: give up once the stream passes 90% of the chunk.
+  const auto input = RandomChunk();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CompressWithin(input, input.size() * 9 / 10));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(input.size()));
 }
-BENCHMARK(BM_CompressShuffleSegment);
+BENCHMARK(BM_CompressRandomChunkBailout);
 
-void BM_DecompressShuffleSegment(benchmark::State& state) {
-  std::vector<uint8_t> input;
-  for (int i = 0; i < 20000; ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "user_event_%08d\tcount=1\n", i);
-    const auto* p = reinterpret_cast<const uint8_t*>(buf);
-    input.insert(input.end(), p, p + 24);
-  }
+void BM_DecompressZipfChunk(benchmark::State& state) {
+  const auto input = ZipfChunk();
   const auto compressed = Compress(input);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Decompress(compressed));
@@ -79,7 +123,21 @@ void BM_DecompressShuffleSegment(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(input.size()));
 }
-BENCHMARK(BM_DecompressShuffleSegment);
+BENCHMARK(BM_DecompressZipfChunk);
+
+void BM_DecompressIntoZipfChunk(benchmark::State& state) {
+  // The reducer's call: decode into an exact-size room, as into the last
+  // chunk of a segment's mapping.
+  const auto input = ZipfChunk();
+  const auto compressed = Compress(input);
+  std::vector<uint8_t> dst(input.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecompressInto(compressed, dst));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_DecompressIntoZipfChunk);
 
 void BM_IFileWrite(benchmark::State& state) {
   const std::string key = "benchmark_key_0123";

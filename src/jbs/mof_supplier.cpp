@@ -530,12 +530,17 @@ bool MofSupplier::WireCompressEligible(const PendingRequest& pending,
 bool MofSupplier::EncodeCompressed(FetchDataHeader header,
                                    std::span<const uint8_t> data,
                                    ReadyReply* ready) {
-  auto payload = std::make_shared<const std::vector<uint8_t>>(Compress(data));
-  if (static_cast<double>(payload->size()) >
-      static_cast<double>(data.size()) * kWireCompressMinRatio) {
+  // The encoder gives up as soon as its output passes the ratio, so an
+  // incompressible chunk costs a partial pass, not a whole one.
+  auto packed = CompressWithin(
+      data, static_cast<size_t>(static_cast<double>(data.size()) *
+                                kWireCompressMinRatio));
+  if (!packed) {
     compress_bailouts_c_->Increment();
     return false;
   }
+  auto payload =
+      std::make_shared<const std::vector<uint8_t>>(std::move(*packed));
   // kChunkCompressed must be in `flags` before the CRC fold — the flag is
   // header-covered so a stripped flag (which would make the client merge
   // compressed bytes as data) is detected as corruption.
@@ -545,8 +550,9 @@ bool MofSupplier::EncodeCompressed(FetchDataHeader header,
   compress_ratio_h_->Observe(static_cast<double>(data.size()) /
                              static_cast<double>(payload->size()));
   ready->wire = payload->size();
-  // The compressed vector is the frame's lease: it stays alive until the
-  // transport has put its last byte on the wire.
+  // The compressed vector, sized to the stream exactly, is the frame's
+  // lease: it stays alive until the transport has put its last byte on
+  // the wire.
   const std::span<const uint8_t> view{payload->data(), payload->size()};
   ready->frame = EncodeDataZeroCopy(header, view, std::move(payload));
   return true;

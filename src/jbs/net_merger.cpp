@@ -762,15 +762,26 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
       return Internal("segment_total changed mid-segment");
     }
     fetched.compressed = (header->flags & kSegmentCompressed) != 0;
-    // Wire compression: the CRC above covered the compressed payload, so
-    // a damaged chunk was already rejected without paying for this
-    // decompress. Offsets stay in logical coordinates — only the payload
-    // shrank — so the stride/window bookkeeping below never notices.
+    // The server must honor our max_len ask and the segment bound in
+    // logical bytes, raw or compressed; a violation is a protocol breach,
+    // not line noise, so it is not retried as corruption. Append and
+    // Commit refuse to run past segment_total.
     const bool wire_compressed = (header->flags & kChunkCompressed) != 0;
-    std::vector<uint8_t> decoded;
-    std::span<const uint8_t> logical = data;
+    uint64_t logical = data.size();
     if (wire_compressed) {
-      auto raw = Decompress(data);
+      // Wire compression: the CRC above covered the compressed payload,
+      // so a damaged chunk was already rejected without paying for this
+      // decompress. The chunk decodes straight into the segment's spare
+      // bytes. Offsets stay in logical coordinates — only the payload
+      // shrank — so the stride/window bookkeeping below never notices.
+      const std::span<uint8_t> spare = fetched.buffer->spare();
+      auto raw = DecompressInto(
+          data, spare.first(std::min<uint64_t>(spare.size(),
+                                               options_.chunk_size)));
+      if (raw.status().code() == StatusCode::kResourceExhausted) {
+        return Internal("compressed chunk overruns the requested max_len "
+                        "or the segment: " + raw.status().message());
+      }
       if (!raw.ok()) {
         chunks_corrupt_c_->Increment();
         trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
@@ -780,31 +791,25 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
                        std::to_string(header->offset) + ": " +
                        raw.status().message());
       }
-      decoded = std::move(raw).value();
-      logical = decoded;
-    }
-    // The server must honor our max_len ask and the segment bound in
-    // logical bytes, raw or compressed; a violation is a protocol breach,
-    // not line noise, so it is not retried as corruption. Append and
-    // Commit refuse to run past segment_total.
-    if (logical.size() > options_.chunk_size) {
-      return Internal("chunk of " + std::to_string(logical.size()) +
+      logical = *raw;
+    } else if (logical > options_.chunk_size) {
+      return Internal("chunk of " + std::to_string(logical) +
                       " bytes exceeds the requested max_len");
     }
-    // Verified: a chunk received in place already sits at the buffer's
-    // end and only needs committing; any other is copied there.
-    if (!reply->ext.empty() && !wire_compressed) {
-      JBS_RETURN_IF_ERROR(fetched.buffer->Commit(logical.size()));
+    // Verified: a chunk received or decoded in place already sits at the
+    // buffer's end and only needs committing; any other is copied there.
+    if (wire_compressed || !reply->ext.empty()) {
+      JBS_RETURN_IF_ERROR(fetched.buffer->Commit(logical));
     } else {
-      JBS_RETURN_IF_ERROR(fetched.buffer->Append(logical));
-      local_copied += logical.size();
+      JBS_RETURN_IF_ERROR(fetched.buffer->Append(data));
+      local_copied += logical;
     }
     if (wire_compressed) chunks_compressed_c_->Increment();
     ++local_chunks;
-    local_bytes += logical.size();
+    local_bytes += logical;
     trace_->Record(task.fetch_id, TraceEvent::kChunkReceived,
-                   static_cast<int64_t>(logical.size()));
-    return logical.size();
+                   static_cast<int64_t>(logical));
+    return logical;
   };
 
   // First chunk alone: it establishes segment_total (which sizes the

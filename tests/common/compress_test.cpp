@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <string>
+#include <thread>
 
 #include "common/bytes.h"
+#include "common/compress_internal.h"
 #include "common/rng.h"
 
 namespace jbs {
@@ -12,6 +20,97 @@ namespace {
 
 std::vector<uint8_t> Bytes(const std::string& s) {
   return {s.begin(), s.end()};
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// The plaintexts behind the checked-in streams of the byte-at-a-time
+/// encoder (testdata/compress_v1/README.md).
+const char* const kV1Cases[] = {"text", "rle", "noise", "zipf"};
+
+std::vector<uint8_t> V1File(const std::string& name, const char* ext) {
+  return ReadFile(std::string(JBS_COMPRESS_V1_DIR) + "/" + name + ext);
+}
+
+/// The byte-at-a-time decode loop of the codec's first decoder, kept as
+/// the reference an un-upgraded peer runs. Returns nullopt on any
+/// malformed stream.
+std::optional<std::vector<uint8_t>> ReferenceDecode(
+    std::span<const uint8_t> input) {
+  if (input.size() < 2 || input[0] != 'J' || input[1] != 1) {
+    return std::nullopt;
+  }
+  size_t offset = 2;
+  auto raw_size = GetVarint64(input, &offset);
+  if (!raw_size || *raw_size < 0) return std::nullopt;
+  const auto claimed = static_cast<size_t>(*raw_size);
+  std::vector<uint8_t> out;
+  while (offset < input.size()) {
+    const uint8_t control = input[offset++];
+    if ((control & 0x80) == 0) {
+      const size_t run = static_cast<size_t>(control) + 1;
+      if (offset + run > input.size()) return std::nullopt;
+      if (out.size() + run > claimed) return std::nullopt;
+      out.insert(out.end(), input.begin() + static_cast<ptrdiff_t>(offset),
+                 input.begin() + static_cast<ptrdiff_t>(offset + run));
+      offset += run;
+    } else {
+      if (offset + 2 > input.size()) return std::nullopt;
+      const size_t length = static_cast<size_t>(control & 0x7F) + 4;
+      const size_t distance = static_cast<size_t>(input[offset]) |
+                              (static_cast<size_t>(input[offset + 1]) << 8);
+      offset += 2;
+      if (distance == 0 || distance > out.size()) return std::nullopt;
+      if (out.size() + length > claimed) return std::nullopt;
+      const size_t from = out.size() - distance;
+      for (size_t i = 0; i < length; ++i) out.push_back(out[from + i]);
+    }
+  }
+  if (out.size() != claimed) return std::nullopt;
+  return out;
+}
+
+/// A stream header (magic, version, varint raw size) for hand-built
+/// token streams.
+std::vector<uint8_t> Header(size_t raw_size) {
+  std::vector<uint8_t> stream = {'J', 0x01};
+  PutVarint64(stream, static_cast<int64_t>(raw_size));
+  return stream;
+}
+
+/// Compresses `input` on a thread of its own, whose match table starts
+/// empty: what any thread's Compress must return for it.
+std::vector<uint8_t> CompressOnFreshThread(std::span<const uint8_t> input) {
+  std::vector<uint8_t> out;
+  std::thread([&] { out = Compress(input); }).join();
+  return out;
+}
+
+/// perfbench's zipf_compress shape: sorted 10-byte random keys, values of
+/// zipf-drawn words.
+std::vector<uint8_t> ZipfText(uint64_t seed, size_t bytes) {
+  static const char* const kWords[] = {"clickstream", "impression", "session",
+                                       "checkout",    "pageview",   "search",
+                                       "basket",      "login"};
+  Rng rng(seed);
+  std::vector<uint8_t> out;
+  while (out.size() < bytes) {
+    for (int i = 0; i < 10; ++i) {
+      out.push_back(static_cast<uint8_t>(' ' + rng.Below(95)));
+    }
+    for (int w = 0; w < 12; ++w) {
+      const std::string word = kWords[rng.NextZipf(8, 1.2) - 1];
+      out.insert(out.end(), word.begin(), word.end());
+      out.push_back(' ');
+    }
+  }
+  out.resize(bytes);
+  return out;
 }
 
 TEST(CompressTest, EmptyInput) {
@@ -221,6 +320,250 @@ TEST(CompressTest, SortedShuffleSegmentShrinks) {
   }
   auto compressed = Compress(input);
   EXPECT_LT(compressed.size(), input.size() / 2);
+}
+
+TEST(CompressTest, DecodesStreamsOfTheByteAtATimeEncoder) {
+  // The token format is unchanged, so streams the first encoder made (an
+  // un-upgraded supplier's chunks, MOFs written before the rewrite) must
+  // decode byte for byte through both entry points.
+  for (const char* name : kV1Cases) {
+    SCOPED_TRACE(name);
+    const auto raw = V1File(name, ".raw");
+    const auto stream = V1File(name, ".jz");
+    ASSERT_FALSE(raw.empty());
+    auto restored = Decompress(stream);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(*restored, raw);
+    std::vector<uint8_t> dst(raw.size());
+    auto size = DecompressInto(stream, dst);
+    ASSERT_TRUE(size.ok()) << size.status().ToString();
+    EXPECT_EQ(*size, raw.size());
+    EXPECT_EQ(dst, raw);
+  }
+}
+
+TEST(CompressTest, ReferenceDecoderReadsNewStreams) {
+  // The other direction: an un-upgraded peer decodes with the first
+  // decoder's loop, which must accept every stream the new encoder makes.
+  std::vector<std::vector<uint8_t>> inputs;
+  for (const char* name : kV1Cases) inputs.push_back(V1File(name, ".raw"));
+  inputs.push_back({});
+  inputs.push_back(Bytes("abcd"));
+  inputs.push_back(Bytes("aaaaa"));
+  inputs.push_back(std::vector<uint8_t>(100000, 'A'));
+  inputs.push_back(ZipfText(3, 300000));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto stream = Compress(inputs[i]);
+    const auto decoded = ReferenceDecode(stream);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, inputs[i]);
+  }
+}
+
+TEST(CompressTest, ZipfChunkShrinksAsMuchAsWithTheFirstEncoder) {
+  // The rewrite trades no ratio for speed: within 5% of the first
+  // encoder's stream on the workload the wire codec is for.
+  const auto raw = V1File("zipf", ".raw");
+  const auto v1 = V1File("zipf", ".jz");
+  EXPECT_LE(static_cast<double>(Compress(raw).size()),
+            1.05 * static_cast<double>(v1.size()));
+}
+
+TEST(CompressTest, StaleTableEntriesNeverBecomeMatches) {
+  // One thread's table outlives its calls. A long A, then a shorter B
+  // made of A's bytes, then a longer C: whatever A and B left in the
+  // table, each call must produce exactly what a fresh table does.
+  const std::vector<uint8_t> a = ZipfText(11, 40000);
+  const std::vector<uint8_t> b(a.begin() + 1000, a.begin() + 9000);
+  const std::vector<uint8_t> c = [&] {
+    auto longer = ZipfText(12, 70000);
+    longer.insert(longer.begin() + 500, a.begin(), a.begin() + 20000);
+    return longer;
+  }();
+  for (const auto* input : {&a, &b, &c}) {
+    const auto stream = Compress(*input);
+    EXPECT_EQ(stream, CompressOnFreshThread(*input));
+    auto restored = Decompress(stream);
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(*restored, *input);
+  }
+}
+
+TEST(CompressTest, FourThreadsCompressAtOnce) {
+  // Each thread owns its table; run under TSan this checks they share
+  // nothing.
+  std::vector<std::vector<uint8_t>> inputs;
+  std::vector<std::vector<uint8_t>> expected;
+  for (uint64_t t = 0; t < 4; ++t) {
+    inputs.push_back(ZipfText(100 + t, 50000 + 7000 * t));
+    expected.push_back(CompressOnFreshThread(inputs.back()));
+  }
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        // Alternate inputs so every call follows a different one.
+        const size_t i = (t + static_cast<size_t>(round)) % 4;
+        const auto stream = Compress(inputs[i]);
+        auto restored = Decompress(stream);
+        if (stream != expected[i] || !restored.ok() ||
+            *restored != inputs[i]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
+TEST(CompressTest, GenerationBaseWrapZeroesTheTable) {
+  // A compresses with small bases. Jumping the base to just below 2^32
+  // stands in for 4 GiB of later calls that left A's entries in place;
+  // B (A's bytes again) must wrap the base, zero the table and match
+  // nothing of A's.
+  std::thread([] {
+    const auto a = ZipfText(21, 30000);
+    const auto first = Compress(a);
+    const uint32_t after_a = internal::MatchTableBase();
+    EXPECT_LT(after_a, uint32_t{1} << 20);
+    internal::SetMatchTableBase(std::numeric_limits<uint32_t>::max() - 10);
+    const auto again = Compress(a);
+    EXPECT_EQ(internal::MatchTableBase(), after_a)
+        << "the base did not start over";
+    EXPECT_EQ(again, first);
+    auto restored = Decompress(again);
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(*restored, a);
+    // Without a wrap, a later base moves on and the table stays valid.
+    const auto third = Compress(a);
+    EXPECT_EQ(third, first);
+    EXPECT_GT(internal::MatchTableBase(), after_a);
+  }).join();
+}
+
+TEST(CompressTest, CompressWithinStopsAtTheCap) {
+  const auto input = ZipfText(31, 128 * 1024);
+  const auto stream = Compress(input);
+  auto exact = CompressWithin(input, stream.size());
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(*exact, stream);
+  EXPECT_EQ(exact->capacity(), stream.size()) << "not an exact-size vector";
+  EXPECT_FALSE(CompressWithin(input, stream.size() - 1).has_value());
+  EXPECT_FALSE(CompressWithin(input, 0).has_value());
+  // A stream that ends in literals the search never reaches.
+  auto tail = input;
+  tail.insert(tail.end(), {0x01, 0x02, 0x03});
+  const auto tail_stream = Compress(tail);
+  EXPECT_FALSE(CompressWithin(tail, tail_stream.size() - 1).has_value());
+  EXPECT_EQ(CompressWithin(tail, tail_stream.size()), tail_stream);
+  // Noise never shrinks to 90%: the cap gives it up.
+  Rng rng(5);
+  std::vector<uint8_t> noise(128 * 1024);
+  for (auto& b : noise) b = static_cast<uint8_t>(rng.Next());
+  EXPECT_FALSE(CompressWithin(noise, noise.size() * 9 / 10).has_value());
+  auto uncapped = CompressWithin(noise, noise.size() * 2);
+  ASSERT_TRUE(uncapped.has_value());
+  EXPECT_EQ(*uncapped, Compress(noise));
+}
+
+TEST(CompressTest, DecompressIntoExactSizeDestination) {
+  const auto input = ZipfText(41, 20000);
+  const auto stream = Compress(input);
+  // Heap-allocated to the byte, so ASan sees any write past the end.
+  std::unique_ptr<uint8_t[]> dst(new uint8_t[input.size()]);
+  auto size = DecompressInto(stream, {dst.get(), input.size()});
+  ASSERT_TRUE(size.ok()) << size.status().ToString();
+  ASSERT_EQ(*size, input.size());
+  EXPECT_EQ(std::memcmp(dst.get(), input.data(), input.size()), 0);
+}
+
+TEST(CompressTest, DecompressIntoShortDestinationWritesNothing) {
+  const auto input = ZipfText(42, 20000);
+  const auto stream = Compress(input);
+  std::unique_ptr<uint8_t[]> exact_short(new uint8_t[input.size() - 1]);
+  auto size = DecompressInto(stream, {exact_short.get(), input.size() - 1});
+  ASSERT_FALSE(size.ok());
+  EXPECT_EQ(size.status().code(), StatusCode::kResourceExhausted)
+      << size.status().ToString();
+  // The same call inside a larger buffer: not one byte changes.
+  std::vector<uint8_t> buffer(input.size() + 64, 0xEE);
+  size = DecompressInto(stream, std::span(buffer).first(input.size() - 1));
+  ASSERT_FALSE(size.ok());
+  EXPECT_EQ(buffer, std::vector<uint8_t>(input.size() + 64, 0xEE));
+}
+
+TEST(CompressTest, OverlappingMatchesAtEveryShortDistance) {
+  // A literal run of `distance` bytes, then matches that reach back into
+  // their own output. Decoded exactly, with and without room for wild
+  // copies after the end, they must equal the reference decoder's bytes.
+  for (size_t distance = 1; distance <= 17; ++distance) {
+    for (const size_t length : {size_t{4}, size_t{15}, size_t{16},
+                                size_t{17}, size_t{100}, size_t{131}}) {
+      SCOPED_TRACE(::testing::Message() << "distance " << distance
+                                        << " length " << length);
+      std::vector<uint8_t> tokens;
+      tokens.push_back(static_cast<uint8_t>(distance - 1));
+      for (size_t i = 0; i < distance; ++i) {
+        tokens.push_back(static_cast<uint8_t>('a' + i));
+      }
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        tokens.push_back(static_cast<uint8_t>(0x80 | (length - 4)));
+        tokens.push_back(static_cast<uint8_t>(distance));
+        tokens.push_back(0);
+      }
+      const size_t raw_size = distance + 3 * length;
+      auto stream = Header(raw_size);
+      stream.insert(stream.end(), tokens.begin(), tokens.end());
+      const auto expected = ReferenceDecode(stream);
+      ASSERT_TRUE(expected.has_value());
+      std::vector<uint8_t> exact(raw_size);
+      auto size = DecompressInto(stream, exact);
+      ASSERT_TRUE(size.ok()) << size.status().ToString();
+      EXPECT_EQ(exact, *expected);
+      std::vector<uint8_t> roomy(raw_size + 256);
+      size = DecompressInto(stream, roomy);
+      ASSERT_TRUE(size.ok()) << size.status().ToString();
+      EXPECT_EQ(*size, raw_size);
+      roomy.resize(raw_size);
+      EXPECT_EQ(roomy, *expected);
+      auto restored = Decompress(stream);
+      ASSERT_TRUE(restored.ok());
+      EXPECT_EQ(*restored, *expected);
+    }
+  }
+}
+
+TEST(CompressTest, DecompressIntoRejectsForgedRawSizes) {
+  const auto input = Bytes("forged forged forged forged forged size");
+  const auto stream = Compress(input);
+  size_t offset = 2;
+  ASSERT_TRUE(GetVarint64(stream, &offset).has_value());
+  const std::span<const uint8_t> tokens =
+      std::span(stream).subspan(offset);
+  for (const size_t claim : {input.size() - 1, input.size() + 1,
+                             input.size() + 200}) {
+    SCOPED_TRACE(claim);
+    auto forged = Header(claim);
+    forged.insert(forged.end(), tokens.begin(), tokens.end());
+    std::vector<uint8_t> dst(1024);
+    auto size = DecompressInto(forged, dst);
+    ASSERT_FALSE(size.ok());
+    EXPECT_EQ(size.status().code(), StatusCode::kIoError)
+        << size.status().ToString();
+    EXPECT_FALSE(Decompress(forged).ok());
+  }
+  // A claim no token stream of this length can back is refused before
+  // the destination is even considered.
+  auto huge = Header(size_t{1} << 40);
+  huge.insert(huge.end(), tokens.begin(), tokens.end());
+  std::vector<uint8_t> dst(1024);
+  auto size = DecompressInto(huge, dst);
+  ASSERT_FALSE(size.ok());
+  EXPECT_NE(size.status().message().find("implausible"), std::string::npos)
+      << size.status().ToString();
 }
 
 }  // namespace

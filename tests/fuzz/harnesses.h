@@ -31,8 +31,9 @@ int FuzzProtocol(const uint8_t* data, size_t size);
 int FuzzIfile(const uint8_t* data, size_t size);
 
 /// LZSS codec: Decompress on arbitrary bytes (must fail cleanly — no
-/// crash, no forged-raw_size allocation bomb) plus Compress→Decompress
-/// round-trip identity on the same bytes.
+/// crash, no forged-raw_size allocation bomb), DecompressInto agreeing
+/// with it into exact, one-byte-short and roomy destinations, plus
+/// Compress→Decompress round-trip identity on the same bytes.
 int FuzzCompress(const uint8_t* data, size_t size);
 
 }  // namespace jbs::fuzz

@@ -354,5 +354,47 @@ TEST_F(WireCompressTest, MergerDecompressesEndToEnd) {
   plain->Stop();
 }
 
+TEST_F(WireCompressTest, MultiChunkFetchDecodesIntoTheSegmentWithoutCopies) {
+  // Every chunk, a segment's first one included, decodes straight into
+  // the segment's mapping: no byte is copied into it.
+  MofSupplier* supplier = MakeSupplier();
+  auto handle = MakeCompressibleMof(0, 1, 200);
+  ASSERT_TRUE(supplier->PublishMof(handle).ok());
+  const std::vector<uint8_t> expected = DiskSegment(handle, 0);
+
+  NetMerger::Options options;
+  options.transport = transport_.get();
+  options.chunk_size = 1500;
+  NetMerger merger(options);
+  auto stream =
+      merger.FetchAndMerge(0, {{0, 0, "127.0.0.1", supplier->port()}});
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  mr::IFileReader reader(expected);
+  mr::Record want;
+  mr::Record got;
+  uint64_t records = 0;
+  while (reader.Next(&want)) {
+    ASSERT_TRUE((*stream)->Next(&got));
+    EXPECT_EQ(got.key, want.key);
+    EXPECT_EQ(got.value, want.value);
+    ++records;
+  }
+  EXPECT_FALSE((*stream)->Next(&got));
+  EXPECT_TRUE((*stream)->status().ok());
+  EXPECT_EQ(records, 200u);
+
+  const NetMerger::MergerStats stats = merger.merger_stats();
+  EXPECT_GE(stats.chunks, expected.size() / 1500);
+  EXPECT_EQ(stats.chunks_compressed, stats.chunks);
+  EXPECT_EQ(stats.bytes_fetched, expected.size());
+  EXPECT_EQ(stats.bytes_copied, 0u);
+  const std::string series =
+      "jbs_netmerger_bytes_copied_total{client=\"netmerger\"} 0\n";
+  const std::string text = merger.metrics().DumpText();
+  EXPECT_NE(text.find(series), std::string::npos) << text;
+  merger.Stop();
+  supplier->Stop();
+}
+
 }  // namespace
 }  // namespace jbs::shuffle
