@@ -114,10 +114,16 @@ RunStats RunOnce(const RunConfig& config, net::Transport& transport,
         sources.push_back({static_cast<int>(m), 0, "127.0.0.1",
                            supplier.port()});
       }
-      // FetchAndMerge returns once every segment is in memory; the wall
-      // clock measures the serve path, not the downstream record merge.
+      // FetchAndMerge returns once every segment's first chunk is in;
+      // the drain waits for the rest before Stop() could cancel it. The
+      // merge runs while the chunks arrive, so the wall clock still
+      // tracks the serve path.
       auto stream = merger.FetchAndMerge(partition, sources);
       if (!stream.ok()) std::abort();
+      mr::Record record;
+      while ((*stream)->Next(&record)) {
+      }
+      if (!(*stream)->status().ok()) std::abort();
       merger.Stop();
     });
   }

@@ -170,11 +170,20 @@ double SweepThroughputMBs(bool pipelined, int prefetch_threads,
         sources.push_back(
             {static_cast<int>(m), 0, "127.0.0.1", supplier.port()});
       }
+      // The stream is drained before Stop(): FetchAndMerge returns with
+      // the first chunks in, and Stop() would cancel the rest.
       auto stream = merger.FetchAndMerge(partition, sources);
-      if (!stream.ok()) {
+      Status status = stream.status();
+      if (stream.ok()) {
+        mr::Record record;
+        while ((*stream)->Next(&record)) {
+        }
+        status = (*stream)->status();
+      }
+      if (!status.ok()) {
         MutexLock lock(fetch_err_mu);
         fetch_err = "FetchAndMerge(partition " + std::to_string(partition) +
-                    "): " + stream.status().ToString();
+                    "): " + status.ToString();
       }
       merger.Stop();
     });

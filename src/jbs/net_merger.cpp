@@ -1,6 +1,7 @@
 #include "jbs/net_merger.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "common/bytes.h"
@@ -50,6 +51,127 @@ bool IsPushback(const Status& status) {
 }
 
 }  // namespace
+
+/// One segment's fetch as its reader sees it. The data thread lands,
+/// publishes and ends it; the reader waits on it. The writer signals only
+/// when a reader waits.
+class NetMerger::SegmentFetch {
+ public:
+  /// The first chunk has committed: keeps `buffer` for the opener.
+  void Land(std::shared_ptr<SegmentBuffer> buffer, bool compressed)
+      EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    landed_ = std::move(buffer);
+    compressed_ = compressed;
+  }
+  /// Wakes a reader waiting for bytes, after a Commit.
+  void Published() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (reader_waiting_) cv_.NotifyAll();
+  }
+  /// Final: wakes the reader with `status`. A failed fetch also drops the
+  /// segment it landed, if no one has opened it.
+  void End(const Status& status) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    ended_ = true;
+    status_ = status;
+    if (!status.ok()) landed_.reset();
+    cv_.NotifyAll();
+  }
+  /// Hands the landed segment to its opener: null when the fetch failed
+  /// after landing.
+  std::shared_ptr<SegmentBuffer> TakeLanded(bool* compressed) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    *compressed = compressed_;
+    return std::move(landed_);
+  }
+  Status status() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return status_;
+  }
+  /// The reader is gone: no more requests for this segment.
+  void Abandon() { abandoned_.store(true, std::memory_order_relaxed); }
+  bool abandoned() const { return abandoned_.load(std::memory_order_relaxed); }
+
+  Status AwaitMore(const SegmentBuffer& buffer, uint64_t have) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (buffer.size() <= have && !ended_) {
+      reader_waiting_ = true;
+      cv_.Wait(lock);
+    }
+    reader_waiting_ = false;
+    if (buffer.size() > have) return Status::Ok();
+    return status_.ok() ? Internal("segment ended at " + std::to_string(have) +
+                                   " of " + std::to_string(buffer.capacity()) +
+                                   " bytes")
+                        : status_;
+  }
+  Status AwaitEnd() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (!ended_) {
+      reader_waiting_ = true;
+      cv_.Wait(lock);
+    }
+    reader_waiting_ = false;
+    return status_;
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  std::shared_ptr<SegmentBuffer> landed_ GUARDED_BY(mu_);
+  bool compressed_ GUARDED_BY(mu_) = false;
+  bool reader_waiting_ GUARDED_BY(mu_) = false;
+  bool ended_ GUARDED_BY(mu_) = false;
+  Status status_ GUARDED_BY(mu_);
+  std::atomic<bool> abandoned_{false};
+};
+
+/// A merge stream's input: the segment's mapping, read while the fetch
+/// fills it. Dropping it abandons the fetch.
+class NetMerger::ArrivingFetch final : public mr::ArrivingSegment {
+ public:
+  ArrivingFetch(std::shared_ptr<SegmentFetch> fetch,
+                std::shared_ptr<SegmentBuffer> buffer)
+      : fetch_(std::move(fetch)), buffer_(std::move(buffer)) {}
+  ~ArrivingFetch() override { fetch_->Abandon(); }
+
+  uint64_t total() const override { return buffer_->capacity(); }
+  std::span<const uint8_t> arrived() const override {
+    return buffer_->bytes();
+  }
+  Status AwaitMore(uint64_t have) override {
+    return fetch_->AwaitMore(*buffer_, have);
+  }
+  Status AwaitEnd() override { return fetch_->AwaitEnd(); }
+
+ private:
+  std::shared_ptr<SegmentFetch> fetch_;
+  std::shared_ptr<SegmentBuffer> buffer_;
+};
+
+struct NetMerger::Slot {
+  enum class State { kActive, kFailed, kEnded };
+  explicit Slot(FetchTask claimed)
+      : task(std::move(claimed)), next_send(committed()) {}
+
+  FetchTask task;
+  State state = State::kActive;
+  Status failure;             // what failed the slot this round
+  bool terminal = false;      // the failure ends the segment outright
+  uint32_t busy_hint_ms = 0;  // retry-after of a kErrorBusy reply
+  uint64_t next_send = 0;     // offset of the next request
+  uint64_t stride = 0;        // reply size, from this round's first reply
+  int in_flight = 0;
+
+  uint64_t committed() const {
+    return task.buffer == nullptr ? 0 : task.buffer->size();
+  }
+  bool Names(int32_t map_task, int32_t partition) const {
+    return state != State::kEnded && task.source.map_task == map_task &&
+           task.partition == partition;
+  }
+};
 
 NetMerger::NetMerger(Options options)
     : options_(options),
@@ -162,7 +284,7 @@ void NetMerger::Stop() {
   // its connection dies.
   for (auto& [node, queue] : orphans) {
     for (FetchTask& task : queue) {
-      CompleteTask(task, Unavailable("NetMerger stopped"));
+      EndTask(task, Unavailable("NetMerger stopped"));
     }
     SetQueueDepth(node, 0);
   }
@@ -256,12 +378,15 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
 
   auto context = std::make_shared<CallContext>();
   {
-    // Not yet shared with any worker, but `remaining` is guarded and this
+    // Not yet shared with any worker, but the counts are guarded and this
     // is nowhere near a hot path: take the lock rather than carve out an
     // escape hatch.
     MutexLock context_lock(context->mu);
-    context->remaining = unique.size();
+    context->unlanded = unique.size();
+    context->outstanding = unique.size();
   }
+  std::vector<std::shared_ptr<SegmentFetch>> fetches;
+  fetches.reserve(unique.size());
   {
     MutexLock lock(sched_mu_);
     if (stopping_) return Unavailable("NetMerger stopped");
@@ -275,7 +400,9 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
       task.partition = partition;
       task.fetch_id = fetch_id;
       task.context = context;
+      task.fetch = std::make_shared<SegmentFetch>();
       task.alternates = replica.alternates;
+      fetches.push_back(task.fetch);
       // Initial routing: prefer the first replica not currently serving a
       // penalty sentence. If every copy is boxed, queue on the primary and
       // let the scheduler wait out the earliest release.
@@ -295,37 +422,164 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
   }
   work_cv_.NotifyAll();
 
-  MutexLock lock(context->mu);
-  while (context->remaining != 0) context->done_cv.Wait(lock);
-  if (!context->error.ok()) {
-    // Release the segments that did arrive now, not when the last data
-    // thread drops its copy of the context.
-    context->segments.clear();
-    return context->error;
-  }
-
-  // Network-levitated merge: all segments live in memory and are merged in
-  // place; each stream holds its segment's mapping.
-  std::vector<std::unique_ptr<mr::RecordStream>> streams;
-  streams.reserve(unique.size());
-  for (const Replica& replica : unique) {
-    auto it = context->segments.find(replica.primary.map_task);
-    if (it == context->segments.end()) {
-      return Internal("segment missing for map " +
-                      std::to_string(replica.primary.map_task));
+  Status failed;
+  {
+    MutexLock lock(context->mu);
+    while (context->error.ok() && context->unlanded != 0) {
+      context->cv.Wait(lock);
     }
-    std::shared_ptr<SegmentBuffer> buffer = std::move(it->second.buffer);
-    const std::span<const uint8_t> bytes = buffer->bytes();
-    auto stream =
-        mr::OpenSegment(bytes, std::move(buffer), it->second.compressed);
-    JBS_RETURN_IF_ERROR(stream.status());
+    failed = context->error;
+  }
+  // Network-levitated merge: every segment is merged in place from its
+  // mapping, while the data threads keep filling it.
+  std::vector<std::unique_ptr<mr::RecordStream>> streams;
+  streams.reserve(fetches.size());
+  for (size_t i = 0; i < fetches.size() && failed.ok(); ++i) {
+    auto stream = OpenLanded(fetches[i]);
+    if (!stream.ok()) {
+      failed = stream.status();
+      break;
+    }
     streams.push_back(std::move(stream).value());
+  }
+  if (!failed.ok()) {
+    streams.clear();
+    AbandonCall(context, fetches);
+    return failed;
   }
   return std::unique_ptr<mr::RecordStream>(
       std::make_unique<mr::KWayMerger>(std::move(streams)));
 }
 
-bool NetMerger::NextTask(std::string* node, FetchTask* task) {
+StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::OpenLanded(
+    const std::shared_ptr<SegmentFetch>& fetch) {
+  bool compressed = false;
+  std::shared_ptr<SegmentBuffer> buffer = fetch->TakeLanded(&compressed);
+  if (buffer == nullptr) return fetch->status();  // failed after landing
+  auto arriving = std::make_shared<ArrivingFetch>(fetch, buffer);
+  // A raw segment that begins with the codec's magic is told from a
+  // mislabeled compressed one by its trailer checksum, so it is read
+  // whole, as is a MOF-compressed segment, which decompresses in one
+  // piece.
+  const uint64_t head = std::min<uint64_t>(buffer->capacity(), 2);
+  while (!compressed && buffer->size() < head) {
+    JBS_RETURN_IF_ERROR(arriving->AwaitMore(buffer->size()));
+  }
+  if (compressed || LooksCompressed(buffer->bytes().first(head))) {
+    JBS_RETURN_IF_ERROR(arriving->AwaitEnd());
+    const std::span<const uint8_t> bytes = buffer->bytes();
+    return mr::OpenSegment(bytes, std::move(buffer), compressed);
+  }
+  return std::unique_ptr<mr::RecordStream>(
+      std::make_unique<mr::SegmentStream>(std::move(arriving)));
+}
+
+void NetMerger::AbandonCall(
+    const std::shared_ptr<CallContext>& context,
+    const std::vector<std::shared_ptr<SegmentFetch>>& fetches) {
+  for (const auto& fetch : fetches) fetch->Abandon();
+  // Tasks no data thread has claimed end here; the claimed ones end once
+  // their in-flight replies are in.
+  std::vector<FetchTask> queued;
+  {
+    MutexLock lock(sched_mu_);
+    for (auto it = node_queues_.begin(); it != node_queues_.end();) {
+      auto& queue = it->second;
+      for (auto qit = queue.begin(); qit != queue.end();) {
+        if (qit->context != context) {
+          ++qit;
+          continue;
+        }
+        queued.push_back(std::move(*qit));
+        qit = queue.erase(qit);
+      }
+      SetQueueDepth(it->first, queue.size());
+      it = queue.empty() ? node_queues_.erase(it) : std::next(it);
+    }
+  }
+  for (FetchTask& task : queued) {
+    EndTask(task, Cancelled("FetchAndMerge failed"));
+  }
+  {
+    MutexLock lock(context->mu);
+    while (context->outstanding != 0) context->cv.Wait(lock);
+  }
+  // Segments that landed whole are still held for an opener that is not
+  // coming: release their mappings now.
+  bool compressed = false;
+  for (const auto& fetch : fetches) (void)fetch->TakeLanded(&compressed);
+}
+
+bool NetMerger::OtherNodeWaiting(const std::string& node) {
+  for (const auto& [key, queue] : node_queues_) {
+    if (key != node && !queue.empty() && !busy_nodes_.contains(key) &&
+        !health_->penalized(key)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void NetMerger::TakeQueued(const std::string& node,
+                           const std::vector<Slot>& held, size_t limit,
+                           std::vector<FetchTask>* tasks) {
+  auto it = node_queues_.find(node);
+  if (it == node_queues_.end()) return;
+  auto& queue = it->second;
+  // One conversation never holds two fetches of one (map, partition): its
+  // replies could not tell them apart. A duplicate waits for the next.
+  const auto named = [&](const FetchTask& task) {
+    const auto same = [&](int map_task, int partition) {
+      return map_task == task.source.map_task && partition == task.partition;
+    };
+    return std::any_of(held.begin(), held.end(),
+                       [&](const Slot& slot) {
+                         return same(slot.task.source.map_task,
+                                     slot.task.partition);
+                       }) ||
+           std::any_of(tasks->begin(), tasks->end(),
+                       [&](const FetchTask& other) {
+                         return same(other.source.map_task, other.partition);
+                       });
+  };
+  for (auto qit = queue.begin(); qit != queue.end() && limit > 0;) {
+    if (named(*qit)) {
+      ++qit;
+      continue;
+    }
+    // One deadline budgets the whole fetch, so it arms on the first
+    // claim; the latency clock restarts on every node.
+    if (!qit->deadline_armed) {
+      qit->deadline = net::Deadline::AfterMs(options_.fetch_deadline_ms);
+      qit->deadline_armed = true;
+    }
+    if (qit->started == std::chrono::steady_clock::time_point{}) {
+      qit->started = std::chrono::steady_clock::now();
+    }
+    tasks->push_back(std::move(*qit));
+    qit = queue.erase(qit);
+    --limit;
+  }
+  SetQueueDepth(node, queue.size());
+  // Erase drained queues: otherwise node_queues_ keeps one tombstone
+  // entry per remote node ever fetched from for the job's lifetime.
+  if (queue.empty()) node_queues_.erase(it);
+}
+
+void NetMerger::JoinQueued(const std::string& node, std::vector<Slot>* slots) {
+  if (!options_.consolidate) return;
+  std::vector<FetchTask> joined;
+  {
+    MutexLock lock(sched_mu_);
+    if (stopping_ || !node_queues_.contains(node) || OtherNodeWaiting(node)) {
+      return;
+    }
+    TakeQueued(node, *slots, SIZE_MAX, &joined);
+  }
+  for (FetchTask& task : joined) slots->emplace_back(std::move(task));
+}
+
+bool NetMerger::NextTasks(std::string* node, std::vector<FetchTask>* tasks) {
   MutexLock lock(sched_mu_);
   for (;;) {
     if (stopping_) return false;
@@ -367,8 +621,8 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
       for (auto& [rerouted, alt_index] : moved) Reroute(rerouted, alt_index);
     }
     // Candidate nodes: nonempty queue, not currently serviced by another
-    // data thread (one in-flight conversation per connection), not in the
-    // penalty box.
+    // data thread (one conversation per connection), not in the penalty
+    // box.
     bool skipped_penalized = false;
     auto claimable = [&](const std::string& key,
                          const std::deque<FetchTask>& queue) {
@@ -379,18 +633,14 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
       }
       return true;
     };
-    auto take_from = [&](const std::string& key,
-                         std::deque<FetchTask>& queue) {
-      *node = key;
-      *task = std::move(queue.front());
-      queue.pop_front();
-      busy_nodes_.insert(key);
-      if (options_.round_robin) rr_last_ = key;
-      SetQueueDepth(key, queue.size());
-      // Erase drained queues: otherwise node_queues_ keeps one tombstone
-      // entry per remote node ever fetched from for the job's lifetime.
-      // (*node is the surviving copy; `key` dangles after the erase.)
-      if (queue.empty()) node_queues_.erase(*node);
+    auto take_from = [&](const std::string& key) {
+      *node = key;  // `key` may dangle once TakeQueued erases the queue
+      // A lone node's whole queue goes into one conversation; while other
+      // nodes wait, one task per claim keeps the injection policy's order.
+      const bool whole = options_.consolidate && !OtherNodeWaiting(*node);
+      TakeQueued(*node, {}, whole ? SIZE_MAX : 1, tasks);
+      busy_nodes_.insert(*node);
+      if (options_.round_robin) rr_last_ = *node;
       return true;
     };
     if (options_.round_robin && !node_queues_.empty()) {
@@ -399,7 +649,7 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
       for (size_t i = 0; i < node_queues_.size(); ++i) {
         if (start == node_queues_.end()) start = node_queues_.begin();
         if (claimable(start->first, start->second)) {
-          return take_from(start->first, start->second);
+          return take_from(start->first);
         }
         ++start;
       }
@@ -407,7 +657,7 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
       // FIFO-by-key-order (the unbalanced policy JBS replaces).
       for (auto& [key, queue] : node_queues_) {
         if (claimable(key, queue)) {
-          return take_from(key, queue);
+          return take_from(key);
         }
       }
     }
@@ -427,17 +677,15 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
 
 void NetMerger::WorkerLoop() {
   std::string node;
-  FetchTask task;
+  std::vector<FetchTask> tasks;
   std::string last_node;
-  while (NextTask(&node, &task)) {
+  while (NextTasks(&node, &tasks)) {
     if (node != last_node && !last_node.empty()) {
       node_switches_c_->Increment();
     }
     last_node = node;
-    ExecuteTask(node, std::move(task));
-    // Drop the shared context before blocking in NextTask again, so the
-    // FetchAndMerge caller is the last owner once all segments land.
-    task = FetchTask{};
+    Converse(node, std::move(tasks));
+    tasks.clear();
     {
       MutexLock lock(sched_mu_);
       busy_nodes_.erase(node);
@@ -501,125 +749,437 @@ Status NetMerger::SendHello(net::Connection& conn,
   return conn.Send(EncodeHello(hello), deadline);
 }
 
-void NetMerger::ExecuteTask(const std::string& node, FetchTask task) {
+void NetMerger::Converse(const std::string& node,
+                         std::vector<FetchTask> tasks) {
   // Transient fetch failures (dropped connection, refused dial, blown
   // chunk deadline, corrupt chunk) are retried with capped jittered
   // backoff, re-dialing each time — a fetch failure must not fail the
-  // ReduceTask the way a map-side fault would. One deadline budgets the
-  // whole fetch — retries and replica failovers included — so a silent
-  // peer costs bounded time, not attempts × timeout × replicas.
-  if (!task.deadline_armed) {
-    task.deadline = net::Deadline::AfterMs(options_.fetch_deadline_ms);
-    task.deadline_armed = true;
-  }
-  const net::Deadline fetch_deadline = task.deadline;
-  const auto fetch_start = std::chrono::steady_clock::now();
-  int attempts_used = 0;
-  int attempt = 0;            // transient-failure attempts consumed
-  int pushbacks_honored = 0;  // kErrorBusy budget consumed — separate ledger
-  bool dialed_ok = false;
-  StatusOr<FetchedSegment> result = Unavailable("not fetched");
-  uint32_t busy_hint_ms = 0;
+  // ReduceTask the way a map-side fault would. One deadline budgets each
+  // fetch — retries and replica failovers included — so a silent peer
+  // costs bounded time, not attempts × timeout × replicas.
+  const std::string host = tasks.front().source.host;
+  const uint16_t port = tasks.front().source.port;
+  std::vector<Slot> slots;
+  slots.reserve(tasks.size());
+  for (FetchTask& task : tasks) slots.emplace_back(std::move(task));
+  const auto end_all = [&](const Status& status) {
+    for (Slot& slot : slots) {
+      if (slot.state != Slot::State::kEnded) FinishTask(slot.task, status);
+    }
+    slots.clear();
+  };
   for (;;) {
-    attempts_used = attempt + 1;
-    dialed_ok = false;
-    busy_hint_ms = 0;
-    if (cancelled_.load()) {
-      result = Unavailable("NetMerger stopped");
-      break;
+    JoinQueued(node, &slots);
+    if (cancelled_.load()) return end_all(Unavailable("NetMerger stopped"));
+    net::Deadline soonest;
+    for (Slot& slot : slots) {
+      FetchTask& task = slot.task;
+      if (task.fetch->abandoned()) {
+        EndTask(task, Cancelled("merge stream dropped"));
+        slot.state = Slot::State::kEnded;
+        continue;
+      }
+      if (task.deadline.expired()) {
+        deadline_expiries_c_->Increment();
+        FinishTask(task, DeadlineExceeded("fetch deadline exhausted for map " +
+                                          std::to_string(task.source.map_task)));
+        slot.state = Slot::State::kEnded;
+        continue;
+      }
+      slot.state = Slot::State::kActive;
+      slot.failure = Status::Ok();
+      slot.terminal = false;
+      slot.busy_hint_ms = 0;
+      soonest = net::Deadline::Sooner(soonest, task.deadline);
     }
-    if (fetch_deadline.expired()) {
-      deadline_expiries_c_->Increment();
-      result = DeadlineExceeded("fetch deadline exhausted for map " +
-                                std::to_string(task.source.map_task));
-      break;
-    }
+    std::erase_if(slots, [](const Slot& slot) {
+      return slot.state == Slot::State::kEnded;
+    });
+    if (slots.empty()) return;
+
     const net::Deadline dial_deadline = net::Deadline::Sooner(
-        fetch_deadline, net::Deadline::AfterMs(options_.connect_timeout_ms));
+        soonest, net::Deadline::AfterMs(options_.connect_timeout_ms));
     bool dialed = false;
-    auto conn = connections_.GetOrConnect(task.source.host, task.source.port,
-                                          dial_deadline, &dialed);
+    auto conn = connections_.GetOrConnect(host, port, dial_deadline, &dialed);
     // The manager is the sole authority on whether this lookup opened a
     // connection; counting here (not from the manager's miss counter)
     // keeps one increment per dial.
     if (dialed) connections_opened_c_->Increment();
+    Status round;
     if (conn.ok()) {
-      dialed_ok = true;
-      trace_->Record(task.fetch_id, TraceEvent::kDialed, attempt + 1);
+      for (const Slot& slot : slots) {
+        trace_->Record(slot.task.fetch_id, TraceEvent::kDialed,
+                       slot.task.attempts + 1);
+      }
       // The capability hello goes out once per connection, not per
-      // fetch — a cache hit reuses a socket the server already knows.
-      Status hello_st =
-          dialed ? SendHello(**conn, dial_deadline) : Status::Ok();
-      result = hello_st.ok()
-                   ? FetchSegment(**conn, task, fetch_deadline, &busy_hint_ms)
-                   : StatusOr<FetchedSegment>(hello_st);
-      // A failed conversation leaves the socket mid-stream, so drop it. The
-      // consolidate=false ablation (Hadoop-style) drops it after every
-      // fetch, so each fetch dials fresh; busy_nodes_ keeps one
-      // conversation per host:port, so the cached entry is this one.
-      if (!result.ok() || !options_.consolidate) {
-        connections_.Invalidate(task.source.host, task.source.port);
-      }
+      // conversation — a cache hit reuses a socket the server knows.
+      round = dialed ? SendHello(**conn, dial_deadline) : Status::Ok();
+      if (round.ok()) round = RunRound(**conn, node, slots);
     } else {
-      result = conn.status();
+      round = conn.status();
     }
-    if (result.ok()) break;
-    if (cancelled_.load()) break;
-    if (IsPushback(result.status())) {
-      // Server pushback (DESIGN.md §16): the supplier shed this request
-      // under admission control. No attempt is consumed and no health
-      // bookkeeping runs — the node is healthy, just saturated. Honor the
-      // retry-after hint (jittered) against the pushback budget.
-      pushback_c_->Increment();
-      if (pushbacks_honored >= options_.pushback_retry_budget) break;
-      ++pushbacks_honored;
-      trace_->Record(task.fetch_id, TraceEvent::kRetry, attempt);
-      if (!SleepInterruptible(PushbackDelayMs(busy_hint_ms, fetch_deadline))) {
-        result = Unavailable("NetMerger stopped");
-        break;
+    bool any_failed = !round.ok();
+    for (Slot& slot : slots) {
+      // A transport failure is every unfinished segment's failure.
+      if (!round.ok() && slot.state == Slot::State::kActive) {
+        slot.state = Slot::State::kFailed;
+        slot.failure = round;
       }
-      continue;
+      any_failed |= slot.state == Slot::State::kFailed;
     }
-    // Permanent errors (the server answered with kFetchError) don't heal
-    // with retries of the same node — but a replica might hold the MOF, so
-    // they still fail over below.
-    if (IsPermanentFetchError(result.status())) break;
-    // Health bookkeeping: every transient attempt failure counts against
-    // the node. A fresh penalty sentence also evicts the cached connection
-    // so the first fetch after release re-dials instead of inheriting a
-    // wedged socket.
-    if (health_->RecordFailure(node,
-                               ClassifyFailure(result.status(), dialed_ok))) {
-      connections_.Invalidate(task.source.host, task.source.port);
+    // A failed round may leave the socket mid-stream, so drop it. The
+    // consolidate=false ablation (Hadoop-style) drops it after every
+    // round, so each fetch dials fresh; busy_nodes_ keeps one conversation
+    // per host:port, so the cached entry is this one.
+    if (conn.ok() && (any_failed || !options_.consolidate)) {
+      connections_.Invalidate(host, port);
     }
-    ++attempt;
-    if (attempt >= options_.max_fetch_attempts) break;
-    fetch_retries_c_->Increment();
-    trace_->Record(task.fetch_id, TraceEvent::kRetry, attempt);
+    if (cancelled_.load()) return end_all(Unavailable("NetMerger stopped"));
+    // Health bookkeeping: a transport failure counts once against the
+    // node, a failure a reply names once per segment. A fresh penalty
+    // sentence also evicts the cached connection so the first fetch after
+    // release re-dials instead of inheriting a wedged socket.
+    if (!round.ok() &&
+        health_->RecordFailure(node, ClassifyFailure(round, conn.ok()))) {
+      connections_.Invalidate(host, port);
+    }
+    int64_t delay_ms = 0;
+    for (Slot& slot : slots) {
+      if (slot.state != Slot::State::kFailed) continue;
+      FetchTask& task = slot.task;
+      const Status why = slot.failure;
+      const auto fail_over_or_finish = [&] {
+        if (!TryFailover(task, why)) FinishTask(task, why);
+        slot.state = Slot::State::kEnded;
+      };
+      if (slot.terminal) {
+        FinishTask(task, why);
+        slot.state = Slot::State::kEnded;
+      } else if (IsPushback(why)) {
+        // Server pushback (DESIGN.md §16): the supplier shed a request
+        // under admission control. No attempt is consumed and no health
+        // bookkeeping runs — the node is healthy, just saturated. Honor
+        // the retry-after hint (jittered) against the pushback budget.
+        // Pushback never promotes a replica: every copy of a hot
+        // partition is likely saturated too.
+        pushback_c_->Increment();
+        if (task.pushbacks >= options_.pushback_retry_budget) {
+          health_->RecordSuccess(node);
+          FinishTask(task, why);
+          slot.state = Slot::State::kEnded;
+          continue;
+        }
+        ++task.pushbacks;
+        trace_->Record(task.fetch_id, TraceEvent::kRetry, task.attempts);
+        delay_ms = std::max(delay_ms,
+                            PushbackDelayMs(slot.busy_hint_ms, task.deadline));
+      } else if (IsPermanentFetchError(why)) {
+        // The server answered kFetchError: retrying the same node cannot
+        // heal it, but a replica might hold the segment. The node itself
+        // is alive and speaking protocol: streak cleared.
+        health_->RecordSuccess(node);
+        fail_over_or_finish();
+      } else {
+        if (round.ok() &&
+            health_->RecordFailure(node, ClassifyFailure(why, true))) {
+          connections_.Invalidate(host, port);
+        }
+        ++task.attempts;
+        if (task.attempts >= options_.max_fetch_attempts) {
+          fail_over_or_finish();
+          continue;
+        }
+        fetch_retries_c_->Increment();
+        trace_->Record(task.fetch_id, TraceEvent::kRetry, task.attempts);
+        delay_ms = std::max(delay_ms,
+                            NextBackoffMs(task.attempts, task.deadline));
+      }
+    }
+    std::erase_if(slots, [](const Slot& slot) {
+      return slot.state == Slot::State::kEnded;
+    });
     // Interruptible sleep: Stop() must not wait out a backoff.
-    if (!SleepInterruptible(NextBackoffMs(attempt, fetch_deadline))) {
-      result = Unavailable("NetMerger stopped");
-      break;
+    if (!slots.empty() && delay_ms > 0 && !SleepInterruptible(delay_ms)) {
+      return end_all(Unavailable("NetMerger stopped"));
     }
   }
-  if (!cancelled_.load() &&
-      (result.ok() || IsPermanentFetchError(result.status()) ||
-       IsPushback(result.status()))) {
-    // Either way the node is alive and speaking protocol: streak cleared.
-    health_->RecordSuccess(node);
+}
+
+Status NetMerger::RunRound(net::Connection& conn, const std::string& node,
+                           std::vector<Slot>& slots) {
+  for (Slot& slot : slots) {
+    slot.next_send = slot.committed();
+    slot.stride = 0;
+    slot.in_flight = 0;
   }
-  // Pushback never promotes a replica: every copy of a hot partition is
-  // likely saturated too, and rerouting just spreads the overload.
-  if (!result.ok() && !IsPushback(result.status()) &&
-      TryFailover(task, result.status())) {
-    return;
+  int in_flight = 0;
+  const int window = std::max(1, options_.fetch_window);
+  // Each wire operation gets the tighter of the fetch budgets and the
+  // per-chunk timeout; the chunk clock restarts per operation, so a slow
+  // *peer* trips it but a long multi-chunk segment does not.
+  const auto op_deadline = [&] {
+    net::Deadline deadline =
+        net::Deadline::AfterMs(options_.chunk_timeout_ms);
+    for (const Slot& slot : slots) {
+      if (slot.state == Slot::State::kActive) {
+        deadline = net::Deadline::Sooner(deadline, slot.task.deadline);
+      }
+    }
+    return deadline;
+  };
+  const auto find = [&](int32_t map_task, int32_t partition) -> Slot* {
+    for (Slot& slot : slots) {
+      if (slot.Names(map_task, partition)) return &slot;
+    }
+    return nullptr;
+  };
+  // The next request goes to the segment with the fewest bytes requested,
+  // so all of them advance together. A segment's first request in a round
+  // goes alone: its reply sets the segment's size and the server's
+  // chunk stride.
+  const auto pick = [&]() -> Slot* {
+    Slot* best = nullptr;
+    for (Slot& slot : slots) {
+      if (slot.state != Slot::State::kActive || slot.task.fetch->abandoned()) {
+        continue;
+      }
+      const bool ready =
+          slot.stride == 0
+              ? slot.in_flight == 0
+              : slot.next_send < slot.task.buffer->capacity();
+      if (ready && (best == nullptr || slot.next_send < best->next_send)) {
+        best = &slot;
+      }
+    }
+    return best;
+  };
+  // Receive in place (DESIGN.md §13): a raw chunk that continues a sized
+  // segment lands straight in the segment's spare bytes. It stays
+  // uncommitted, out of the reader's view, until it is verified.
+  const net::Connection::Placement place =
+      [&](uint8_t type, std::span<const uint8_t> head,
+          size_t tail_len) -> std::span<uint8_t> {
+    if (type != kFetchData) return {};
+    const auto header = DecodeDataHeader(head);
+    if (!header || (header->flags & kChunkCompressed) != 0 ||
+        tail_len > options_.chunk_size) {
+      return {};
+    }
+    Slot* slot = find(header->map_task, header->partition);
+    if (slot == nullptr || slot->state != Slot::State::kActive ||
+        slot->task.buffer == nullptr) {
+      return {};
+    }
+    SegmentBuffer& buffer = *slot->task.buffer;
+    if (header->segment_total != buffer.capacity() ||
+        header->offset != buffer.size()) {
+      return {};
+    }
+    const std::span<uint8_t> spare = buffer.spare();
+    if (tail_len > spare.size()) return {};
+    return spare.first(tail_len);
+  };
+
+  for (;;) {
+    // Segments queued for this node since join the conversation, unless a
+    // failed one is waiting for the round to end.
+    if (std::none_of(slots.begin(), slots.end(), [](const Slot& slot) {
+          return slot.state == Slot::State::kFailed;
+        })) {
+      const size_t before = slots.size();
+      JoinQueued(node, &slots);
+      for (size_t i = before; i < slots.size(); ++i) {
+        trace_->Record(slots[i].task.fetch_id, TraceEvent::kDialed,
+                       slots[i].task.attempts + 1);
+      }
+    }
+    // A dropped stream's segment ends once its replies are in.
+    for (Slot& slot : slots) {
+      if (slot.state == Slot::State::kActive && slot.in_flight == 0 &&
+          slot.task.fetch->abandoned()) {
+        EndTask(slot.task, Cancelled("merge stream dropped"));
+        slot.state = Slot::State::kEnded;
+      }
+    }
+    // Windowed pipelining: keep up to fetch_window requests in flight so
+    // the server's disk stage works ahead of the network and each reply
+    // costs far less than a full round trip. fetch_window = 1 degrades to
+    // the seed's stop-and-wait ping-pong.
+    while (in_flight < window) {
+      Slot* slot = pick();
+      if (slot == nullptr) break;
+      FetchRequest request;
+      request.map_task = slot->task.source.map_task;
+      request.partition = slot->task.partition;
+      request.offset = slot->next_send;
+      request.max_len = static_cast<uint32_t>(options_.chunk_size);
+      JBS_RETURN_IF_ERROR(conn.Send(EncodeRequest(request), op_deadline()));
+      if (slot->stride == 0) {
+        trace_->Record(slot->task.fetch_id, TraceEvent::kRequestSent);
+      } else {
+        slot->next_send += slot->stride;
+      }
+      ++slot->in_flight;
+      ++in_flight;
+    }
+    if (in_flight == 0) return Status::Ok();
+
+    auto reply = conn.ReceivePlaced(kDataHeaderSize, place, op_deadline());
+    JBS_RETURN_IF_ERROR(reply.status());
+    // Every reply names its segment. One the conversation did not ask for
+    // leaves the stream's state unknown: the round ends.
+    Slot* slot = nullptr;
+    Status named;  // the failure this reply names for its segment
+    if (reply->type == kFetchError) {
+      auto error = DecodeError(*reply);
+      if (!error) return IoError("undecodable fetch error frame");
+      slot = find(error->map_task, error->partition);
+      named = IoError("fetch error: " + error->message);
+    } else if (reply->type == kErrorBusy) {
+      // Checked before any data decode, so a busy frame can never reach
+      // the CRC verifier and masquerade as chunk corruption.
+      auto busy = DecodeBusy(*reply);
+      if (!busy) return IoError("undecodable busy frame");
+      slot = find(busy->map_task, busy->partition);
+      if (slot != nullptr && slot->state == Slot::State::kActive) {
+        slot->busy_hint_ms = busy->retry_after_ms;
+      }
+      named = ResourceExhausted(
+          "server busy: map " + std::to_string(busy->map_task) +
+          " shed, retry after " + std::to_string(busy->retry_after_ms) + "ms");
+    } else {
+      std::span<const uint8_t> data;
+      auto header = DecodeData(*reply, &data);
+      if (!header) return IoError("undecodable fetch data frame");
+      slot = find(header->map_task, header->partition);
+      // End-to-end integrity: every chunk must carry a wire CRC (header
+      // fields folded over the payload CRC), recomputed here before any
+      // byte can enter the merge. A cleared kChunkHasCrc is itself a
+      // flipped bit, so it fails like a mismatch. Runs before the
+      // sequence check so a flipped offset or length field is attributed
+      // to corruption, not to a confused server.
+      if ((header->flags & kChunkHasCrc) == 0 ||
+          ChunkWireCrc(*header, Crc32(data)) != header->crc32) {
+        chunks_corrupt_c_->Increment();
+        named = IoError("chunk CRC mismatch for map " +
+                        std::to_string(header->map_task) + " at offset " +
+                        std::to_string(header->offset));
+        if (slot == nullptr) return named;
+        trace_->Record(slot->task.fetch_id, TraceEvent::kCorrupt,
+                       static_cast<int64_t>(header->offset));
+      } else if (slot != nullptr && slot->state == Slot::State::kActive) {
+        named = AcceptChunk(*slot, *header, data, !reply->ext.empty());
+      }
+    }
+    if (slot == nullptr) return Internal("fetch reply out of sequence");
+    --slot->in_flight;
+    --in_flight;
+    // A failed segment's later replies are dropped unread.
+    if (slot->state == Slot::State::kActive && !named.ok()) {
+      slot->state = Slot::State::kFailed;
+      slot->failure = std::move(named);
+    }
   }
-  const double latency_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - fetch_start)
-                                .count();
-  fetch_latency_ms_h_->Observe(latency_ms);
-  fetch_attempts_h_->Observe(static_cast<double>(attempts_used));
-  CompleteTask(task, std::move(result));
+}
+
+Status NetMerger::AcceptChunk(Slot& slot, const FetchDataHeader& header,
+                              std::span<const uint8_t> data, bool placed) {
+  FetchTask& task = slot.task;
+  const uint64_t committed = slot.committed();
+  if (header.offset != committed) {
+    return Internal("fetch reply out of sequence");
+  }
+  // The first reply fixes segment_total and sizes the segment's mapping
+  // once. Every later reply must repeat it and the segment flag, from any
+  // replica: a retry resumes at the committed offset, and the merge may
+  // have read the bytes before it, so a segment that differs cannot
+  // continue.
+  const bool compressed = (header.flags & kSegmentCompressed) != 0;
+  if (task.buffer == nullptr) {
+    auto buffer = segments_->Acquire(header.segment_total);
+    JBS_RETURN_IF_ERROR(buffer.status());
+    task.buffer = std::move(buffer).value();
+    task.compressed = compressed;
+  } else if (header.segment_total != task.buffer->capacity() ||
+             compressed != task.compressed) {
+    slot.terminal = true;
+    return Internal("segment_total or flags changed mid-segment for map " +
+                    std::to_string(task.source.map_task) + ": " +
+                    std::to_string(header.segment_total) + " bytes, " +
+                    std::to_string(task.buffer->capacity()) + " committed to");
+  }
+  SegmentBuffer& buffer = *task.buffer;
+  // The server must honor our max_len ask and the segment bound in
+  // logical bytes, raw or compressed; a violation is a protocol breach,
+  // not line noise, so it is not retried as corruption. Append and Commit
+  // refuse to run past segment_total.
+  const bool wire_compressed = (header.flags & kChunkCompressed) != 0;
+  uint64_t logical = data.size();
+  if (wire_compressed) {
+    // Wire compression: the CRC covered the compressed payload, so a
+    // damaged chunk was already rejected without paying for this
+    // decompress. The chunk decodes straight into the segment's spare
+    // bytes. Offsets stay in logical coordinates — only the payload
+    // shrank — so the stride bookkeeping never notices.
+    const std::span<uint8_t> spare = buffer.spare();
+    auto raw = DecompressInto(
+        data,
+        spare.first(std::min<uint64_t>(spare.size(), options_.chunk_size)));
+    if (raw.status().code() == StatusCode::kResourceExhausted) {
+      return Internal("compressed chunk overruns the requested max_len "
+                      "or the segment: " + raw.status().message());
+    }
+    if (!raw.ok()) {
+      chunks_corrupt_c_->Increment();
+      trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
+                     static_cast<int64_t>(header.offset));
+      return IoError("chunk decompress failed for map " +
+                     std::to_string(task.source.map_task) + " at offset " +
+                     std::to_string(header.offset) + ": " +
+                     raw.status().message());
+    }
+    logical = *raw;
+  } else if (logical > options_.chunk_size) {
+    return Internal("chunk of " + std::to_string(logical) +
+                    " bytes exceeds the requested max_len");
+  }
+  if (logical == 0 && committed < buffer.capacity()) {
+    return Internal("server made no progress");
+  }
+  // Verified: a chunk received or decoded in place already sits at the
+  // buffer's end and only needs committing; any other is copied there.
+  if (wire_compressed || placed) {
+    JBS_RETURN_IF_ERROR(buffer.Commit(logical));
+  } else {
+    JBS_RETURN_IF_ERROR(buffer.Append(data));
+    bytes_copied_c_->Increment(logical);
+  }
+  // Counted as they commit, so the counters show a fetch in progress. A
+  // retry resumes after the committed bytes and never counts them twice.
+  if (wire_compressed) chunks_compressed_c_->Increment();
+  chunks_c_->Increment();
+  bytes_fetched_c_->Increment(logical);
+  trace_->Record(task.fetch_id, TraceEvent::kChunkReceived,
+                 static_cast<int64_t>(logical));
+  if (slot.stride == 0) {
+    slot.stride = logical;
+    slot.next_send = committed + logical;
+  }
+  if (!task.landed) {
+    task.landed = true;
+    task.fetch->Land(task.buffer, task.compressed);
+    MutexLock lock(task.context->mu);
+    if (--task.context->unlanded == 0) task.context->cv.NotifyAll();
+  } else {
+    task.fetch->Published();
+  }
+  if (buffer.size() == buffer.capacity()) {
+    fetches_c_->Increment();
+    health_->RecordSuccess(NodeKey(task.source));
+    FinishTask(task, Status::Ok());
+    slot.state = Slot::State::kEnded;
+  }
+  return Status::Ok();
 }
 
 bool NetMerger::TryFailover(FetchTask& task, const Status& why) {
@@ -651,6 +1211,10 @@ bool NetMerger::TryFailover(FetchTask& task, const Status& why) {
 void NetMerger::Reroute(FetchTask& task, size_t alt) {
   std::swap(task.source, task.alternates[alt]);
   ++task.reroutes;
+  // The attempt and pushback ledgers are per node; the deadline is not.
+  task.attempts = 0;
+  task.pushbacks = 0;
+  task.started = {};
   failovers_c_->Increment();
   trace_->Record(task.fetch_id, TraceEvent::kFailover,
                  static_cast<int64_t>(task.alternates.size()));
@@ -660,222 +1224,44 @@ void NetMerger::Reroute(FetchTask& task, size_t alt) {
   SetQueueDepth(dest, queue.size());
 }
 
-StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
-    net::Connection& conn, const FetchTask& task,
-    const net::Deadline& deadline, uint32_t* busy_retry_after_ms) {
-  FetchedSegment fetched;
-  // Per-chunk counters accumulate locally and fold into the registry once
-  // per segment, so a multi-chunk fetch issues one atomic add per counter,
-  // not one per round trip.
-  uint64_t local_chunks = 0;
-  uint64_t local_bytes = 0;
-  uint64_t local_copied = 0;
-
-  // Each wire operation gets the tighter of the fetch budget and the
-  // per-chunk timeout; the chunk clock restarts per operation, so a slow
-  // *peer* trips it but a long multi-chunk segment does not.
-  const auto op_deadline = [&] {
-    return net::Deadline::Sooner(
-        deadline, net::Deadline::AfterMs(options_.chunk_timeout_ms));
-  };
-
-  const auto send_request = [&](uint64_t offset) -> Status {
-    FetchRequest request;
-    request.map_task = task.source.map_task;
-    request.partition = task.partition;
-    request.offset = offset;
-    request.max_len = static_cast<uint32_t>(options_.chunk_size);
-    return conn.Send(EncodeRequest(request), op_deadline());
-  };
-  // Receive in place (DESIGN.md §13): once the first reply has sized the
-  // segment, a raw chunk that fits lands straight in the buffer's spare
-  // bytes. It stays uncommitted, out of bytes(), until it is verified.
-  const net::Connection::Placement place =
-      [&](uint8_t type, std::span<const uint8_t> head,
-          size_t tail_len) -> std::span<uint8_t> {
-    if (fetched.buffer == nullptr || type != kFetchData) return {};
-    const auto header = DecodeDataHeader(head);
-    if (!header || (header->flags & kChunkCompressed) != 0 ||
-        header->segment_total != fetched.buffer->capacity() ||
-        tail_len > options_.chunk_size) {
-      return {};
-    }
-    const std::span<uint8_t> spare = fetched.buffer->spare();
-    if (tail_len > spare.size()) return {};
-    return spare.first(tail_len);
-  };
-  // Receives one data reply, validating it continues the segment at
-  // `expect_offset`; adds the payload to the segment and returns its
-  // logical size.
-  const auto receive_chunk =
-      [&](uint64_t expect_offset) -> StatusOr<uint64_t> {
-    auto reply = conn.ReceivePlaced(kDataHeaderSize, place, op_deadline());
-    JBS_RETURN_IF_ERROR(reply.status());
-    if (reply->type == kFetchError) {
-      auto error = DecodeError(*reply);
-      return IoError("fetch error: " +
-                     (error ? error->message : "undecodable"));
-    }
-    if (reply->type == kErrorBusy) {
-      // Checked before any data decode, so a busy frame can never reach
-      // the CRC verifier and masquerade as chunk corruption.
-      auto busy = DecodeBusy(*reply);
-      if (!busy) return IoError("undecodable busy frame");
-      if (busy_retry_after_ms != nullptr) {
-        *busy_retry_after_ms = busy->retry_after_ms;
-      }
-      return ResourceExhausted(
-          "server busy: map " + std::to_string(task.source.map_task) +
-          " shed, retry after " + std::to_string(busy->retry_after_ms) +
-          "ms");
-    }
-    std::span<const uint8_t> data;
-    auto header = DecodeData(*reply, &data);
-    if (!header) return IoError("undecodable fetch data frame");
-    // End-to-end integrity: every chunk must carry a wire CRC (header
-    // fields folded over the payload CRC), recomputed here before any byte
-    // can enter the merge. A cleared kChunkHasCrc is itself a flipped bit,
-    // so it fails like a mismatch. Runs before the sequence check so a
-    // flipped offset or length field is attributed to corruption, not to
-    // a confused server.
-    if ((header->flags & kChunkHasCrc) == 0 ||
-        ChunkWireCrc(*header, Crc32(data)) != header->crc32) {
-      chunks_corrupt_c_->Increment();
-      trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
-                     static_cast<int64_t>(header->offset));
-      return IoError("chunk CRC mismatch for map " +
-                     std::to_string(task.source.map_task) + " at offset " +
-                     std::to_string(header->offset));
-    }
-    if (header->map_task != task.source.map_task ||
-        header->partition != task.partition ||
-        header->offset != expect_offset) {
-      return Internal("fetch reply out of sequence");
-    }
-    // The first reply fixes segment_total and sizes the segment's mapping
-    // once; every later reply must repeat it.
-    if (fetched.buffer == nullptr) {
-      auto buffer = segments_->Acquire(header->segment_total);
-      JBS_RETURN_IF_ERROR(buffer.status());
-      fetched.buffer = std::move(buffer).value();
-    } else if (header->segment_total != fetched.buffer->capacity()) {
-      return Internal("segment_total changed mid-segment");
-    }
-    fetched.compressed = (header->flags & kSegmentCompressed) != 0;
-    // The server must honor our max_len ask and the segment bound in
-    // logical bytes, raw or compressed; a violation is a protocol breach,
-    // not line noise, so it is not retried as corruption. Append and
-    // Commit refuse to run past segment_total.
-    const bool wire_compressed = (header->flags & kChunkCompressed) != 0;
-    uint64_t logical = data.size();
-    if (wire_compressed) {
-      // Wire compression: the CRC above covered the compressed payload,
-      // so a damaged chunk was already rejected without paying for this
-      // decompress. The chunk decodes straight into the segment's spare
-      // bytes. Offsets stay in logical coordinates — only the payload
-      // shrank — so the stride/window bookkeeping below never notices.
-      const std::span<uint8_t> spare = fetched.buffer->spare();
-      auto raw = DecompressInto(
-          data, spare.first(std::min<uint64_t>(spare.size(),
-                                               options_.chunk_size)));
-      if (raw.status().code() == StatusCode::kResourceExhausted) {
-        return Internal("compressed chunk overruns the requested max_len "
-                        "or the segment: " + raw.status().message());
-      }
-      if (!raw.ok()) {
-        chunks_corrupt_c_->Increment();
-        trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
-                       static_cast<int64_t>(header->offset));
-        return IoError("chunk decompress failed for map " +
-                       std::to_string(task.source.map_task) + " at offset " +
-                       std::to_string(header->offset) + ": " +
-                       raw.status().message());
-      }
-      logical = *raw;
-    } else if (logical > options_.chunk_size) {
-      return Internal("chunk of " + std::to_string(logical) +
-                      " bytes exceeds the requested max_len");
-    }
-    // Verified: a chunk received or decoded in place already sits at the
-    // buffer's end and only needs committing; any other is copied there.
-    if (wire_compressed || !reply->ext.empty()) {
-      JBS_RETURN_IF_ERROR(fetched.buffer->Commit(logical));
-    } else {
-      JBS_RETURN_IF_ERROR(fetched.buffer->Append(data));
-      local_copied += logical;
-    }
-    if (wire_compressed) chunks_compressed_c_->Increment();
-    ++local_chunks;
-    local_bytes += logical;
-    trace_->Record(task.fetch_id, TraceEvent::kChunkReceived,
-                   static_cast<int64_t>(logical));
-    return logical;
-  };
-
-  // First chunk alone: it establishes segment_total (which sizes the
-  // segment's mapping) and the server's chunk stride (the server may cap
-  // below our chunk_size ask).
-  JBS_RETURN_IF_ERROR(send_request(0));
-  trace_->Record(task.fetch_id, TraceEvent::kRequestSent);
-  auto first = receive_chunk(0);
-  JBS_RETURN_IF_ERROR(first.status());
-  const uint64_t total = fetched.buffer->capacity();
-  uint64_t offset = *first;
-  if (offset < total) {
-    if (*first == 0) return Internal("server made no progress");
-    const uint64_t stride = *first;
-    // Windowed pipelining: keep up to fetch_window chunk requests in
-    // flight so the server's disk stage works ahead of the network and
-    // each reply costs far less than a full round trip. fetch_window = 1
-    // degrades to the seed's stop-and-wait ping-pong.
-    const int window = std::max(1, options_.fetch_window);
-    uint64_t next_send = offset;
-    int in_flight = 0;
-    while (in_flight < window && next_send < total) {
-      JBS_RETURN_IF_ERROR(send_request(next_send));
-      next_send += stride;
-      ++in_flight;
-    }
-    while (offset < total) {
-      auto chunk = receive_chunk(offset);
-      JBS_RETURN_IF_ERROR(chunk.status());
-      if (*chunk == 0) return Internal("server made no progress");
-      offset += *chunk;
-      --in_flight;
-      while (in_flight < window && next_send < total) {
-        JBS_RETURN_IF_ERROR(send_request(next_send));
-        next_send += stride;
-        ++in_flight;
-      }
-    }
+void NetMerger::FinishTask(FetchTask& task, const Status& status) {
+  if (task.started != std::chrono::steady_clock::time_point{}) {
+    const double latency_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - task.started)
+            .count();
+    fetch_latency_ms_h_->Observe(latency_ms);
+    fetch_attempts_h_->Observe(static_cast<double>(std::min(
+        task.attempts + 1, std::max(1, options_.max_fetch_attempts))));
   }
-  chunks_c_->Increment(local_chunks);
-  bytes_fetched_c_->Increment(local_bytes);
-  bytes_copied_c_->Increment(local_copied);
-  fetches_c_->Increment();
-  return fetched;
+  EndTask(task, status);
 }
 
-void NetMerger::CompleteTask(const FetchTask& task,
-                             StatusOr<FetchedSegment> result) {
-  std::shared_ptr<CallContext> context = task.context;
-  MutexLock lock(context->mu);
-  if (result.ok()) {
+void NetMerger::EndTask(FetchTask& task, const Status& status) {
+  // The writer's reference goes first, so the reader that sees the end
+  // may hold the last one.
+  const uint64_t size = task.buffer == nullptr ? 0 : task.buffer->size();
+  task.buffer.reset();
+  if (status.ok()) {
     trace_->Record(task.fetch_id, TraceEvent::kMerged,
-                   static_cast<int64_t>(result->buffer->size()));
-    context->segments[task.source.map_task] = std::move(result).value();
+                   static_cast<int64_t>(size));
   } else {
     trace_->Record(task.fetch_id, TraceEvent::kFailed,
-                   static_cast<int64_t>(result.status().code()));
-    if (context->error.ok()) context->error = result.status();
-    if (!cancelled_.load()) {
-      // Tasks drained by Stop() aren't fetch failures; count only fetches
-      // that genuinely exhausted their attempts.
+                   static_cast<int64_t>(status.code()));
+    // Tasks drained by Stop() or dropped with their stream aren't fetch
+    // failures; count only fetches that genuinely exhausted their
+    // attempts.
+    if (!cancelled_.load() && status.code() != StatusCode::kCancelled) {
       fetch_errors_c_->Increment();
     }
   }
-  --context->remaining;
-  if (context->remaining == 0) context->done_cv.NotifyAll();
+  task.fetch->End(status);
+  const std::shared_ptr<CallContext> context = std::move(task.context);
+  task.fetch.reset();
+  MutexLock lock(context->mu);
+  if (!status.ok() && context->error.ok()) context->error = status;
+  --context->outstanding;
+  context->cv.NotifyAll();
 }
 
 }  // namespace jbs::shuffle

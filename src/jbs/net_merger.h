@@ -3,18 +3,29 @@
 // Fetch requests from all reducers are consolidated into one queue per
 // remote node (so live connections scale with nodes, not copiers), ordered
 // by arrival within a node, and injected round-robin across nodes to keep
-// any one ReduceTask's burst from monopolizing the network. Fetched
-// segments stay in memory and feed the network-levitated merge — no
-// reduce-side spill.
+// any one ReduceTask's burst from monopolizing the network.
+//
+// The merge is network-levitated: FetchAndMerge returns once the first
+// chunk of every segment has landed, and the merge reads each segment in
+// place while the rest of it is still arriving (DESIGN.md §9). A data
+// thread that claims a node while no other node waits takes that node's
+// whole queue into one conversation on the node's one connection, so all
+// of a partition's segments advance together: at most `fetch_window`
+// requests in flight across them, the next one for the segment with the
+// fewest bytes requested, every reply matched to its segment by
+// (map_task, partition, offset). Segments stay in memory, in recycled
+// mappings: no reduce-side spill.
 //
 // Every wire operation is deadline-bounded: a fetch gets one time budget
 // covering all retry attempts, each dial and each chunk round trip may be
 // bounded tighter, and Stop() cancels everything in flight — queued and
-// executing fetches complete with kUnavailable, so no FetchAndMerge caller
-// is left blocked on a silent peer.
+// executing fetches end with kUnavailable, so no FetchAndMerge caller and
+// no reader of its stream is left blocked on a silent peer. A retried or
+// failed-over fetch resumes at the segment's committed offset.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -26,6 +37,7 @@
 #include "common/thread_annotations.h"
 #include "common/rng.h"
 #include "jbs/node_health.h"
+#include "jbs/protocol.h"
 #include "jbs/segment_buffer.h"
 #include "mapred/shuffle.h"
 #include "transport/connection_manager.h"
@@ -89,13 +101,18 @@ class NetMerger final : public mr::ShuffleClient {
   explicit NetMerger(Options options);
   ~NetMerger() override;
 
+  /// Returns once the first chunk of every segment has landed (or a fetch
+  /// has failed). The stream reads each segment while it arrives; a fetch
+  /// failure after the first chunks ends the stream with that failure.
   StatusOr<std::unique_ptr<mr::RecordStream>> FetchAndMerge(
       int partition, const std::vector<mr::MofLocation>& sources) override
       EXCLUDES(sched_mu_);
 
   /// Cancels all fetch work and joins the data threads. Queued and
   /// in-flight fetches fail with kUnavailable, so every FetchAndMerge
-  /// caller — including ones blocked on a silent peer — returns promptly.
+  /// caller — including ones blocked on a silent peer — returns promptly,
+  /// and a stream waiting for bytes that will not come ends with that
+  /// status.
   void Stop() override EXCLUDES(sched_mu_);
   Stats stats() const override;
 
@@ -140,78 +157,124 @@ class NetMerger final : public mr::ShuffleClient {
   size_t pending_node_count() const EXCLUDES(sched_mu_);
 
  private:
-  /// A fully fetched segment plus how to interpret it. The buffer comes
-  /// from segments_ once, at the first reply's segment_total, and becomes
-  /// the merge stream's lease: the mapping goes back to the pool when the
-  /// reducer drops the stream.
-  struct FetchedSegment {
-    std::shared_ptr<SegmentBuffer> buffer;
-    bool compressed = false;
-  };
+  /// One segment's fetch as its reader sees it (completion, wake-ups),
+  /// and the merge input that reads it. Defined in net_merger.cpp.
+  class SegmentFetch;
+  class ArrivingFetch;
 
   /// One FetchAndMerge call in flight.
   struct CallContext {
     Mutex mu;
-    CondVar done_cv;
-    size_t remaining GUARDED_BY(mu) = 0;
-    Status error GUARDED_BY(mu);
-    std::map<int, FetchedSegment> segments GUARDED_BY(mu);  // map_task -> segment
+    CondVar cv;
+    size_t unlanded GUARDED_BY(mu) = 0;     // segments without a first chunk
+    size_t outstanding GUARDED_BY(mu) = 0;  // segments whose fetch has not ended
+    Status error GUARDED_BY(mu);            // the first fetch failure
   };
 
+  /// One segment's fetch between its node queues and the data threads: the
+  /// routing and the per-segment ledgers. Only the thread holding it
+  /// touches it.
   struct FetchTask {
     mr::MofLocation source;
     int partition = 0;
     uint64_t fetch_id = 0;  // TraceRecorder id for this fetch's timeline
     std::shared_ptr<CallContext> context;
+    std::shared_ptr<SegmentFetch> fetch;
+    // The writer's reference to the segment, from the first reply on; a
+    // retry or failover resumes filling it at its committed size.
+    std::shared_ptr<SegmentBuffer> buffer;
+    bool compressed = false;  // kSegmentCompressed, fixed by the first reply
+    bool landed = false;      // first chunk committed and handed out
     // Replica routing: alternate locations holding the same map output
     // (duplicate sources that disagreed on host). When `source` exhausts
     // its attempts or sits in the penalty box, the task is re-enqueued on
     // an alternate instead of failing the reduce.
     std::vector<mr::MofLocation> alternates;
-    int reroutes = 0;  // failovers consumed (bounded by max_failovers)
+    int reroutes = 0;   // failovers consumed (bounded by max_failovers)
+    int attempts = 0;   // transient failures on the current node
+    int pushbacks = 0;  // kErrorBusy replies honored on the current node
     // One deadline budgets the whole fetch across retries AND failovers;
-    // armed by the first ExecuteTask leg so queue wait doesn't count twice.
+    // armed when first claimed so queue wait doesn't count twice.
     bool deadline_armed = false;
     net::Deadline deadline;
+    std::chrono::steady_clock::time_point started{};  // this node's leg
   };
+
+  /// A FetchTask inside one conversation, with this round's request
+  /// pipeline. A round is one connection's worth of the conversation.
+  struct Slot;
 
   static std::string NodeKey(const mr::MofLocation& loc) {
     return loc.host + ":" + std::to_string(loc.port);
   }
 
   void WorkerLoop() EXCLUDES(sched_mu_);
-  /// Picks the next (node, task) respecting per-node exclusivity, the
-  /// round-robin policy, and the penalty box: penalized nodes are skipped,
-  /// their queued tasks rerouted to healthy replicas when possible, and
-  /// when only penalized work remains the wait is bounded by the earliest
-  /// sentence expiry. Blocks until work exists or shutdown.
-  bool NextTask(std::string* node, FetchTask* task) EXCLUDES(sched_mu_);
-  void ExecuteTask(const std::string& node, FetchTask task)
+  /// Claims the next node and its tasks respecting per-node exclusivity,
+  /// the round-robin policy, and the penalty box: penalized nodes are
+  /// skipped, their queued tasks rerouted to healthy replicas when
+  /// possible, and when only penalized work remains the wait is bounded by
+  /// the earliest sentence expiry. The claim is the node's whole queue when
+  /// consolidating and no other node waits (see TakeQueued), else one task.
+  /// Blocks until work exists or shutdown.
+  bool NextTasks(std::string* node, std::vector<FetchTask>* tasks)
       EXCLUDES(sched_mu_);
+  /// True when a node other than `node` has queued work no data thread
+  /// holds and no sentence blocks.
+  bool OtherNodeWaiting(const std::string& node) REQUIRES(sched_mu_);
+  /// Moves `node`'s queued tasks into `tasks`, except ones naming a
+  /// (map_task, partition) already among `held` or taken; `limit` caps
+  /// how many move. Arms each task's fetch deadline on its first claim.
+  void TakeQueued(const std::string& node, const std::vector<Slot>& held,
+                  size_t limit, std::vector<FetchTask>* tasks)
+      REQUIRES(sched_mu_);
+  /// Adds the node's newly queued tasks to a consolidated conversation
+  /// while no other node waits.
+  void JoinQueued(const std::string& node, std::vector<Slot>* slots)
+      EXCLUDES(sched_mu_);
+  /// Runs one node's conversation to its end: rounds on the node's
+  /// connection, each followed by the per-segment retry, pushback,
+  /// failover and deadline decisions, until every segment has ended or
+  /// moved to another node.
+  void Converse(const std::string& node, std::vector<FetchTask> tasks)
+      EXCLUDES(sched_mu_);
+  /// One round on `conn`: requests and replies for every active slot until
+  /// none has a request left to send or a reply left to receive. Returns
+  /// the transport failure that cut it short, if any; failures a reply
+  /// names end up in their slot.
+  Status RunRound(net::Connection& conn, const std::string& node,
+                  std::vector<Slot>& slots) EXCLUDES(sched_mu_);
+  /// Verifies a data reply for `slot` and commits it into the segment.
+  Status AcceptChunk(Slot& slot, const FetchDataHeader& header,
+                     std::span<const uint8_t> data, bool placed);
   /// Re-enqueues `task` on its next replica after `source` failed with
   /// `why`. Returns false (leaving the task untouched) when no failover is
   /// possible — no alternates, reroute budget spent, fetch deadline blown,
-  /// or the merger is stopping — in which case the caller must complete
-  /// the task with `why`.
+  /// or the merger is stopping — in which case the caller must end the
+  /// task with `why`.
   bool TryFailover(FetchTask& task, const Status& why) EXCLUDES(sched_mu_);
   /// Moves `task` onto its alternate `alt` (swapping it with `source`),
   /// spends one reroute, and queues it on the new node.
   void Reroute(FetchTask& task, size_t alt) REQUIRES(sched_mu_);
-  /// Runs the chunked fetch conversation; returns the segment. Each chunk
-  /// round trip is bounded by the sooner of `deadline` and the per-chunk
-  /// timeout.
   /// Sends the protocol-v2 capability hello on a freshly dialed
   /// connection (one-way; the server never replies). A send failure is a
   /// dial-grade fault — the socket is already sick — surfaced to the
   /// retry loop like a failed Connect.
   Status SendHello(net::Connection& conn, const net::Deadline& deadline);
-  /// `busy_retry_after_ms` (may be null) receives the server's retry-after
-  /// hint when the conversation ends in kErrorBusy pushback.
-  StatusOr<FetchedSegment> FetchSegment(net::Connection& conn,
-                                        const FetchTask& task,
-                                        const net::Deadline& deadline,
-                                        uint32_t* busy_retry_after_ms);
-  void CompleteTask(const FetchTask& task, StatusOr<FetchedSegment> result);
+  /// Records the last leg's latency and attempts, then ends the task.
+  void FinishTask(FetchTask& task, const Status& status);
+  /// Ends the task's fetch with `status`: drops the writer's reference to
+  /// the segment, wakes its reader and tells the FetchAndMerge call.
+  void EndTask(FetchTask& task, const Status& status);
+  /// Builds the merge input for one landed segment. A MOF-compressed
+  /// segment, or a raw one that begins like a codec stream, waits for its
+  /// whole segment (OpenSegment reads those whole); any other streams.
+  StatusOr<std::unique_ptr<mr::RecordStream>> OpenLanded(
+      const std::shared_ptr<SegmentFetch>& fetch);
+  /// FetchAndMerge's failure path: stops the call's fetches, ends its
+  /// queued tasks and waits until no data thread holds one.
+  void AbandonCall(const std::shared_ptr<CallContext>& context,
+                   const std::vector<std::shared_ptr<SegmentFetch>>& fetches)
+      EXCLUDES(sched_mu_);
   /// Capped, jittered exponential backoff for retry `attempt` (>= 1),
   /// clamped so the sleep never overruns the fetch deadline.
   int64_t NextBackoffMs(int attempt, const net::Deadline& fetch_deadline)
@@ -272,6 +335,7 @@ class NetMerger final : public mr::ShuffleClient {
   CondVar work_cv_;
   std::map<std::string, std::deque<FetchTask>> node_queues_
       GUARDED_BY(sched_mu_);
+  // Nodes a data thread holds a conversation with: one per connection.
   std::set<std::string> busy_nodes_ GUARDED_BY(sched_mu_);
   // Last node serviced (round-robin pointer).
   std::string rr_last_ GUARDED_BY(sched_mu_);

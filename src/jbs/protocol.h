@@ -1,10 +1,18 @@
-// JBS fetch wire protocol. A fetch conversation moves one MOF segment in
+// JBS fetch wire protocol. A fetch conversation moves MOF segments in
 // transport-buffer-sized chunks:
 //
 //   client -> server : kFetchRequest {map_task, partition, offset, max_len}
 //   server -> client : kFetchData    {map_task, partition, offset,
 //                                     segment_total, flags, data bytes}
 //   server -> client : kFetchError   {map_task, partition, message}
+//   server -> client : kErrorBusy    {map_task, partition, retry_after_ms}
+//
+// One conversation carries several segments of a node at once, with
+// requests for all of them in flight. Every reply names its segment, so
+// the client matches it by (map_task, partition), and a data reply by its
+// offset too; no request id is needed. The supplier keeps each segment's
+// replies in offset order: one disk thread serves a MOF's requests at a
+// time, in (partition, offset) order, and one send thread sends them.
 //
 // Chunking to the transport buffer size is what makes the protocol work
 // unchanged over the verbs backend (pre-posted receive buffers) and what

@@ -22,23 +22,25 @@ SegmentBuffer::~SegmentBuffer() {
 }
 
 Status SegmentBuffer::Append(std::span<const uint8_t> data) {
-  if (data.size() > capacity_ - size_) {
+  const uint64_t size = size_.load(std::memory_order_relaxed);
+  if (data.size() > capacity_ - size) {
     return Internal("segment append of " + std::to_string(data.size()) +
                     " bytes overruns its " + std::to_string(capacity_) +
-                    "-byte capacity at " + std::to_string(size_));
+                    "-byte capacity at " + std::to_string(size));
   }
-  if (!data.empty()) std::memcpy(base_ + size_, data.data(), data.size());
-  size_ += data.size();
+  if (!data.empty()) std::memcpy(base_ + size, data.data(), data.size());
+  size_.store(size + data.size(), std::memory_order_release);
   return Status::Ok();
 }
 
 Status SegmentBuffer::Commit(uint64_t n) {
-  if (n > capacity_ - size_) {
+  const uint64_t size = size_.load(std::memory_order_relaxed);
+  if (n > capacity_ - size) {
     return Internal("segment commit of " + std::to_string(n) +
                     " bytes overruns its " + std::to_string(capacity_) +
-                    "-byte capacity at " + std::to_string(size_));
+                    "-byte capacity at " + std::to_string(size));
   }
-  size_ += n;
+  size_.store(size + n, std::memory_order_release);
   return Status::Ok();
 }
 

@@ -1,6 +1,10 @@
 // Page-backed storage for one fetched segment. NetMerger sizes it once,
 // from the first reply's segment_total, fills it chunk by chunk in order,
-// and hands the merge a leased view of the bytes in place. The bytes live
+// and hands the merge a leased view of the bytes in place. The merge may
+// read while the segment fills: the committed size is the publication
+// point. Append and Commit store it with release order after the bytes are
+// written, and size()/bytes() load it with acquire order, so a reader on
+// another thread sees every byte of the prefix it is shown. The bytes live
 // in an anonymous mapping of their own, never in the malloc heap, where
 // freed blocks of segment size would stay in the arenas and keep the
 // reducer's RSS up. NetMerger takes its mappings from a SegmentPool:
@@ -24,7 +28,8 @@ namespace jbs::shuffle {
 
 class SegmentPool;
 
-/// Made by SegmentPool::Acquire.
+/// Made by SegmentPool::Acquire. One thread writes (Append, spare,
+/// Commit); any thread may read size() and bytes() meanwhile.
 class SegmentBuffer {
  public:
   /// Hands the mapping back to the pool it came from.
@@ -40,13 +45,17 @@ class SegmentBuffer {
   /// chunk can be received in place. Bytes written here stay out of
   /// bytes() until Commit; a pooled mapping's spare bytes hold whatever
   /// an earlier segment left there.
-  std::span<uint8_t> spare() { return {base_ + size_, capacity_ - size_}; }
+  std::span<uint8_t> spare() {
+    const uint64_t size = size_.load(std::memory_order_relaxed);
+    return {base_ + size, capacity_ - size};
+  }
   /// Makes the next `n` spare bytes part of bytes(). Internal, with size()
   /// unchanged, when it would run past the capacity.
   Status Commit(uint64_t n);
 
-  std::span<const uint8_t> bytes() const { return {base_, size_}; }
-  uint64_t size() const { return size_; }
+  /// The committed prefix; it only grows.
+  std::span<const uint8_t> bytes() const { return {base_, size()}; }
+  uint64_t size() const { return size_.load(std::memory_order_acquire); }
   uint64_t capacity() const { return capacity_; }
 
  private:
@@ -59,7 +68,7 @@ class SegmentBuffer {
   uint8_t* base_;
   uint64_t capacity_;
   uint64_t mapped_;  // whole pages behind base_
-  uint64_t size_ = 0;
+  std::atomic<uint64_t> size_{0};  // written by the one writer only
   std::shared_ptr<SegmentPool> pool_;  // null when nothing is mapped
 };
 

@@ -30,30 +30,48 @@ std::vector<uint8_t> IFileWriter::Finish() {
 }
 
 bool IFileReader::Next(Record* record) {
+  needs_more_ = false;
   if (done_ || !status_.ok()) return false;
-  auto key_len = GetVarint64(data_, &offset_);
-  auto value_len = GetVarint64(data_, &offset_);
+  // Bytes the prefix lacks but the segment has: stop where the record
+  // starts and read it again once they arrive.
+  const bool partial = data_.size() < total_;
+  size_t offset = offset_;
+  auto key_len = GetVarint64(data_, &offset);
+  auto value_len = GetVarint64(data_, &offset);
   if (!key_len || !value_len) {
+    if (partial) {
+      needs_more_ = true;
+      return false;
+    }
     status_ = IoError("truncated IFile segment header");
     return false;
   }
   if (*key_len == -1 && *value_len == -1) {
+    offset_ = offset;
     done_ = true;
     return false;
   }
+  // Each length is compared with what is left, so no sum can wrap.
+  const uint64_t left = total_ - offset;
   if (*key_len < 0 || *value_len < 0 ||
-      offset_ + static_cast<uint64_t>(*key_len) +
-              static_cast<uint64_t>(*value_len) >
-          data_.size()) {
+      static_cast<uint64_t>(*key_len) > left ||
+      static_cast<uint64_t>(*value_len) >
+          left - static_cast<uint64_t>(*key_len)) {
     status_ = IoError("corrupt IFile record lengths");
     return false;
   }
-  record->key.assign(reinterpret_cast<const char*>(data_.data() + offset_),
-                     static_cast<size_t>(*key_len));
-  offset_ += static_cast<size_t>(*key_len);
-  record->value.assign(reinterpret_cast<const char*>(data_.data() + offset_),
-                       static_cast<size_t>(*value_len));
-  offset_ += static_cast<size_t>(*value_len);
+  const size_t key_size = static_cast<size_t>(*key_len);
+  const size_t value_size = static_cast<size_t>(*value_len);
+  if (key_size + value_size > data_.size() - offset) {
+    needs_more_ = true;
+    return false;
+  }
+  record->key.assign(reinterpret_cast<const char*>(data_.data() + offset),
+                     key_size);
+  offset += key_size;
+  record->value.assign(reinterpret_cast<const char*>(data_.data() + offset),
+                       value_size);
+  offset_ = offset + value_size;
   ++records_read_;
   return true;
 }

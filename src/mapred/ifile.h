@@ -41,15 +41,30 @@ class IFileWriter {
   bool finished_ = false;
 };
 
-/// Streaming reader over a complete IFile segment.
+/// Streaming reader over an IFile segment: a complete one, or the prefix
+/// of one whose remaining bytes are still arriving. Over a prefix, Next
+/// stops with needs_more() where the next record or the EOF marker runs
+/// past it; Extend with a longer prefix and call Next again. The records
+/// and the verdict are exactly those of a reader over the whole segment.
 class IFileReader {
  public:
   explicit IFileReader(std::span<const uint8_t> segment)
-      : data_(segment) {}
+      : IFileReader(segment, segment.size()) {}
+  /// Reads the first `prefix.size()` bytes of a `total`-byte segment
+  /// (`total` >= `prefix.size()`).
+  IFileReader(std::span<const uint8_t> prefix, uint64_t total)
+      : data_(prefix), total_(total) {}
 
-  /// Reads the next record. Returns false at the EOF marker. Sets a failed
-  /// status() on malformed input.
+  /// Reads the next record. Returns false at the EOF marker, on malformed
+  /// input (status() fails), or at the end of a prefix (needs_more()).
   bool Next(Record* record);
+
+  /// True when the last Next stopped short of bytes the prefix lacks.
+  bool needs_more() const { return needs_more_; }
+  /// Continues over a longer prefix of the same segment.
+  void Extend(std::span<const uint8_t> prefix) { data_ = prefix; }
+  /// Bytes of the segment the reader can see.
+  size_t available() const { return data_.size(); }
 
   /// Validates the trailer checksum of the whole segment up front.
   Status VerifyChecksum() const;
@@ -59,8 +74,10 @@ class IFileReader {
 
  private:
   std::span<const uint8_t> data_;
+  uint64_t total_;
   size_t offset_ = 0;
   bool done_ = false;
+  bool needs_more_ = false;
   Status status_;
   uint64_t records_read_ = 0;
 };

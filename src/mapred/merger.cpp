@@ -44,6 +44,30 @@ StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
       std::make_unique<SegmentStream>(segment, std::move(owner)));
 }
 
+bool SegmentStream::Next(Record* record) {
+  while (!reader_.Next(record)) {
+    if (finished_) return false;
+    if (!reader_.needs_more()) {
+      finished_ = true;
+      if (arriving_ != nullptr && reader_.status().ok()) {
+        ended_ = arriving_->AwaitEnd();
+      }
+      return false;
+    }
+    std::span<const uint8_t> bytes = arriving_->arrived();
+    if (bytes.size() == reader_.available()) {
+      ended_ = arriving_->AwaitMore(bytes.size());
+      if (!ended_.ok()) {
+        finished_ = true;
+        return false;
+      }
+      bytes = arriving_->arrived();
+    }
+    reader_.Extend(bytes);
+  }
+  return true;
+}
+
 namespace {
 
 uint64_t KeyPrefix(const std::string& key) {

@@ -25,6 +25,24 @@ class RecordStream {
   virtual const Status& status() const = 0;
 };
 
+/// A segment whose bytes are still arriving: a prefix that only grows, up
+/// to a final size known from the start. A network shuffle hands these to
+/// the merge so it can start before the last byte lands.
+class ArrivingSegment {
+ public:
+  virtual ~ArrivingSegment() = default;
+  /// The segment's final size.
+  virtual uint64_t total() const = 0;
+  /// The bytes that have arrived: a prefix of the segment, safe to read
+  /// while more arrive. Takes no lock.
+  virtual std::span<const uint8_t> arrived() const = 0;
+  /// Blocks until more than `have` bytes have arrived; fails with the
+  /// error that ended the segment short.
+  virtual Status AwaitMore(uint64_t have) = 0;
+  /// Blocks until the segment has ended; its verdict.
+  virtual Status AwaitEnd() = 0;
+};
+
 /// RecordStream over an in-memory IFile segment, read in place. The same
 /// lease idiom as Frame::ext: `owner` keeps `segment` alive for the
 /// stream's lifetime. A null owner means the caller guarantees that.
@@ -36,13 +54,26 @@ class SegmentStream final : public RecordStream {
   /// A temporary vector would dangle: pass it as its own owner instead.
   SegmentStream(std::vector<uint8_t>&&, std::shared_ptr<const void> = {}) =
       delete;
+  /// Reads `segment` while it arrives. The arrived end is reloaded only
+  /// when the next record runs past it, and the stream blocks only when
+  /// nothing new has arrived. It ends with the segment: after the EOF
+  /// marker it waits for the segment's verdict, so a failure anywhere in
+  /// the segment ends the stream with that failure.
+  explicit SegmentStream(std::shared_ptr<ArrivingSegment> segment)
+      : arriving_(std::move(segment)),
+        reader_(arriving_->arrived(), arriving_->total()) {}
 
-  bool Next(Record* record) override { return reader_.Next(record); }
-  const Status& status() const override { return reader_.status(); }
+  bool Next(Record* record) override;
+  const Status& status() const override {
+    return ended_.ok() ? reader_.status() : ended_;
+  }
 
  private:
   std::shared_ptr<const void> owner_;
+  std::shared_ptr<ArrivingSegment> arriving_;  // null for a whole segment
   IFileReader reader_;
+  Status ended_;  // the arriving segment's failure
+  bool finished_ = false;
 };
 
 /// RecordStream over a vector of records (test helper / combiner output).

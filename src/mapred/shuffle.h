@@ -55,13 +55,18 @@ class ShuffleClient {
   /// Fetches segment `partition` from every source and returns one merged,
   /// sorted record stream (ownership to the caller). Implementations decide
   /// how much is materialized vs. streamed — that difference *is* the paper.
+  /// A streaming client returns before the last byte lands: a fetch that
+  /// fails after that ends the stream, as its status(), so callers check
+  /// the stream's status after draining it as well as this call's.
   virtual StatusOr<std::unique_ptr<RecordStream>> FetchAndMerge(
       int partition, const std::vector<MofLocation>& sources) = 0;
 
   /// Stops the client and drains: every FetchAndMerge call blocked at the
   /// time of the call — including ones waiting on an unresponsive peer —
   /// must return promptly (with kUnavailable), and later calls fail fast.
-  /// Stop() must not wait for in-flight network conversations to finish.
+  /// A stream still waiting for bytes ends with kUnavailable too, so drain
+  /// a stream before stopping its client. Stop() must not wait for
+  /// in-flight network conversations to finish.
   virtual void Stop() {}
 
   struct Stats {

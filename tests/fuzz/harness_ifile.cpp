@@ -1,11 +1,50 @@
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "mapred/ifile.h"
+#include "mapred/merger.h"
 #include "harnesses.h"
 
 namespace jbs::fuzz {
+
+namespace {
+
+/// The input arriving in pieces whose sizes come from the input's own
+/// bytes (1 to 64), as a fetch commits chunks into a segment.
+class PiecewiseInput final : public mr::ArrivingSegment {
+ public:
+  explicit PiecewiseInput(std::span<const uint8_t> data) : data_(data) {
+    Grow();
+  }
+  uint64_t total() const override { return data_.size(); }
+  std::span<const uint8_t> arrived() const override {
+    return data_.first(arrived_);
+  }
+  Status AwaitMore(uint64_t have) override {
+    if (have != arrived_ || arrived_ == data_.size()) abort();
+    Grow();
+    return Status::Ok();
+  }
+  Status AwaitEnd() override {
+    arrived_ = data_.size();
+    return Status::Ok();
+  }
+
+ private:
+  void Grow() {
+    const size_t piece =
+        data_.empty() ? 0 : 1 + data_[(arrived_ * 31 + 7) % data_.size()] % 64;
+    arrived_ = std::min(arrived_ + piece, data_.size());
+  }
+
+  std::span<const uint8_t> data_;
+  size_t arrived_ = 0;
+};
+
+}  // namespace
 
 int FuzzIfile(const uint8_t* data, size_t size) {
   const std::span<const uint8_t> segment(data, size);
@@ -27,6 +66,20 @@ int FuzzIfile(const uint8_t* data, size_t size) {
   const bool clean_eof = reader.status().ok();
   if (!clean_eof && reader.Next(&record)) abort();
   if (reader.records_read() != records.size()) abort();
+
+  // The same bytes read while they arrive must give the same records and
+  // the same verdict.
+  mr::SegmentStream stream(std::make_shared<PiecewiseInput>(segment));
+  size_t streamed = 0;
+  while (stream.Next(&record)) {
+    if (streamed >= records.size() || !(record == records[streamed])) abort();
+    ++streamed;
+  }
+  if (streamed != records.size()) abort();
+  if (stream.status().ok() != clean_eof) abort();
+  if (!clean_eof && stream.status().message() != reader.status().message()) {
+    abort();
+  }
 
   // A segment that both checksums and parses cleanly must survive a
   // write-read round trip with every record preserved. (Byte equality is

@@ -28,6 +28,9 @@ int FuzzProtocol(const uint8_t* data, size_t size);
 
 /// IFileReader: iterates records to EOF/error and verifies the checksum
 /// trailer path; accepted streams are re-encoded and must parse again.
+/// The input is also read by a SegmentStream while it arrives in pieces
+/// sized from its own bytes, which must yield the same records and the
+/// same verdict.
 int FuzzIfile(const uint8_t* data, size_t size);
 
 /// LZSS codec: Decompress on arbitrary bytes (must fail cleanly — no

@@ -91,8 +91,9 @@ void EmitFraming(const fs::path& dir) {
   oversized.push_back(jbs::shuffle::kFetchData);
   WriteSeed(dir, "oversized_length", with_stride(5, oversized));
 
-  WriteSeed(dir, "empty_payload",
-            with_stride(2, Framed(jbs::Frame{jbs::shuffle::kFetchRequest, {}})));
+  jbs::Frame empty;
+  empty.type = jbs::shuffle::kFetchRequest;
+  WriteSeed(dir, "empty_payload", with_stride(2, Framed(empty)));
 }
 
 void EmitProtocol(const fs::path& dir) {

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <map>
+#include <thread>
 
 #include "common/bytes.h"
 #include "jbs/mof_supplier.h"
@@ -36,10 +39,11 @@ class NetMergerTest : public ::testing::Test {
   }
 
   /// Brings up `nodes` suppliers; each node hosts `mofs_per_node` MOFs with
-  /// `partitions` sorted segments. Returns the MofLocations.
-  std::vector<mr::MofLocation> MakeCluster(int nodes, int mofs_per_node,
-                                           int partitions,
-                                           int records_per_segment) {
+  /// `partitions` sorted segments. Returns the MofLocations. `tweak` may
+  /// adjust each supplier's options.
+  std::vector<mr::MofLocation> MakeCluster(
+      int nodes, int mofs_per_node, int partitions, int records_per_segment,
+      const std::function<void(MofSupplier::Options&)>& tweak = nullptr) {
     std::vector<mr::MofLocation> locations;
     int map_task = 0;
     for (int n = 0; n < nodes; ++n) {
@@ -47,6 +51,7 @@ class NetMergerTest : public ::testing::Test {
       options.transport = transport_.get();
       options.buffer_size = 2048;
       options.buffer_count = 8;
+      if (tweak) tweak(options);
       auto supplier = std::make_unique<MofSupplier>(options);
       EXPECT_TRUE(supplier->Start().ok());
       for (int m = 0; m < mofs_per_node; ++m, ++map_task) {
@@ -61,7 +66,9 @@ class NetMergerTest : public ::testing::Test {
             expected_[p].emplace(key);
           }
           const uint64_t cnt = segment.records();
-          EXPECT_TRUE(writer.AppendSegment(segment.Finish(), cnt).ok());
+          std::vector<uint8_t> bytes = segment.Finish();
+          segment_bytes_[p] += bytes.size();
+          EXPECT_TRUE(writer.AppendSegment(bytes, cnt).ok());
         }
         auto handle = writer.Finish(map_task, n);
         EXPECT_TRUE(handle.ok());
@@ -105,7 +112,17 @@ class NetMergerTest : public ::testing::Test {
   std::unique_ptr<net::Transport> transport_;
   std::vector<std::unique_ptr<MofSupplier>> suppliers_;
   std::map<int, std::multiset<std::string>> expected_;
+  std::map<int, uint64_t> segment_bytes_;  // partition -> sum over MOFs
 };
+
+/// Every record of a stream, and its verdict.
+std::vector<mr::Record> DrainAll(mr::RecordStream& stream, Status* status) {
+  std::vector<mr::Record> records;
+  mr::Record record;
+  while (stream.Next(&record)) records.push_back(record);
+  *status = stream.status();
+  return records;
+}
 
 TEST_F(NetMergerTest, MergesAcrossNodesSorted) {
   auto locations = MakeCluster(/*nodes=*/3, /*mofs=*/2, /*partitions=*/2,
@@ -366,6 +383,8 @@ class ForgingSupplier {
     uint32_t flags = kChunkHasCrc;
     bool bad_crc = false;
     uint64_t offset_skew = 0;  // added to the requested offset
+    bool silent = false;       // no reply at all
+    bool error = false;        // a kFetchError reply instead of data
   };
   using Forge = std::function<Reply(const FetchRequest&)>;
 
@@ -379,6 +398,13 @@ class ForgingSupplier {
       const auto request = DecodeRequest(frame);
       if (!request) return;  // the capability hello
       const Reply reply = forge_(*request);
+      if (reply.silent) return;
+      if (reply.error) {
+        (void)endpoint_->SendAsync(
+            conn, EncodeError({request->map_task, request->partition,
+                               "segment gone"}));
+        return;
+      }
       FetchDataHeader header;
       header.map_task = request->map_task;
       header.partition = request->partition;
@@ -402,8 +428,10 @@ class ForgingSupplier {
 };
 
 /// Fetches map 0 from a forging supplier with 1000-byte chunks and one
-/// attempt, returning the FetchAndMerge status (and, when asked, the
-/// merger's counters and the chunk bytes it verified and committed).
+/// attempt, and drains the merged stream: a failure after the first chunk
+/// ends the stream rather than the FetchAndMerge call. Returns the first
+/// failure (and, when asked, the merger's counters and the chunk bytes it
+/// verified and committed, once the fetch has ended).
 Status FetchFromForger(net::Transport& transport, ForgingSupplier::Forge forge,
                        NetMerger::MergerStats* stats = nullptr,
                        uint64_t* committed = nullptr) {
@@ -416,6 +444,24 @@ Status FetchFromForger(net::Transport& transport, ForgingSupplier::Forge forge,
   NetMerger merger(options);
   auto stream =
       merger.FetchAndMerge(0, {{0, 0, "127.0.0.1", supplier.port()}});
+  Status status = stream.status();
+  if (stream.ok()) {
+    DrainAll(**stream, &status);
+    // A stream that fails on its bytes leaves the fetch running: let it
+    // end before Stop() cuts it short.
+    const auto ended = [&] {
+      for (const TraceEntry& entry : merger.trace().Snapshot()) {
+        if (entry.event == TraceEvent::kMerged ||
+            entry.event == TraceEvent::kFailed) {
+          return true;
+        }
+      }
+      return false;
+    };
+    for (int i = 0; i < 500 && !ended(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
   merger.Stop();
   if (stats != nullptr) *stats = merger.merger_stats();
   if (committed != nullptr) {
@@ -427,7 +473,7 @@ Status FetchFromForger(net::Transport& transport, ForgingSupplier::Forge forge,
       }
     }
   }
-  return stream.status();
+  return status;
 }
 
 TEST_F(NetMergerTest, ChunkWithoutCrcFlagIsCorrupt) {
@@ -581,8 +627,8 @@ TEST_F(NetMergerTest, PlacedChunksReassembleTheSegmentOnEveryTransport) {
   for (net::Transport* transport : transports.all()) {
     NetMerger::MergerStats stats;
     uint64_t committed = 0;
-    // 5000 bytes of 0x5A: not an IFile, so the merge itself fails to
-    // open — but only after every chunk was fetched and committed.
+    // 5000 bytes of 0x5A: not an IFile, so the merge fails on its last
+    // record — but only after every chunk was fetched and committed.
     (void)FetchFromForger(
         *transport,
         [](const FetchRequest&) {
@@ -594,6 +640,201 @@ TEST_F(NetMergerTest, PlacedChunksReassembleTheSegmentOnEveryTransport) {
     EXPECT_EQ(stats.chunks, 5u) << transport->name();
     EXPECT_EQ(stats.bytes_copied, 1000u) << transport->name();
   }
+}
+
+TEST_F(NetMergerTest, StopUnblocksADrainWaitingMidSegment) {
+  // The first chunk lands, then the supplier goes silent: the reader waits
+  // in the middle of the segment until Stop() ends the fetch.
+  auto tcp = net::MakeTcpTransport();
+  auto rdma = net::MakeSoftRdmaTransport();
+  for (net::Transport* transport : {tcp.get(), rdma.get()}) {
+    ForgingSupplier supplier(*transport, [](const FetchRequest& request) {
+      ForgingSupplier::Reply reply{/*segment_total=*/3000, /*bytes=*/1000};
+      reply.silent = request.offset > 0;
+      return reply;
+    });
+    NetMerger::Options options;
+    options.transport = transport;
+    options.chunk_size = 1000;
+    NetMerger merger(options);
+    auto stream =
+        merger.FetchAndMerge(0, {{0, 0, "127.0.0.1", supplier.port()}});
+    ASSERT_TRUE(stream.ok()) << transport->name() << ": "
+                             << stream.status().ToString();
+    auto drain = std::async(std::launch::async, [&] {
+      Status status;
+      const size_t records = DrainAll(**stream, &status).size();
+      return std::make_pair(records, status);
+    });
+    EXPECT_EQ(drain.wait_for(std::chrono::milliseconds(150)),
+              std::future_status::timeout)
+        << transport->name() << ": the drain should be waiting for bytes";
+    merger.Stop();
+    ASSERT_EQ(drain.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << transport->name() << ": drain still blocked after Stop()";
+    const auto [records, status] = drain.get();
+    // 0x5A bytes read as 182-byte records: five fit in the first chunk,
+    // and the merge hands one out once it has read the next.
+    EXPECT_EQ(records, 4u) << transport->name();
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable)
+        << transport->name() << ": " << status.ToString();
+    stream->reset();
+    EXPECT_EQ(LiveSegmentMappedBytes(), 0u) << transport->name();
+  }
+}
+
+TEST_F(NetMergerTest, DroppedConnectionResumesAtTheCommittedOffset) {
+  // The connection drops after ~60 of ~140 chunks, with every segment
+  // part-read by the merge. The retry asks for the rest of each segment
+  // only: no byte is fetched or committed twice, and the merge carries on
+  // over the bytes it already read.
+  net::FaultInjectingTransport faults(transport_.get());
+  auto locations = MakeCluster(/*nodes=*/1, /*mofs=*/3, /*partitions=*/1,
+                               /*records=*/999);
+  const auto run = [&](net::Transport* transport, NetMerger::MergerStats* stats,
+                       Status* status) {
+    NetMerger::Options options;
+    options.transport = transport;
+    options.data_threads = 1;
+    options.chunk_size = 256;
+    options.retry_backoff_ms = 1;
+    NetMerger merger(options);
+    auto stream = merger.FetchAndMerge(0, locations);
+    EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+    std::vector<mr::Record> records;
+    if (stream.ok()) records = DrainAll(**stream, status);
+    merger.Stop();
+    *stats = merger.merger_stats();
+    return records;
+  };
+  NetMerger::MergerStats clean_stats;
+  Status clean_status;
+  const std::vector<mr::Record> clean =
+      run(transport_.get(), &clean_stats, &clean_status);
+  ASSERT_TRUE(clean_status.ok()) << clean_status.ToString();
+  ASSERT_EQ(clean.size(), 3u * 999);
+
+  const uint64_t served_before = suppliers_[0]->supplier_stats().bytes_served;
+  faults.SetChaosSchedule(
+      {net::ChaosPhase{.ops = 60}, net::ChaosPhase{.ops = 1, .drop_prob = 1}},
+      /*seed=*/5);
+  NetMerger::MergerStats stats;
+  Status status;
+  const std::vector<mr::Record> resumed = run(&faults, &stats, &status);
+  EXPECT_EQ(faults.chaos_drops(), 1);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(resumed, clean);  // same records, same order
+  EXPECT_GE(stats.fetch_retries, 1u);
+  EXPECT_EQ(stats.fetches, 3u);
+  EXPECT_EQ(stats.bytes_fetched, segment_bytes_[0]);
+  EXPECT_EQ(stats.bytes_fetched, clean_stats.bytes_fetched);
+  // Restarting at offset 0 would serve the ~60 committed chunks again;
+  // resuming re-serves at most the requests in flight when it dropped.
+  const uint64_t served =
+      suppliers_[0]->supplier_stats().bytes_served - served_before;
+  EXPECT_LE(served, segment_bytes_[0] + 4 * 256);
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+}
+
+TEST_F(NetMergerTest, ReplicaReportingAnotherSegmentTotalFailsThatSegment) {
+  // The primary serves the first chunk, then loses the segment; the
+  // replica's copy has another size, so the bytes the merge already read
+  // cannot be continued from it. The segment fails; the merger does not.
+  ForgingSupplier primary(*transport_, [](const FetchRequest& request) {
+    ForgingSupplier::Reply reply{/*segment_total=*/3000, /*bytes=*/1000};
+    reply.error = request.offset > 0;
+    return reply;
+  });
+  ForgingSupplier replica(*transport_, [](const FetchRequest&) {
+    return ForgingSupplier::Reply{/*segment_total=*/5000, /*bytes=*/1000};
+  });
+  NetMerger::Options options;
+  options.transport = transport_.get();
+  options.chunk_size = 1000;
+  NetMerger merger(options);
+  auto stream = merger.FetchAndMerge(
+      0, {{0, 0, "127.0.0.1", primary.port()},
+          {0, 1, "127.0.0.1", replica.port()}});
+  // Usually the call returns with the first chunk and the drain meets the
+  // failure; the failover can also beat the call's return.
+  Status status = stream.status();
+  if (stream.ok()) {
+    DrainAll(**stream, &status);
+    stream->reset();
+  }
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  EXPECT_NE(status.message().find("segment_total"), std::string::npos)
+      << status.ToString();
+  const NetMerger::MergerStats stats = merger.merger_stats();
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.fetch_errors, 1u);
+  EXPECT_EQ(stats.bytes_fetched, 1000u);  // nothing of the replica's copy
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  // Still serving: a fresh fetch of the replica's copy goes through.
+  auto again =
+      merger.FetchAndMerge(0, {{0, 1, "127.0.0.1", replica.port()}});
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
+  merger.Stop();
+}
+
+/// A supplier whose disk model streams 1 MB/s, so a fetch of the test's
+/// ~100 KB partition takes ~100 ms and the merge can overtake it.
+void SlowDisk(MofSupplier::Options& options) {
+  options.buffer_size = 8192;
+  options.disk_bytes_per_sec = 1e6;
+}
+
+TEST_F(NetMergerTest, FirstRecordsComeOutWhileChunksAreStillArriving) {
+  auto locations = MakeCluster(/*nodes=*/1, /*mofs=*/2, /*partitions=*/1,
+                               /*records=*/5000, SlowDisk);
+  NetMerger::Options options;
+  options.transport = transport_.get();
+  options.chunk_size = 4000;
+  NetMerger merger(options);
+  MetricCounter* chunks = merger.metrics().GetCounter(
+      "jbs_netmerger_chunks_total", {{"client", "netmerger"}});
+  auto stream = merger.FetchAndMerge(0, locations);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  mr::Record record;
+  ASSERT_TRUE((*stream)->Next(&record));
+  const uint64_t at_first_record = chunks->value();
+  const uint64_t segment_chunks = (segment_bytes_[0] / 2 + 3999) / 4000;
+  EXPECT_GE(at_first_record, 2u);  // one per segment, at least
+  EXPECT_LT(at_first_record, segment_chunks);
+  size_t count = 1;
+  while ((*stream)->Next(&record)) ++count;
+  EXPECT_TRUE((*stream)->status().ok()) << (*stream)->status().ToString();
+  EXPECT_EQ(count, 2u * 5000);
+  EXPECT_EQ(chunks->value(), 2 * segment_chunks);
+  merger.Stop();
+}
+
+TEST_F(NetMergerTest, DroppedStreamReleasesItsMappingsOnceItsFetchesEnd) {
+  auto locations = MakeCluster(/*nodes=*/1, /*mofs=*/2, /*partitions=*/1,
+                               /*records=*/5000, SlowDisk);
+  NetMerger::Options options;
+  options.transport = transport_.get();
+  options.chunk_size = 4000;
+  NetMerger merger(options);
+  {
+    auto stream = merger.FetchAndMerge(0, locations);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    mr::Record record;
+    ASSERT_TRUE((*stream)->Next(&record));
+    EXPECT_GT(LiveSegmentMappedBytes(), 0u);
+  }
+  // The conversation stops asking for the dropped segments and ends them
+  // once the replies in flight are in.
+  for (int i = 0; i < 500 && LiveSegmentMappedBytes() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  const NetMerger::MergerStats stats = merger.merger_stats();
+  EXPECT_LT(stats.bytes_fetched, segment_bytes_[0]);
+  EXPECT_EQ(stats.fetch_errors, 0u);  // a dropped stream is no failure
+  EXPECT_EQ(merger.pending_node_count(), 0u);
+  merger.Stop();
 }
 
 TEST_F(NetMergerTest, StopUnblocksWorkers) {

@@ -230,6 +230,14 @@ TEST_F(PipelineStressTest, NetMergerWindowedFetchOverPipelinedSupplier) {
   std::thread r1([&] {
     auto stream = merger.FetchAndMerge(1, sources);
     s1 = stream.status();
+    // The segments are still arriving when the call returns: drain, so
+    // the fetch counters below see every segment.
+    if (stream.ok()) {
+      mr::Record record;
+      while ((*stream)->Next(&record)) {
+      }
+      EXPECT_TRUE((*stream)->status().ok()) << (*stream)->status().ToString();
+    }
   });
   r0.join();
   r1.join();

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 namespace jbs::shuffle {
@@ -113,6 +114,39 @@ TEST(SegmentBufferTest, CommitExposesSpareBytesOnlyWhenCommitted) {
   EXPECT_EQ((*buffer)->size(), 2500u);
   EXPECT_TRUE((*buffer)->Commit(500).ok());
   EXPECT_TRUE((*buffer)->spare().empty());
+}
+
+TEST(SegmentBufferTest, ReaderSeesEveryCommittedByteWhileTheWriterFills) {
+  // The committed size publishes the bytes before it: a reader on another
+  // thread that loads it may read that whole prefix (TSan checks the
+  // handoff), whether the bytes were appended or written in place.
+  constexpr size_t kSize = 256 * 1024;
+  const std::vector<uint8_t> expected = Pattern(kSize, 9);
+  auto buffer = Map(kSize);
+  ASSERT_TRUE(buffer.ok());
+  SegmentBuffer& segment = **buffer;
+  std::thread writer([&] {
+    for (size_t offset = 0, step = 1; offset < kSize; step = step % 4093 + 7) {
+      const size_t n = std::min(step, kSize - offset);
+      if (step % 2 == 0) {
+        ASSERT_TRUE(segment.Append({expected.data() + offset, n}).ok());
+      } else {
+        std::copy_n(expected.data() + offset, n, segment.spare().data());
+        ASSERT_TRUE(segment.Commit(n).ok());
+      }
+      offset += n;
+    }
+  });
+  size_t checked = 0;
+  while (checked < kSize) {
+    const std::span<const uint8_t> bytes = segment.bytes();
+    ASSERT_GE(bytes.size(), checked);
+    ASSERT_TRUE(std::equal(bytes.begin() + checked, bytes.end(),
+                           expected.begin() + checked));
+    checked = bytes.size();
+  }
+  writer.join();
+  EXPECT_EQ(segment.size(), kSize);
 }
 
 TEST(SegmentPoolTest, SamePageRoundedSizeReusesTheMapping) {

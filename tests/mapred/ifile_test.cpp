@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 
 namespace jbs::mr {
@@ -156,6 +157,60 @@ TEST(IFileTest, CorruptLengthRejected) {
   Record record;
   EXPECT_FALSE(reader.Next(&record));
   EXPECT_FALSE(reader.status().ok());
+}
+
+TEST(IFileTest, LengthsWhoseSumWrapsAreRejected) {
+  // Two lengths of 2^63 - 1 sum past 2^64 back to a small number; each
+  // must be checked against the bytes left on its own.
+  std::vector<uint8_t> segment;
+  PutVarint64(segment, INT64_MAX);
+  PutVarint64(segment, INT64_MAX);
+  segment.resize(64, 0);
+  IFileReader reader(segment);
+  Record record;
+  EXPECT_FALSE(reader.Next(&record));
+  EXPECT_EQ(reader.status().message(), "corrupt IFile record lengths");
+}
+
+TEST(IFileTest, PrefixReaderStopsWhereTheBytesEnd) {
+  IFileWriter writer;
+  writer.Append("key", "value");
+  writer.Append("k2", "v2");
+  const std::vector<uint8_t> segment = writer.Finish();
+  const std::span<const uint8_t> bytes(segment);
+  // The first record's lengths and key, but not all of its value.
+  IFileReader reader(bytes.first(6), segment.size());
+  Record record;
+  EXPECT_FALSE(reader.Next(&record));
+  EXPECT_TRUE(reader.needs_more());
+  EXPECT_TRUE(reader.status().ok());
+  reader.Extend(bytes.first(10));
+  ASSERT_TRUE(reader.Next(&record));
+  EXPECT_EQ(record, (Record{"key", "value"}));
+  EXPECT_FALSE(reader.Next(&record));
+  EXPECT_TRUE(reader.needs_more());
+  reader.Extend(bytes);
+  ASSERT_TRUE(reader.Next(&record));
+  EXPECT_EQ(record, (Record{"k2", "v2"}));
+  EXPECT_FALSE(reader.Next(&record));
+  EXPECT_FALSE(reader.needs_more());
+  EXPECT_TRUE(reader.status().ok());
+  EXPECT_EQ(reader.records_read(), 2u);
+}
+
+TEST(IFileTest, PrefixReaderRejectsLengthsPastTheWholeSegmentAtOnce) {
+  // A length that overruns the segment's final size is corrupt now; the
+  // reader does not wait for bytes that will never come.
+  IFileWriter writer;
+  writer.Append("key", "value");
+  std::vector<uint8_t> segment = writer.Finish();
+  segment[0] = 0x7f;
+  IFileReader reader(std::span<const uint8_t>(segment).first(4),
+                     segment.size());
+  Record record;
+  EXPECT_FALSE(reader.Next(&record));
+  EXPECT_FALSE(reader.needs_more());
+  EXPECT_EQ(reader.status().message(), "corrupt IFile record lengths");
 }
 
 TEST(IFileTest, LargeSegmentRoundTrip) {

@@ -21,6 +21,64 @@ std::vector<Record> Drain(RecordStream& stream) {
   return out;
 }
 
+/// A segment that arrives `piece` bytes per AwaitMore, on the caller's
+/// thread. `fail_at` bytes in, it stops growing and ends with `failure`;
+/// otherwise it ends with `verdict` once every byte is in.
+class PiecewiseSegment final : public ArrivingSegment {
+ public:
+  PiecewiseSegment(std::vector<uint8_t> bytes, size_t piece)
+      : bytes_(std::move(bytes)),
+        piece_(piece),
+        arrived_(std::min(piece, bytes_.size())) {}
+
+  uint64_t total() const override { return bytes_.size(); }
+  std::span<const uint8_t> arrived() const override {
+    return std::span<const uint8_t>(bytes_).first(arrived_);
+  }
+  Status AwaitMore(uint64_t have) override {
+    ++waits;
+    if (have != arrived_) return Internal("reader lost track of the prefix");
+    if (arrived_ >= fail_at) return failure;
+    arrived_ = std::min({arrived_ + piece_, bytes_.size(), fail_at});
+    return Status::Ok();
+  }
+  /// The wait lets the rest arrive, up to `fail_at`.
+  Status AwaitEnd() override {
+    ++end_waits;
+    if (fail_at < bytes_.size()) return failure;
+    arrived_ = bytes_.size();
+    return verdict;
+  }
+
+  size_t fail_at = SIZE_MAX;
+  Status failure = IoError("fetch failed");
+  Status verdict;
+  int waits = 0;
+  int end_waits = 0;
+
+ private:
+  std::vector<uint8_t> bytes_;
+  size_t piece_;
+  size_t arrived_;
+};
+
+/// Records of every length class the varints have: empty, one byte,
+/// past 127 (multi-byte varint) and past 64 KiB.
+std::vector<uint8_t> MixedSegment(std::vector<Record>* records) {
+  IFileWriter writer;
+  Rng rng(7);
+  const size_t sizes[] = {0, 1, 5, 127, 128, 300, 70000};
+  for (int i = 0; i < 40; ++i) {
+    Record record;
+    record.key = "key" + std::to_string(1000 + i);
+    record.key.append(sizes[rng.Below(4)], 'k');
+    record.value.assign(sizes[rng.Below(7)], static_cast<char>('a' + i % 26));
+    writer.Append(record);
+    records->push_back(std::move(record));
+  }
+  return writer.Finish();
+}
+
 TEST(KWayMergerTest, MergesTwoSortedStreams) {
   std::vector<std::unique_ptr<RecordStream>> inputs;
   inputs.push_back(Stream({{"a", "1"}, {"c", "3"}, {"e", "5"}}));
@@ -321,6 +379,98 @@ TEST(SegmentStreamTest, OwnerLivesAsLongAsTheStream) {
   EXPECT_TRUE(stream->status().ok());
   stream.reset();
   EXPECT_TRUE(watch.expired());
+}
+
+TEST(SegmentStreamTest, ArrivingSegmentYieldsWhatTheWholeSegmentDoes) {
+  // One byte at a time puts a piece boundary inside every varint, key,
+  // value, the EOF marker and the trailer; the larger pieces are chunk
+  // sized.
+  std::vector<Record> expected;
+  const std::vector<uint8_t> bytes = MixedSegment(&expected);
+  SegmentStream whole(bytes);
+  ASSERT_EQ(Drain(whole), expected);
+  for (const size_t piece : {size_t{1}, size_t{2}, size_t{3}, size_t{1500},
+                             size_t{4096}, bytes.size()}) {
+    SCOPED_TRACE(piece);
+    auto arriving = std::make_shared<PiecewiseSegment>(bytes, piece);
+    SegmentStream stream(arriving);
+    EXPECT_EQ(Drain(stream), expected);
+    EXPECT_TRUE(stream.status().ok()) << stream.status().ToString();
+    EXPECT_EQ(arriving->end_waits, 1);
+    // The stream waits only when a record runs past what has arrived.
+    EXPECT_LE(arriving->waits,
+              static_cast<int>((bytes.size() + piece - 1) / piece));
+  }
+}
+
+TEST(SegmentStreamTest, CompleteSegmentCutMidRecordFailsWithoutWaiting) {
+  std::vector<Record> expected;
+  std::vector<uint8_t> bytes = MixedSegment(&expected);
+  for (const size_t cut : {size_t{1}, size_t{9}, bytes.size() / 2,
+                           bytes.size() - 7}) {
+    SCOPED_TRACE(cut);
+    std::vector<uint8_t> shortened(bytes.begin(), bytes.begin() + cut);
+    IFileReader whole(shortened);
+    Record record;
+    while (whole.Next(&record)) {
+    }
+    ASSERT_EQ(whole.status().code(), StatusCode::kIoError);
+    // Arrived in pieces, the cut segment is the whole segment: once its
+    // last byte is in, the reader fails as over the whole span.
+    auto arriving = std::make_shared<PiecewiseSegment>(shortened, 64);
+    SegmentStream stream(arriving);
+    Drain(stream);
+    EXPECT_EQ(stream.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(stream.status().message(), whole.status().message());
+    EXPECT_EQ(arriving->end_waits, 0);
+  }
+}
+
+TEST(SegmentStreamTest, FailureWhileWaitingEndsTheStream) {
+  std::vector<Record> expected;
+  const std::vector<uint8_t> bytes = MixedSegment(&expected);
+  auto arriving = std::make_shared<PiecewiseSegment>(bytes, 1000);
+  arriving->fail_at = bytes.size() / 2;
+  SegmentStream stream(arriving);
+  const std::vector<Record> got = Drain(stream);
+  EXPECT_LT(got.size(), expected.size());
+  EXPECT_EQ(stream.status().message(), "fetch failed");
+  Record record;
+  EXPECT_FALSE(stream.Next(&record));  // stays failed
+  EXPECT_EQ(stream.status().message(), "fetch failed");
+}
+
+TEST(SegmentStreamTest, EndOfRecordsWaitsForTheSegmentsVerdict) {
+  // The EOF marker is not the end: a fetch that fails on the trailer
+  // still fails the stream.
+  std::vector<Record> expected;
+  const std::vector<uint8_t> bytes = MixedSegment(&expected);
+  auto arriving = std::make_shared<PiecewiseSegment>(bytes, bytes.size());
+  arriving->verdict = IoError("trailer chunk lost");
+  SegmentStream stream(arriving);
+  EXPECT_EQ(Drain(stream), expected);
+  EXPECT_EQ(stream.status().message(), "trailer chunk lost");
+  EXPECT_EQ(arriving->end_waits, 1);
+}
+
+TEST(SegmentStreamTest, MergesArrivingSegments) {
+  std::vector<std::unique_ptr<RecordStream>> inputs;
+  std::vector<Record> expected;
+  for (int s = 0; s < 3; ++s) {
+    IFileWriter writer;
+    for (int i = 0; i < 50; ++i) {
+      Record record{"k" + std::to_string(1000 + 3 * i + s), std::string(90, 'v')};
+      writer.Append(record);
+      expected.push_back(std::move(record));
+    }
+    inputs.push_back(std::make_unique<SegmentStream>(
+        std::make_shared<PiecewiseSegment>(writer.Finish(), 333)));
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Record& a, const Record& b) { return a.key < b.key; });
+  KWayMerger merger(std::move(inputs));
+  EXPECT_EQ(Drain(merger), expected);
+  EXPECT_TRUE(merger.status().ok());
 }
 
 TEST(OpenSegmentTest, CompressedSegmentReleasesItsOwnerOnOpen) {
