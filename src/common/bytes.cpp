@@ -60,24 +60,6 @@ void PutVarint64(std::vector<uint8_t>& out, int64_t v) {
   }
 }
 
-std::optional<int64_t> GetVarint64(std::span<const uint8_t> data,
-                                   size_t* offset) {
-  if (*offset >= data.size()) return std::nullopt;
-  const auto first = static_cast<int8_t>(data[*offset]);
-  ++*offset;
-  if (first >= -112) return static_cast<int64_t>(first);
-  const bool negative = first >= -120;
-  const int length = negative ? (-112 - first) : (-120 - first);
-  if (*offset + static_cast<size_t>(length) > data.size()) return std::nullopt;
-  uint64_t magnitude = 0;
-  for (int i = 0; i < length; ++i) {
-    magnitude = (magnitude << 8) | data[*offset];
-    ++*offset;
-  }
-  if (negative) return static_cast<int64_t>(~magnitude);
-  return static_cast<int64_t>(magnitude);
-}
-
 size_t VarintSize(int64_t v) {
   if (v >= -112 && v <= 127) return 1;
   uint64_t magnitude =

@@ -27,10 +27,29 @@ uint64_t GetU64(const uint8_t* p);
 /// bytes. Round-trips all int64 values.
 void PutVarint64(std::vector<uint8_t>& out, int64_t v);
 
-/// Decodes a varint starting at `data[*offset]`; advances *offset.
-/// Returns nullopt on truncated input.
-std::optional<int64_t> GetVarint64(std::span<const uint8_t> data,
-                                   size_t* offset);
+/// Decodes a varint starting at `data[*offset]`; advances *offset past
+/// it. Returns nullopt on truncated input, leaving *offset unchanged.
+/// Inline: the IFile reader decodes two per record.
+inline std::optional<int64_t> GetVarint64(std::span<const uint8_t> data,
+                                          size_t* offset) {
+  size_t at = *offset;
+  if (at >= data.size()) return std::nullopt;
+  const auto first = static_cast<int8_t>(data[at++]);
+  if (first >= -112) [[likely]] {
+    *offset = at;
+    return first;
+  }
+  const bool negative = first >= -120;
+  const auto length =
+      static_cast<size_t>(negative ? -112 - first : -120 - first);
+  if (length > data.size() - at) return std::nullopt;
+  uint64_t magnitude = 0;
+  for (size_t i = 0; i < length; ++i) {
+    magnitude = (magnitude << 8) | data[at + i];
+  }
+  *offset = at + length;
+  return static_cast<int64_t>(negative ? ~magnitude : magnitude);
+}
 
 /// Number of bytes PutVarint64 would emit.
 size_t VarintSize(int64_t v);

@@ -16,6 +16,11 @@ namespace {
 /// Fixed seed for the retry-backoff jitter, so retry timing replays.
 constexpr uint64_t kBackoffJitterSeed = 0x6A6274735F6E6D32ull;
 
+/// What a segment's opening request asks for while other nodes wait: a
+/// small head, so every segment's first records land early and the merge
+/// can start before the partition's bulk arrives.
+constexpr size_t kHeadBytes = 16 * 1024;
+
 /// Maps one failed fetch attempt to the health-tracker taxonomy. A dial
 /// that never connected is a connect fault regardless of status code; past
 /// the dial, the status itself decides.
@@ -162,6 +167,8 @@ struct NetMerger::Slot {
   uint32_t busy_hint_ms = 0;  // retry-after of a kErrorBusy reply
   uint64_t next_send = 0;     // offset of the next request
   uint64_t stride = 0;        // reply size, from this round's first reply
+  uint64_t ask = 0;           // max_len of this round's requests
+  bool head = false;          // a step sends this segment its head only
   int in_flight = 0;
 
   uint64_t committed() const {
@@ -510,9 +517,19 @@ void NetMerger::AbandonCall(
   for (const auto& fetch : fetches) (void)fetch->TakeLanded(&compressed);
 }
 
+bool NetMerger::Claimable(const FetchTask& task) const {
+  return !options_.round_robin || !task.landed ||
+         task.context->heads_landed.load(std::memory_order_relaxed);
+}
+
+bool NetMerger::AnyClaimable(const std::deque<FetchTask>& queue) const {
+  return std::any_of(queue.begin(), queue.end(),
+                     [this](const FetchTask& task) { return Claimable(task); });
+}
+
 bool NetMerger::OtherNodeWaiting(const std::string& node) {
   for (const auto& [key, queue] : node_queues_) {
-    if (key != node && !queue.empty() && !busy_nodes_.contains(key) &&
+    if (key != node && !busy_nodes_.contains(key) && AnyClaimable(queue) &&
         !health_->penalized(key)) {
       return true;
     }
@@ -543,7 +560,7 @@ void NetMerger::TakeQueued(const std::string& node,
                        });
   };
   for (auto qit = queue.begin(); qit != queue.end() && limit > 0;) {
-    if (named(*qit)) {
+    if (!Claimable(*qit) || named(*qit)) {
       ++qit;
       continue;
     }
@@ -579,7 +596,8 @@ void NetMerger::JoinQueued(const std::string& node, std::vector<Slot>* slots) {
   for (FetchTask& task : joined) slots->emplace_back(std::move(task));
 }
 
-bool NetMerger::NextTasks(std::string* node, std::vector<FetchTask>* tasks) {
+bool NetMerger::NextTasks(std::string* node, std::vector<FetchTask>* tasks,
+                          bool* step) {
   MutexLock lock(sched_mu_);
   for (;;) {
     if (stopping_) return false;
@@ -626,7 +644,7 @@ bool NetMerger::NextTasks(std::string* node, std::vector<FetchTask>* tasks) {
     bool skipped_penalized = false;
     auto claimable = [&](const std::string& key,
                          const std::deque<FetchTask>& queue) {
-      if (queue.empty() || busy_nodes_.contains(key)) return false;
+      if (busy_nodes_.contains(key) || !AnyClaimable(queue)) return false;
       if (health_->penalized(key)) {
         skipped_penalized = true;
         return false;
@@ -635,10 +653,19 @@ bool NetMerger::NextTasks(std::string* node, std::vector<FetchTask>* tasks) {
     };
     auto take_from = [&](const std::string& key) {
       *node = key;  // `key` may dangle once TakeQueued erases the queue
-      // A lone node's whole queue goes into one conversation; while other
-      // nodes wait, one task per claim keeps the injection policy's order.
+      // A lone node's whole queue goes into one conversation. While other
+      // nodes wait under round robin, a claim is a step: it takes up to
+      // fetch_window segments, sends them at most fetch_window requests
+      // and puts them back, so the nodes take turns chunk by chunk. FIFO
+      // fetches one segment per claim to its end, and so does
+      // consolidate=false, on a connection of its own.
       const bool whole = options_.consolidate && !OtherNodeWaiting(*node);
-      TakeQueued(*node, {}, whole ? SIZE_MAX : 1, tasks);
+      *step = options_.consolidate && options_.round_robin && !whole;
+      const size_t limit =
+          whole ? SIZE_MAX
+          : *step ? static_cast<size_t>(std::max(1, options_.fetch_window))
+                  : 1;
+      TakeQueued(*node, {}, limit, tasks);
       busy_nodes_.insert(*node);
       if (options_.round_robin) rr_last_ = *node;
       return true;
@@ -678,13 +705,14 @@ bool NetMerger::NextTasks(std::string* node, std::vector<FetchTask>* tasks) {
 void NetMerger::WorkerLoop() {
   std::string node;
   std::vector<FetchTask> tasks;
+  bool step = false;
   std::string last_node;
-  while (NextTasks(&node, &tasks)) {
+  while (NextTasks(&node, &tasks, &step)) {
     if (node != last_node && !last_node.empty()) {
       node_switches_c_->Increment();
     }
     last_node = node;
-    Converse(node, std::move(tasks));
+    Converse(node, std::move(tasks), step);
     tasks.clear();
     {
       MutexLock lock(sched_mu_);
@@ -749,8 +777,8 @@ Status NetMerger::SendHello(net::Connection& conn,
   return conn.Send(EncodeHello(hello), deadline);
 }
 
-void NetMerger::Converse(const std::string& node,
-                         std::vector<FetchTask> tasks) {
+void NetMerger::Converse(const std::string& node, std::vector<FetchTask> tasks,
+                         bool step) {
   // Transient fetch failures (dropped connection, refused dial, blown
   // chunk deadline, corrupt chunk) are retried with capped jittered
   // backoff, re-dialing each time — a fetch failure must not fail the
@@ -769,7 +797,8 @@ void NetMerger::Converse(const std::string& node,
     slots.clear();
   };
   for (;;) {
-    JoinQueued(node, &slots);
+    // Only a whole-queue conversation takes in segments queued after it.
+    if (!step) JoinQueued(node, &slots);
     if (cancelled_.load()) return end_all(Unavailable("NetMerger stopped"));
     net::Deadline soonest;
     for (Slot& slot : slots) {
@@ -814,7 +843,7 @@ void NetMerger::Converse(const std::string& node,
       // The capability hello goes out once per connection, not per
       // conversation — a cache hit reuses a socket the server knows.
       round = dialed ? SendHello(**conn, dial_deadline) : Status::Ok();
-      if (round.ok()) round = RunRound(**conn, node, slots);
+      if (round.ok()) round = RunRound(**conn, node, slots, step);
     } else {
       round = conn.status();
     }
@@ -902,17 +931,52 @@ void NetMerger::Converse(const std::string& node,
     if (!slots.empty() && delay_ms > 0 && !SleepInterruptible(delay_ms)) {
       return end_all(Unavailable("NetMerger stopped"));
     }
+    // A step ends after one round: its unfinished segments go to the back
+    // of the node's queue and resume at their committed offsets.
+    if (step) return Requeue(node, &slots);
   }
 }
 
+void NetMerger::Requeue(const std::string& node, std::vector<Slot>* slots) {
+  bool stopping = false;
+  {
+    // Under sched_mu_, a task is either seen abandoned here or found in
+    // the queue by AbandonCall's sweep, which also takes sched_mu_: a
+    // failed call's segments are never left queued behind heads that will
+    // not land.
+    MutexLock lock(sched_mu_);
+    stopping = stopping_;
+    std::deque<FetchTask>* queue = nullptr;
+    for (Slot& slot : *slots) {
+      if (stopping || slot.task.fetch->abandoned()) continue;
+      if (queue == nullptr) queue = &node_queues_[node];
+      queue->push_back(std::move(slot.task));
+      slot.state = Slot::State::kEnded;
+    }
+    if (queue != nullptr) SetQueueDepth(node, queue->size());
+  }
+  // The rest end here: as Stop() ended the queued tasks, or as a dropped
+  // stream's segments end.
+  for (Slot& slot : *slots) {
+    if (slot.state == Slot::State::kEnded) continue;  // requeued
+    EndTask(slot.task, stopping ? Unavailable("NetMerger stopped")
+                                : Cancelled("merge stream dropped"));
+  }
+  slots->clear();
+}
+
 Status NetMerger::RunRound(net::Connection& conn, const std::string& node,
-                           std::vector<Slot>& slots) {
+                           std::vector<Slot>& slots, bool step) {
+  const uint64_t head_ask = std::min<uint64_t>(options_.chunk_size, kHeadBytes);
   for (Slot& slot : slots) {
     slot.next_send = slot.committed();
     slot.stride = 0;
+    slot.head = step && slot.task.buffer == nullptr;
+    slot.ask = slot.head ? head_ask : options_.chunk_size;
     slot.in_flight = 0;
   }
   int in_flight = 0;
+  int sent = 0;
   const int window = std::max(1, options_.fetch_window);
   // Each wire operation gets the tighter of the fetch budgets and the
   // per-chunk timeout; the chunk clock restarts per operation, so a slow
@@ -936,7 +1000,8 @@ Status NetMerger::RunRound(net::Connection& conn, const std::string& node,
   // The next request goes to the segment with the fewest bytes requested,
   // so all of them advance together. A segment's first request in a round
   // goes alone: its reply sets the segment's size and the server's
-  // chunk stride.
+  // chunk stride. A step sends fetch_window requests in all, a segment
+  // without its first chunk its head only.
   const auto pick = [&]() -> Slot* {
     Slot* best = nullptr;
     for (Slot& slot : slots) {
@@ -946,7 +1011,8 @@ Status NetMerger::RunRound(net::Connection& conn, const std::string& node,
       const bool ready =
           slot.stride == 0
               ? slot.in_flight == 0
-              : slot.next_send < slot.task.buffer->capacity();
+              : slot.next_send < slot.task.buffer->capacity() &&
+                    (!step || (!slot.head && sent < window));
       if (ready && (best == nullptr || slot.next_send < best->next_send)) {
         best = &slot;
       }
@@ -961,13 +1027,10 @@ Status NetMerger::RunRound(net::Connection& conn, const std::string& node,
           size_t tail_len) -> std::span<uint8_t> {
     if (type != kFetchData) return {};
     const auto header = DecodeDataHeader(head);
-    if (!header || (header->flags & kChunkCompressed) != 0 ||
-        tail_len > options_.chunk_size) {
-      return {};
-    }
+    if (!header || (header->flags & kChunkCompressed) != 0) return {};
     Slot* slot = find(header->map_task, header->partition);
     if (slot == nullptr || slot->state != Slot::State::kActive ||
-        slot->task.buffer == nullptr) {
+        slot->task.buffer == nullptr || tail_len > slot->ask) {
       return {};
     }
     SegmentBuffer& buffer = *slot->task.buffer;
@@ -981,14 +1044,16 @@ Status NetMerger::RunRound(net::Connection& conn, const std::string& node,
   };
 
   for (;;) {
-    // Segments queued for this node since join the conversation, unless a
-    // failed one is waiting for the round to end.
-    if (std::none_of(slots.begin(), slots.end(), [](const Slot& slot) {
+    // Segments queued for this node since join a whole-queue conversation,
+    // unless a failed one is waiting for the round to end.
+    if (!step &&
+        std::none_of(slots.begin(), slots.end(), [](const Slot& slot) {
           return slot.state == Slot::State::kFailed;
         })) {
       const size_t before = slots.size();
       JoinQueued(node, &slots);
       for (size_t i = before; i < slots.size(); ++i) {
+        slots[i].ask = options_.chunk_size;
         trace_->Record(slots[i].task.fetch_id, TraceEvent::kDialed,
                        slots[i].task.attempts + 1);
       }
@@ -1012,15 +1077,15 @@ Status NetMerger::RunRound(net::Connection& conn, const std::string& node,
       request.map_task = slot->task.source.map_task;
       request.partition = slot->task.partition;
       request.offset = slot->next_send;
-      request.max_len = static_cast<uint32_t>(options_.chunk_size);
+      request.max_len = static_cast<uint32_t>(slot->ask);
       JBS_RETURN_IF_ERROR(conn.Send(EncodeRequest(request), op_deadline()));
-      if (slot->stride == 0) {
+      if (slot->task.buffer == nullptr) {
         trace_->Record(slot->task.fetch_id, TraceEvent::kRequestSent);
-      } else {
-        slot->next_send += slot->stride;
       }
+      if (slot->stride != 0) slot->next_send += slot->stride;
       ++slot->in_flight;
       ++in_flight;
+      ++sent;
     }
     if (in_flight == 0) return Status::Ok();
 
@@ -1122,9 +1187,8 @@ Status NetMerger::AcceptChunk(Slot& slot, const FetchDataHeader& header,
     // bytes. Offsets stay in logical coordinates — only the payload
     // shrank — so the stride bookkeeping never notices.
     const std::span<uint8_t> spare = buffer.spare();
-    auto raw = DecompressInto(
-        data,
-        spare.first(std::min<uint64_t>(spare.size(), options_.chunk_size)));
+    auto raw =
+        DecompressInto(data, spare.first(std::min(spare.size(), slot.ask)));
     if (raw.status().code() == StatusCode::kResourceExhausted) {
       return Internal("compressed chunk overruns the requested max_len "
                       "or the segment: " + raw.status().message());
@@ -1139,7 +1203,7 @@ Status NetMerger::AcceptChunk(Slot& slot, const FetchDataHeader& header,
                      raw.status().message());
     }
     logical = *raw;
-  } else if (logical > options_.chunk_size) {
+  } else if (logical > slot.ask) {
     return Internal("chunk of " + std::to_string(logical) +
                     " bytes exceeds the requested max_len");
   }
@@ -1168,8 +1232,22 @@ Status NetMerger::AcceptChunk(Slot& slot, const FetchDataHeader& header,
   if (!task.landed) {
     task.landed = true;
     task.fetch->Land(task.buffer, task.compressed);
-    MutexLock lock(task.context->mu);
-    if (--task.context->unlanded == 0) task.context->cv.NotifyAll();
+    bool heads_landed = false;
+    {
+      MutexLock lock(task.context->mu);
+      if (--task.context->unlanded == 0) {
+        task.context->cv.NotifyAll();
+        heads_landed = true;
+      }
+    }
+    // The call's later chunks become claimable.
+    if (heads_landed) {
+      {
+        MutexLock lock(sched_mu_);
+        task.context->heads_landed.store(true, std::memory_order_relaxed);
+      }
+      work_cv_.NotifyAll();
+    }
   } else {
     task.fetch->Published();
   }

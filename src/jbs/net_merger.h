@@ -7,14 +7,20 @@
 //
 // The merge is network-levitated: FetchAndMerge returns once the first
 // chunk of every segment has landed, and the merge reads each segment in
-// place while the rest of it is still arriving (DESIGN.md §9). A data
-// thread that claims a node while no other node waits takes that node's
-// whole queue into one conversation on the node's one connection, so all
-// of a partition's segments advance together: at most `fetch_window`
-// requests in flight across them, the next one for the segment with the
-// fewest bytes requested, every reply matched to its segment by
-// (map_task, partition, offset). Segments stay in memory, in recycled
-// mappings: no reduce-side spill.
+// place while the rest of it is still arriving (DESIGN.md §9). While
+// other nodes wait under round robin, injection is chunk-granular: a
+// claim (a step) takes up to `fetch_window` of a node's segments, sends
+// them at most `fetch_window` requests (a segment without its first
+// chunk gets its 16 KiB head only) and puts the unfinished ones back at
+// the tail of the node's queue; a call's later chunks wait until every
+// one of its heads has landed. A data thread that claims a node
+// while no other node waits takes that node's whole queue into one
+// conversation on the node's one connection, so all of a partition's
+// segments advance together: at most `fetch_window` requests in flight
+// across them, the next one for the segment with the fewest bytes
+// requested, every reply matched to its segment by (map_task, partition,
+// offset). Segments stay in memory, in recycled mappings: no reduce-side
+// spill.
 //
 // Every wire operation is deadline-bounded: a fetch gets one time budget
 // covering all retry attempts, each dial and each chunk round trip may be
@@ -169,6 +175,10 @@ class NetMerger final : public mr::ShuffleClient {
     size_t unlanded GUARDED_BY(mu) = 0;     // segments without a first chunk
     size_t outstanding GUARDED_BY(mu) = 0;  // segments whose fetch has not ended
     Status error GUARDED_BY(mu);            // the first fetch failure
+    // Every segment's first chunk has landed. Set under sched_mu_, so a
+    // data thread that found the call's later chunks unclaimable and went
+    // to sleep is woken.
+    std::atomic<bool> heads_landed{false};
   };
 
   /// One segment's fetch between its node queues and the data threads: the
@@ -213,17 +223,26 @@ class NetMerger final : public mr::ShuffleClient {
   /// the round-robin policy, and the penalty box: penalized nodes are
   /// skipped, their queued tasks rerouted to healthy replicas when
   /// possible, and when only penalized work remains the wait is bounded by
-  /// the earliest sentence expiry. The claim is the node's whole queue when
-  /// consolidating and no other node waits (see TakeQueued), else one task.
+  /// the earliest sentence expiry. When consolidating, the claim is the
+  /// node's whole queue if no other node waits (see TakeQueued); else,
+  /// under round robin, a step (`*step`): up to fetch_window tasks and
+  /// fetch_window requests. Otherwise it is one task, fetched to its end.
   /// Blocks until work exists or shutdown.
-  bool NextTasks(std::string* node, std::vector<FetchTask>* tasks)
-      EXCLUDES(sched_mu_);
-  /// True when a node other than `node` has queued work no data thread
+  bool NextTasks(std::string* node, std::vector<FetchTask>* tasks,
+                 bool* step) EXCLUDES(sched_mu_);
+  /// True if a claim may take `task` now. Round robin serves heads first:
+  /// a segment's later chunks wait until every segment of its call has
+  /// landed. FIFO drains node by node.
+  bool Claimable(const FetchTask& task) const;
+  /// True if the queue holds a task a claim may take now.
+  bool AnyClaimable(const std::deque<FetchTask>& queue) const;
+  /// True when a node other than `node` has claimable work no data thread
   /// holds and no sentence blocks.
   bool OtherNodeWaiting(const std::string& node) REQUIRES(sched_mu_);
-  /// Moves `node`'s queued tasks into `tasks`, except ones naming a
-  /// (map_task, partition) already among `held` or taken; `limit` caps
-  /// how many move. Arms each task's fetch deadline on its first claim.
+  /// Moves `node`'s claimable queued tasks into `tasks`, except ones
+  /// naming a (map_task, partition) already among `held` or taken; `limit`
+  /// caps how many move. Arms each task's fetch deadline on its first
+  /// claim.
   void TakeQueued(const std::string& node, const std::vector<Slot>& held,
                   size_t limit, std::vector<FetchTask>* tasks)
       REQUIRES(sched_mu_);
@@ -231,21 +250,28 @@ class NetMerger final : public mr::ShuffleClient {
   /// while no other node waits.
   void JoinQueued(const std::string& node, std::vector<Slot>* slots)
       EXCLUDES(sched_mu_);
-  /// Runs one node's conversation to its end: rounds on the node's
-  /// connection, each followed by the per-segment retry, pushback,
-  /// failover and deadline decisions, until every segment has ended or
-  /// moved to another node.
-  void Converse(const std::string& node, std::vector<FetchTask> tasks)
+  /// Runs one node's conversation: rounds on the node's connection, each
+  /// followed by the per-segment retry, pushback, failover and deadline
+  /// decisions, until every segment has ended or moved to another node.
+  /// A `step` runs one round and then requeues what is left.
+  void Converse(const std::string& node, std::vector<FetchTask> tasks,
+                bool step) EXCLUDES(sched_mu_);
+  /// Puts a step's unfinished segments back at the tail of the node's
+  /// queue; ends those whose stream is gone, and all of them if the
+  /// merger is stopping.
+  void Requeue(const std::string& node, std::vector<Slot>* slots)
       EXCLUDES(sched_mu_);
   /// One round on `conn`: requests and replies for every active slot until
-  /// none has a request left to send or a reply left to receive. Returns
-  /// the transport failure that cut it short, if any; failures a reply
-  /// names end up in their slot.
+  /// none has a request left to send or a reply left to receive; a
+  /// `step` sends fetch_window requests in all, and a segment without its
+  /// first chunk only its head. Returns the transport failure that cut it
+  /// short, if any; failures a reply names end up in their slot.
   Status RunRound(net::Connection& conn, const std::string& node,
-                  std::vector<Slot>& slots) EXCLUDES(sched_mu_);
+                  std::vector<Slot>& slots, bool step) EXCLUDES(sched_mu_);
   /// Verifies a data reply for `slot` and commits it into the segment.
   Status AcceptChunk(Slot& slot, const FetchDataHeader& header,
-                     std::span<const uint8_t> data, bool placed);
+                     std::span<const uint8_t> data, bool placed)
+      EXCLUDES(sched_mu_);
   /// Re-enqueues `task` on its next replica after `source` failed with
   /// `why`. Returns false (leaving the task untouched) when no failover is
   /// possible — no alternates, reroute budget spent, fetch deadline blown,

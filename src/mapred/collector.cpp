@@ -181,8 +181,10 @@ StatusOr<MofHandle> MapOutputCollector::Finish(int map_task, int node) {
       }
       JBS_RETURN_IF_ERROR(groups.status());
     } else {
-      Record record;
-      while (merged.Next(&record)) segment_out.Append(record);
+      RecordView record;
+      while (merged.NextView(&record)) {
+        segment_out.Append(record.key, record.value);
+      }
       JBS_RETURN_IF_ERROR(merged.status());
     }
     const uint64_t records = segment_out.records();

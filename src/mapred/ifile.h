@@ -55,9 +55,19 @@ class IFileReader {
   IFileReader(std::span<const uint8_t> prefix, uint64_t total)
       : data_(prefix), total_(total) {}
 
-  /// Reads the next record. Returns false at the EOF marker, on malformed
-  /// input (status() fails), or at the end of a prefix (needs_more()).
-  bool Next(Record* record);
+  /// Reads the next record in place: `view` spans the reader's bytes and
+  /// stays valid as long as they do. Returns false at the EOF marker, on
+  /// malformed input (status() fails), or at the end of a prefix
+  /// (needs_more()).
+  bool NextView(RecordView* view);
+  /// NextView, copied into `record`.
+  bool Next(Record* record) {
+    RecordView view;
+    if (!NextView(&view)) return false;
+    record->key.assign(view.key);
+    record->value.assign(view.value);
+    return true;
+  }
 
   /// True when the last Next stopped short of bytes the prefix lacks.
   bool needs_more() const { return needs_more_; }

@@ -1,6 +1,7 @@
 #include "mapred/merger.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/compress.h"
@@ -44,8 +45,8 @@ StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
       std::make_unique<SegmentStream>(segment, std::move(owner)));
 }
 
-bool SegmentStream::Next(Record* record) {
-  while (!reader_.Next(record)) {
+bool SegmentStream::NextView(RecordView* view) {
+  while (!reader_.NextView(view)) {
     if (finished_) return false;
     if (!reader_.needs_more()) {
       finished_ = true;
@@ -70,11 +71,18 @@ bool SegmentStream::Next(Record* record) {
 
 namespace {
 
-uint64_t KeyPrefix(const std::string& key) {
-  uint8_t bytes[8] = {};
-  std::memcpy(bytes, key.data(), std::min<size_t>(key.size(), 8));
+/// The key's first 8 bytes as a big-endian number, zero-padded: one load
+/// and a byte swap for keys of 8 bytes or more.
+uint64_t KeyPrefix(std::string_view key) {
   uint64_t prefix = 0;
-  for (uint8_t byte : bytes) prefix = (prefix << 8) | byte;
+  if (key.size() >= sizeof(prefix)) [[likely]] {
+    std::memcpy(&prefix, key.data(), sizeof(prefix));
+  } else if (!key.empty()) {
+    std::memcpy(&prefix, key.data(), key.size());
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    prefix = __builtin_bswap64(prefix);
+  }
   return prefix;
 }
 
@@ -83,86 +91,95 @@ uint64_t KeyPrefix(const std::string& key) {
 KWayMerger::KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs)
     : inputs_(std::move(inputs)),
       heads_(inputs_.size()),
-      prefixes_(inputs_.size()),
       live_(inputs_.size()),
-      losers_(inputs_.size(), kNobody) {}
+      tree_(inputs_.size(), Entry{0, kNobody}) {}
 
-bool KWayMerger::Before(size_t a, size_t b) const {
-  if (prefixes_[a] != prefixes_[b]) return prefixes_[a] < prefixes_[b];
-  if (live_[a] != live_[b]) return live_[a] != 0;
-  if (live_[a]) {
-    const int cmp = heads_[a].key.compare(heads_[b].key);
+bool KWayMerger::Before(const Entry& a, const Entry& b) const {
+  if (a.prefix != b.prefix) [[likely]] return a.prefix < b.prefix;
+  if (live_[a.source] != live_[b.source]) return live_[a.source] != 0;
+  if (live_[a.source]) {
+    const int cmp = heads_[a.source].key.compare(heads_[b.source].key);
     if (cmp != 0) return cmp < 0;
   }
-  return a < b;
+  return a.source < b.source;
 }
 
-void KWayMerger::Refill(size_t source) {
-  live_[source] = inputs_[source]->Next(&heads_[source]);
-  if (live_[source]) {
-    prefixes_[source] = KeyPrefix(heads_[source].key);
-    return;
-  }
-  prefixes_[source] = UINT64_MAX;
+KWayMerger::Entry KWayMerger::Refill(size_t source) {
+  live_[source] = inputs_[source]->NextView(&heads_[source]);
+  if (live_[source]) return {KeyPrefix(heads_[source].key), source};
   if (!inputs_[source]->status().ok()) status_ = inputs_[source]->status();
+  return {UINT64_MAX, source};
 }
 
-void KWayMerger::Replay(size_t source) {
+void KWayMerger::Replay(Entry winner) {
   // Climbs from the source's leaf, playing the stored loser at each node.
-  // While priming, the first climber to reach a node parks there and
-  // waits for the winner of the node's other subtree.
-  size_t winner = source;
-  for (size_t n = (inputs_.size() + source) / 2; n >= 1; n /= 2) {
-    if (losers_[n] == kNobody) {
-      losers_[n] = winner;
-      return;
-    }
-    if (Before(losers_[n], winner)) std::swap(losers_[n], winner);
+  // Random keys make each match a coin toss, so the swap is done with
+  // masks rather than a branch the CPU would mispredict half the time.
+  for (size_t n = (tree_.size() + winner.source) / 2; n >= 1; n /= 2) {
+    const Entry loser = tree_[n];
+    const uint64_t mask = 0 - static_cast<uint64_t>(Before(loser, winner));
+    const uint64_t prefix = (loser.prefix ^ winner.prefix) & mask;
+    const size_t source = (loser.source ^ winner.source) & mask;
+    tree_[n] = {loser.prefix ^ prefix, loser.source ^ source};
+    winner = {winner.prefix ^ prefix, winner.source ^ source};
   }
-  losers_[0] = winner;
+  tree_[0] = winner;
 }
 
-bool KWayMerger::Next(Record* record) {
+void KWayMerger::Prime() {
+  // Every source climbs in turn. The first climber to reach a node parks
+  // there and waits for the winner of the node's other subtree.
+  for (size_t source = 0; source < inputs_.size() && status_.ok(); ++source) {
+    Entry winner = Refill(source);
+    size_t n = (tree_.size() + source) / 2;
+    for (; n >= 1; n /= 2) {
+      if (tree_[n].source == kNobody) {
+        tree_[n] = winner;
+        break;
+      }
+      if (Before(tree_[n], winner)) std::swap(tree_[n], winner);
+    }
+    if (n == 0) tree_[0] = winner;
+  }
+}
+
+bool KWayMerger::NextView(RecordView* view) {
   if (!status_.ok() || inputs_.empty()) return false;
   if (!primed_) {
     primed_ = true;
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      Refill(i);
-      if (!status_.ok()) return false;
-      Replay(i);
-    }
+    Prime();
+    if (!status_.ok()) return false;
+  } else if (handed_out_ != kNobody) {
+    // The caller is done with the last view: only now may its source move.
+    Replay(Refill(handed_out_));
+    handed_out_ = kNobody;
+    if (!status_.ok()) return false;
   }
-  const size_t winner = losers_[0];
+  const size_t winner = tree_[0].source;
   if (!live_[winner]) return false;
-  std::swap(*record, heads_[winner]);
-  Refill(winner);
-  Replay(winner);
-  return status_.ok();
+  *view = heads_[winner];
+  handed_out_ = winner;
+  return true;
 }
 
 bool GroupIterator::NextGroup(std::string* key,
                               std::vector<std::string>* values) {
   values->clear();
   if (exhausted_) return false;
-  if (!have_lookahead_) {
-    if (!stream_->Next(&lookahead_)) {
-      exhausted_ = true;
-      return false;
-    }
-    have_lookahead_ = true;
+  if (!have_next_ && !stream_->NextView(&next_)) {
+    exhausted_ = true;
+    return false;
   }
-  *key = lookahead_.key;
-  values->push_back(std::move(lookahead_.value));
-  have_lookahead_ = false;
-  Record record;
-  while (stream_->Next(&record)) {
-    if (record.key != *key) {
-      lookahead_ = std::move(record);
-      have_lookahead_ = true;
+  key->assign(next_.key);
+  values->emplace_back(next_.value);
+  while (stream_->NextView(&next_)) {
+    if (next_.key != *key) {
+      have_next_ = true;
       return true;
     }
-    values->push_back(std::move(record.value));
+    values->emplace_back(next_.value);
   }
+  have_next_ = false;
   exhausted_ = true;
   return true;
 }

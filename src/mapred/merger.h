@@ -3,6 +3,11 @@
 // RecordStream is any sorted (key,value) iterator; KWayMerger merges many
 // of them with a tree of losers; GroupIterator turns the merged stream into
 // (key, values...) groups for the reduce function.
+//
+// Records travel as views, not copies. A RecordView that a stream hands
+// out spans bytes the stream owns or leases, and it stays valid until the
+// next NextView call on that same stream (or the stream's destruction);
+// the caller copies what it must keep longer. Next(Record*) is that copy.
 #pragma once
 
 #include <memory>
@@ -19,10 +24,20 @@ namespace jbs::mr {
 class RecordStream {
  public:
   virtual ~RecordStream() = default;
-  /// Advances to the next record; false at end-of-stream or on error
-  /// (check status()).
-  virtual bool Next(Record* record) = 0;
+  /// Advances to the next record, read in place; false at end-of-stream
+  /// or on error (check status()). `view` is valid until the next call.
+  virtual bool NextView(RecordView* view) = 0;
   virtual const Status& status() const = 0;
+
+  /// NextView, copied into `record`: for callers that keep records.
+  /// Reusing one `record` reuses its strings' capacity.
+  bool Next(Record* record) {
+    RecordView view;
+    if (!NextView(&view)) return false;
+    record->key.assign(view.key);
+    record->value.assign(view.value);
+    return true;
+  }
 };
 
 /// A segment whose bytes are still arriving: a prefix that only grows, up
@@ -43,9 +58,10 @@ class ArrivingSegment {
   virtual Status AwaitEnd() = 0;
 };
 
-/// RecordStream over an in-memory IFile segment, read in place. The same
-/// lease idiom as Frame::ext: `owner` keeps `segment` alive for the
-/// stream's lifetime. A null owner means the caller guarantees that.
+/// RecordStream over an in-memory IFile segment, read in place: its views
+/// span the segment's bytes. The same lease idiom as Frame::ext: `owner`
+/// keeps `segment` alive for the stream's lifetime. A null owner means the
+/// caller guarantees that.
 class SegmentStream final : public RecordStream {
  public:
   explicit SegmentStream(std::span<const uint8_t> segment,
@@ -63,7 +79,7 @@ class SegmentStream final : public RecordStream {
       : arriving_(std::move(segment)),
         reader_(arriving_->arrived(), arriving_->total()) {}
 
-  bool Next(Record* record) override;
+  bool NextView(RecordView* view) override;
   const Status& status() const override {
     return ended_.ok() ? reader_.status() : ended_;
   }
@@ -76,15 +92,17 @@ class SegmentStream final : public RecordStream {
   bool finished_ = false;
 };
 
-/// RecordStream over a vector of records (test helper / combiner output).
+/// RecordStream over a vector of records (test helper / combiner output);
+/// its views span the vector's strings.
 class VectorStream final : public RecordStream {
  public:
   explicit VectorStream(std::vector<Record> records)
       : records_(std::move(records)) {}
 
-  bool Next(Record* record) override {
+  bool NextView(RecordView* view) override {
     if (index_ >= records_.size()) return false;
-    *record = records_[index_++];
+    const Record& record = records_[index_++];
+    *view = {record.key, record.value};
     return true;
   }
   const Status& status() const override { return ok_; }
@@ -99,37 +117,48 @@ class VectorStream final : public RecordStream {
 /// ties are broken by input index, so records from earlier streams come
 /// first within equal keys. A tournament tree of losers (Knuth, TAOCP
 /// Vol. 3 §5.4.1) picks the winner in ceil(log2 N) compares per record,
-/// most of them on a cached 8-byte key prefix. Each source keeps one head
-/// Record; Next swaps it out to the caller and refills the source into the
-/// caller's old strings, so a drain that reuses its Record allocates
-/// nothing per record. The first source error ends the stream.
+/// most of them on a cached 8-byte key prefix. Each source's head is the
+/// view its stream last handed out, so no record is copied: the winner's
+/// view goes to the caller as is, and the winner's source is advanced
+/// (which ends that view) only on the next call. The first source error
+/// ends the stream.
 class KWayMerger final : public RecordStream {
  public:
   explicit KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs);
 
-  bool Next(Record* record) override;
+  bool NextView(RecordView* view) override;
   const Status& status() const override { return status_; }
 
  private:
-  /// True if `a`'s head sorts before `b`'s; exhausted sources sort last.
-  bool Before(size_t a, size_t b) const;
-  /// Reads the source's next head into heads_[source], reusing its strings.
-  void Refill(size_t source);
-  /// Replays the source's leaf-to-root path; the winner lands in losers_[0].
-  void Replay(size_t source);
-
   static constexpr size_t kNobody = SIZE_MAX;
 
+  /// A source's place in the tree: its head key's first 8 bytes as a
+  /// big-endian number (zero-padded, all ones once exhausted), which
+  /// orders like the key unless equal, and the source.
+  struct Entry {
+    uint64_t prefix;
+    size_t source;
+  };
+
+  /// True if `a`'s head sorts before `b`'s: by prefix, then exhausted
+  /// sources last, then by full key, then by source index.
+  bool Before(const Entry& a, const Entry& b) const;
+  /// Reads the source's next head view into heads_[source].
+  Entry Refill(size_t source);
+  /// Replays the source's leaf-to-root path; the winner lands in tree_[0].
+  void Replay(Entry winner);
+  /// Builds the tree from every source's first head.
+  void Prime();
+
   std::vector<std::unique_ptr<RecordStream>> inputs_;
-  std::vector<Record> heads_;
-  // Big-endian first 8 key bytes, zero-padded, all ones once exhausted:
-  // orders like the key unless equal, then Before compares in full.
-  std::vector<uint64_t> prefixes_;
+  std::vector<RecordView> heads_;
   std::vector<char> live_;
   // Source i is leaf k + i; internal node n (1 <= n < k) holds the loser
-  // of the match played there (kNobody before priming reaches it), and
-  // losers_[0] the overall winner.
-  std::vector<size_t> losers_;
+  // of the match played there (source kNobody before priming reaches it),
+  // and tree_[0] the overall winner.
+  std::vector<Entry> tree_;
+  // The source whose head the last call handed out: advanced on the next.
+  size_t handed_out_ = kNobody;
   Status status_;
   bool primed_ = false;
 };
@@ -144,7 +173,9 @@ StatusOr<std::unique_ptr<RecordStream>> OpenSegment(
     bool compressed);
 
 /// Groups a sorted stream by key: NextGroup() yields one key plus all its
-/// values. The reduce-function driver.
+/// values, the reduce function's input. It reads views and copies each
+/// key and value once, into the group it returns; the first record of
+/// the next group stays a view until the next call.
 class GroupIterator {
  public:
   explicit GroupIterator(RecordStream* stream) : stream_(stream) {}
@@ -156,8 +187,8 @@ class GroupIterator {
 
  private:
   RecordStream* stream_;
-  Record lookahead_;
-  bool have_lookahead_ = false;
+  RecordView next_;  // the next group's first record, when have_next_
+  bool have_next_ = false;
   bool exhausted_ = false;
 };
 

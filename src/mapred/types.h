@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace jbs::mr {
 
@@ -12,6 +13,13 @@ struct Record {
   std::string value;
 
   friend bool operator==(const Record&, const Record&) = default;
+};
+
+/// A record read in place: spans into bytes its source owns. Who hands
+/// one out says how long it stays valid (see RecordStream::NextView).
+struct RecordView {
+  std::string_view key;
+  std::string_view value;
 };
 
 /// Bytewise comparison used for map-side sort and reduce-side merge.

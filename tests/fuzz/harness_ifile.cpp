@@ -67,18 +67,47 @@ int FuzzIfile(const uint8_t* data, size_t size) {
   if (!clean_eof && reader.Next(&record)) abort();
   if (reader.records_read() != records.size()) abort();
 
-  // The same bytes read while they arrive must give the same records and
-  // the same verdict.
-  mr::SegmentStream stream(std::make_shared<PiecewiseInput>(segment));
-  size_t streamed = 0;
-  while (stream.Next(&record)) {
-    if (streamed >= records.size() || !(record == records[streamed])) abort();
-    ++streamed;
+  // Read in place, the same bytes give the same records and verdict.
+  mr::IFileReader viewer(segment);
+  mr::RecordView view;
+  size_t viewed = 0;
+  while (viewer.NextView(&view)) {
+    if (viewed >= records.size() || view.key != records[viewed].key ||
+        view.value != records[viewed].value) {
+      abort();
+    }
+    ++viewed;
   }
-  if (streamed != records.size()) abort();
-  if (stream.status().ok() != clean_eof) abort();
-  if (!clean_eof && stream.status().message() != reader.status().message()) {
+  if (viewed != records.size()) abort();
+  if (viewer.status().ok() != clean_eof ||
+      viewer.status().message() != reader.status().message()) {
     abort();
+  }
+  if (!clean_eof && viewer.NextView(&view)) abort();
+
+  // The same bytes read while they arrive must give the same records and
+  // the same verdict, copied or in place.
+  for (const bool in_place : {false, true}) {
+    mr::SegmentStream stream(std::make_shared<PiecewiseInput>(segment));
+    size_t streamed = 0;
+    for (;;) {
+      if (in_place) {
+        if (!stream.NextView(&view)) break;
+        record.key.assign(view.key);
+        record.value.assign(view.value);
+      } else if (!stream.Next(&record)) {
+        break;
+      }
+      if (streamed >= records.size() || !(record == records[streamed])) {
+        abort();
+      }
+      ++streamed;
+    }
+    if (streamed != records.size()) abort();
+    if (stream.status().ok() != clean_eof) abort();
+    if (!clean_eof && stream.status().message() != reader.status().message()) {
+      abort();
+    }
   }
 
   // A segment that both checksums and parses cleanly must survive a

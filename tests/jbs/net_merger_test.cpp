@@ -8,13 +8,16 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <mutex>
 #include <thread>
 
 #include "common/bytes.h"
+#include "common/compress.h"
 #include "jbs/mof_supplier.h"
 #include "jbs/protocol.h"
 #include "jbs/segment_buffer.h"
 #include "mapred/ifile.h"
+#include "mapred/local_shuffle.h"
 #include "transport/fault_injection.h"
 #include "transport/rdma_transport.h"
 #include "transport/transport.h"
@@ -68,11 +71,13 @@ class NetMergerTest : public ::testing::Test {
           const uint64_t cnt = segment.records();
           std::vector<uint8_t> bytes = segment.Finish();
           segment_bytes_[p] += bytes.size();
+          segment_sizes_[p].push_back(bytes.size());
           EXPECT_TRUE(writer.AppendSegment(bytes, cnt).ok());
         }
         auto handle = writer.Finish(map_task, n);
         EXPECT_TRUE(handle.ok());
         EXPECT_TRUE(supplier->PublishMof(*handle).ok());
+        EXPECT_TRUE(oracle_server_->PublishMof(*handle).ok());
         locations.push_back(
             {map_task, n, "127.0.0.1", supplier->port()});
       }
@@ -113,6 +118,11 @@ class NetMergerTest : public ::testing::Test {
   std::vector<std::unique_ptr<MofSupplier>> suppliers_;
   std::map<int, std::multiset<std::string>> expected_;
   std::map<int, uint64_t> segment_bytes_;  // partition -> sum over MOFs
+  std::map<int, std::vector<uint64_t>> segment_sizes_;  // partition -> sizes
+  // Every MOF is also published to LocalShuffle, the output oracle.
+  mr::LocalShufflePlugin oracle_;
+  std::unique_ptr<mr::ShuffleServer> oracle_server_ =
+      oracle_.CreateServer(0, Config());
 };
 
 /// Every record of a stream, and its verdict.
@@ -222,13 +232,114 @@ TEST_F(NetMergerTest, ConcurrentReducersShareMerger) {
 }
 
 TEST_F(NetMergerTest, RoundRobinSwitchesNodes) {
-  auto locations = MakeCluster(4, 3, 1, 10);
-  auto merger = MakeMerger(/*consolidate=*/true, /*round_robin=*/true,
-                           /*data_threads=*/1);
-  ASSERT_TRUE(merger.FetchAndMerge(0, locations).ok());
-  // With 1 data thread, RR must alternate nodes: 12 tasks across 4 nodes
-  // yields ~11 switches; key-ordered FIFO would do 3.
-  EXPECT_GE(merger.merger_stats().node_switches, 8u);
+  // 400 records make each segment three 1500-byte chunks, so a claim (a
+  // node's three segments, at most fetch_window requests) does not finish
+  // its node.
+  auto locations = MakeCluster(4, 3, 1, 400);
+  const auto switches = [&](bool round_robin) {
+    auto merger = MakeMerger(/*consolidate=*/true, round_robin,
+                             /*data_threads=*/1);
+    auto stream = merger.FetchAndMerge(0, locations);
+    EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+    if (stream.ok()) CheckMerged(**stream, 0, 12 * 400);
+    merger.Stop();
+    return merger.merger_stats().node_switches;
+  };
+  // With 1 data thread, RR must alternate nodes: 3 chunk-granular claims
+  // per node across 4 nodes yield ~11 switches; key-ordered FIFO drains
+  // node by node, 3.
+  EXPECT_GE(switches(/*round_robin=*/true), 8u);
+  EXPECT_LE(switches(/*round_robin=*/false), 3u);
+}
+
+TEST_F(NetMergerTest, EverySegmentsHeadLandsBeforeTheBulk) {
+  // 4 nodes x 8 segments of three chunks each, 3 data threads. Claims
+  // advance each segment by one chunk and requeue it at the tail, and no
+  // later chunk is claimed before every head has landed, so the call
+  // returns with at most the claims in flight (data_threads x
+  // fetch_window) past the heads. Each supplier's disk takes 5 ms a
+  // chunk, so a caller slow to wake cannot watch the bulk land.
+  auto locations = MakeCluster(/*nodes=*/4, /*mofs=*/8, /*partitions=*/1,
+                               /*records=*/400, [](MofSupplier::Options& o) {
+                                 o.disk_bytes_per_sec = 3e5;
+                               });
+  auto merger = MakeMerger();
+  MetricCounter* chunks = merger.metrics().GetCounter(
+      "jbs_netmerger_chunks_total", {{"client", "netmerger"}});
+  auto stream = merger.FetchAndMerge(0, locations);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  const uint64_t at_return = chunks->value();
+  EXPECT_GE(at_return, 32u);
+  EXPECT_LE(at_return, 32u + 3 * 4);
+  CheckMerged(**stream, 0, 32 * 400);
+  merger.Stop();
+}
+
+TEST_F(NetMergerTest, RequeuedSegmentsResumeAtTheirCommittedOffset) {
+  // Every segment goes back to its node's queue after each step's chunks.
+  // Each resumes where it stopped: no chunk is fetched twice, the suppliers
+  // serve exactly the bytes fetched, and the merge equals LocalShuffle's.
+  auto locations = MakeCluster(/*nodes=*/4, /*mofs=*/3, /*partitions=*/2,
+                               /*records=*/700);
+  auto merger = MakeMerger();
+  std::vector<std::future<std::pair<std::vector<mr::Record>, Status>>> calls;
+  for (int partition = 0; partition < 2; ++partition) {
+    calls.push_back(std::async(std::launch::async, [&, partition] {
+      auto stream = merger.FetchAndMerge(partition, locations);
+      Status status = stream.status();
+      std::vector<mr::Record> records;
+      if (stream.ok()) records = DrainAll(**stream, &status);
+      return std::make_pair(std::move(records), status);
+    }));
+  }
+  auto oracle = oracle_.CreateClient(0, Config());
+  for (int partition = 0; partition < 2; ++partition) {
+    const auto [got, status] = calls[static_cast<size_t>(partition)].get();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    auto expected = oracle->FetchAndMerge(partition, locations);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    Status oracle_status;
+    EXPECT_EQ(got, DrainAll(**expected, &oracle_status)) << partition;
+    EXPECT_TRUE(oracle_status.ok());
+  }
+  merger.Stop();
+  uint64_t want_chunks = 0;
+  for (int partition = 0; partition < 2; ++partition) {
+    for (const uint64_t size : segment_sizes_[partition]) {
+      want_chunks += (size + 1499) / 1500;  // the head is a whole chunk here
+    }
+  }
+  ASSERT_GT(want_chunks, 2u * 12);  // segments span chunks, so they requeue
+  const NetMerger::MergerStats stats = merger.merger_stats();
+  EXPECT_EQ(stats.chunks, want_chunks);
+  EXPECT_EQ(stats.fetches, 24u);
+  EXPECT_EQ(stats.fetch_retries, 0u);
+  EXPECT_EQ(stats.bytes_fetched, segment_bytes_[0] + segment_bytes_[1]);
+  uint64_t served = 0;
+  for (const auto& supplier : suppliers_) {
+    served += supplier->supplier_stats().bytes_served;
+  }
+  EXPECT_EQ(served, stats.bytes_fetched);
+  EXPECT_EQ(stats.connections_opened, 4u);
+}
+
+TEST_F(NetMergerTest, FailedCallEndsTheSegmentsItRequeued) {
+  // One of 13 segments is missing. The call fails while the others sit
+  // requeued between chunks, held back until every head lands, which now
+  // never happens: the call must still end all of them and return.
+  auto locations = MakeCluster(/*nodes=*/4, /*mofs=*/3, /*partitions=*/1,
+                               /*records=*/400);
+  // First in line, so it fails while the other nodes' claims are mid-step.
+  locations.insert(locations.begin(),
+                   {999, 0, "127.0.0.1", locations[0].port});
+  auto merger = MakeMerger();
+  auto call = std::async(std::launch::async,
+                         [&] { return merger.FetchAndMerge(0, locations); });
+  ASSERT_EQ(call.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "FetchAndMerge still waiting for its requeued segments";
+  EXPECT_FALSE(call.get().ok());
+  EXPECT_EQ(merger.pending_node_count(), 0u);
+  EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
   merger.Stop();
 }
 
@@ -385,6 +496,7 @@ class ForgingSupplier {
     uint64_t offset_skew = 0;  // added to the requested offset
     bool silent = false;       // no reply at all
     bool error = false;        // a kFetchError reply instead of data
+    bool wire_compress = false;  // payload sent as a compressed chunk
   };
   using Forge = std::function<Reply(const FetchRequest&)>;
 
@@ -411,7 +523,11 @@ class ForgingSupplier {
       header.offset = request->offset + reply.offset_skew;
       header.segment_total = reply.segment_total;
       header.flags = reply.flags;
-      const std::vector<uint8_t> data(reply.payload_bytes, 0x5A);
+      std::vector<uint8_t> data(reply.payload_bytes, 0x5A);
+      if (reply.wire_compress) {
+        data = Compress(data);
+        header.flags |= kChunkCompressed;
+      }
       header.crc32 = ChunkWireCrc(header, Crc32(data));
       if (reply.bad_crc) header.crc32 ^= 1;
       (void)endpoint_->SendAsync(conn, EncodeData(header, data));
@@ -509,6 +625,50 @@ TEST_F(NetMergerTest, RawChunkOverMaxLenIsProtocolBreach) {
     return ForgingSupplier::Reply{/*segment_total=*/4000, /*bytes=*/2000};
   });
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+}
+
+TEST_F(NetMergerTest, HeadRepliesOverTheHeadAskAreProtocolBreach) {
+  // Two nodes and one data thread, so every claim is a step, and 64 KiB
+  // chunks, so a segment's first request asks for a 16 KiB head. A reply
+  // of 32 KiB to it, raw or as a compressed chunk, breaks that ask.
+  for (const bool compressed : {false, true}) {
+    std::mutex mu;
+    std::vector<uint32_t> asks;
+    const ForgingSupplier::Forge forge = [&](const FetchRequest& request) {
+      {
+        std::lock_guard lock(mu);
+        asks.push_back(request.max_len);
+      }
+      ForgingSupplier::Reply reply{/*segment_total=*/64 * 1024,
+                                   /*bytes=*/32 * 1024};
+      reply.wire_compress = compressed;
+      return reply;
+    };
+    ForgingSupplier first(*transport_, forge);
+    ForgingSupplier second(*transport_, forge);
+    NetMerger::Options options;
+    options.transport = transport_.get();
+    options.data_threads = 1;
+    options.chunk_size = 64 * 1024;
+    options.max_fetch_attempts = 1;
+    NetMerger merger(options);
+    const auto stream = merger.FetchAndMerge(
+        0, {{0, 0, "127.0.0.1", first.port()},
+            {1, 1, "127.0.0.1", second.port()}});
+    merger.Stop();
+    const Status& status = stream.status();
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+    EXPECT_NE(status.message().find(compressed
+                                        ? "compressed chunk overruns the "
+                                          "requested max_len"
+                                        : "exceeds the requested max_len"),
+              std::string::npos)
+        << status.ToString();
+    std::lock_guard lock(mu);
+    ASSERT_FALSE(asks.empty());
+    EXPECT_EQ(asks.front(), 16u * 1024);
+    EXPECT_EQ(LiveSegmentMappedBytes(), 0u);
+  }
 }
 
 TEST_F(NetMergerTest, SegmentTotalChangingMidSegmentIsProtocolBreach) {
@@ -675,8 +835,8 @@ TEST_F(NetMergerTest, StopUnblocksADrainWaitingMidSegment) {
         << transport->name() << ": drain still blocked after Stop()";
     const auto [records, status] = drain.get();
     // 0x5A bytes read as 182-byte records: five fit in the first chunk,
-    // and the merge hands one out once it has read the next.
-    EXPECT_EQ(records, 4u) << transport->name();
+    // and the merge hands each out before it reads the next.
+    EXPECT_EQ(records, 5u) << transport->name();
     EXPECT_EQ(status.code(), StatusCode::kUnavailable)
         << transport->name() << ": " << status.ToString();
     stream->reset();

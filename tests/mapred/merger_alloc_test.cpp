@@ -1,6 +1,7 @@
-// Counts global operator new calls while a KWayMerger drains, to check
-// that the merge allocates nothing per record. The replacement operator
-// new is process-wide, so this test is its own executable.
+// Counts global operator new calls while records are read, to check that
+// the IFile reader, the segment stream and the merge allocate nothing per
+// record. The replacement operator new is process-wide, so this test is
+// its own executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,15 +19,20 @@ std::atomic<uint64_t> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, so the compiler never sees a `free` inlined next to the
+// `new` that allocated the same pointer through these replacements and
+// takes the pair for a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace jbs::mr {
 namespace {
@@ -50,25 +56,90 @@ std::vector<std::vector<uint8_t>> Segments(int per_source) {
   return segments;
 }
 
-// operator new calls made while building a merger over `segments` and
-// draining it into one reused Record.
-uint64_t AllocationsToDrain(const std::vector<std::vector<uint8_t>>& segments,
-                            uint64_t* records) {
+std::vector<std::unique_ptr<RecordStream>> Streams(
+    const std::vector<std::vector<uint8_t>>& segments) {
+  std::vector<std::unique_ptr<RecordStream>> streams;
+  for (const auto& segment : segments) {
+    streams.push_back(std::make_unique<SegmentStream>(segment));
+  }
+  return streams;
+}
+
+// operator new calls made while `drain` runs; it returns the records read.
+template <typename Drain>
+uint64_t AllocationsDuring(Drain drain, uint64_t* records) {
   g_allocations.store(0);
   g_counting.store(true);
-  {
-    std::vector<std::unique_ptr<RecordStream>> streams;
-    for (const auto& segment : segments) {
-      streams.push_back(std::make_unique<SegmentStream>(segment));
-    }
-    KWayMerger merger(std::move(streams));
-    Record record;
-    *records = 0;
-    while (merger.Next(&record)) ++*records;
-    EXPECT_TRUE(merger.status().ok());
-  }
+  *records = drain();
   g_counting.store(false);
   return g_allocations.load();
+}
+
+TEST(RecordViewAllocTest, IFileReaderReadsInPlace) {
+  const auto segments = Segments(2000);
+  IFileReader reader(segments[0]);
+  uint64_t records = 0;
+  const uint64_t allocations = AllocationsDuring(
+      [&] {
+        RecordView view;
+        uint64_t n = 0;
+        while (reader.NextView(&view)) ++n;
+        return n;
+      },
+      &records);
+  EXPECT_TRUE(reader.status().ok());
+  EXPECT_EQ(records, 2000u);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(RecordViewAllocTest, SegmentStreamReadsInPlace) {
+  const auto segments = Segments(2000);
+  SegmentStream stream(segments[0]);
+  uint64_t records = 0;
+  const uint64_t allocations = AllocationsDuring(
+      [&] {
+        RecordView view;
+        uint64_t n = 0;
+        while (stream.NextView(&view)) ++n;
+        return n;
+      },
+      &records);
+  EXPECT_TRUE(stream.status().ok());
+  EXPECT_EQ(records, 2000u);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(RecordViewAllocTest, MergeOfViewsAllocatesNothing) {
+  const auto segments = Segments(2000);
+  KWayMerger merger(Streams(segments));
+  uint64_t records = 0;
+  const uint64_t allocations = AllocationsDuring(
+      [&] {
+        RecordView view;
+        uint64_t n = 0;
+        while (merger.NextView(&view)) ++n;
+        return n;
+      },
+      &records);
+  EXPECT_TRUE(merger.status().ok());
+  EXPECT_EQ(records, 2000u * kSources);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// Building a merger over `segments` and draining it into one reused
+// Record: the copy path a caller that keeps records takes.
+uint64_t AllocationsToDrain(const std::vector<std::vector<uint8_t>>& segments,
+                            uint64_t* records) {
+  return AllocationsDuring(
+      [&] {
+        KWayMerger merger(Streams(segments));
+        Record record;
+        uint64_t n = 0;
+        while (merger.Next(&record)) ++n;
+        EXPECT_TRUE(merger.status().ok());
+        return n;
+      },
+      records);
 }
 
 TEST(KWayMergerAllocTest, DrainAllocatesNothingPerRecord) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/compress.h"
 #include "common/rng.h"
@@ -153,10 +154,10 @@ TEST(KWayMergerTest, ManyStreamsPropertySweep) {
 TEST(KWayMergerTest, PropagatesStreamError) {
   class BrokenStream final : public RecordStream {
    public:
-    bool Next(Record* record) override {
+    bool NextView(RecordView* view) override {
       if (emitted_) return false;
       emitted_ = true;
-      record->key = "x";
+      view->key = "x";
       return true;
     }
     const Status& status() const override { return status_; }
@@ -178,9 +179,10 @@ class ScriptedStream final : public RecordStream {
   ScriptedStream(std::vector<Record> records, Status error)
       : records_(std::move(records)), status_(std::move(error)) {}
 
-  bool Next(Record* record) override {
+  bool NextView(RecordView* view) override {
     if (index_ >= records_.size()) return false;
-    *record = records_[index_++];
+    const Record& record = records_[index_++];
+    *view = {record.key, record.value};
     return true;
   }
   const Status& status() const override {
@@ -298,12 +300,13 @@ TEST(KWayMergerTest, ErrorAfterOtherSourcesEmittedStopsTheStream) {
   EXPECT_FALSE(merger.status().ok());
   Record record;
   EXPECT_FALSE(merger.Next(&record));  // stays stopped
-  // Everything before the refill that failed came out in order: "a"
-  // twice; "b" was handed out by the failing call itself.
+  // Every record before the failed refill came out in order: "a" twice,
+  // then "b". A source is advanced only on the call after its record was
+  // handed out, so the failure ends the call after "b".
   const auto expected = StableSorted(sources);
-  ASSERT_EQ(merged.size(), 2u);
+  ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged,
-            std::vector<Record>(expected.begin(), expected.begin() + 2));
+            std::vector<Record>(expected.begin(), expected.begin() + 3));
 }
 
 TEST(KWayMergerTest, TiesStayInSourceOrderAcrossThirtyTwoSources) {
@@ -471,6 +474,84 @@ TEST(SegmentStreamTest, MergesArrivingSegments) {
   KWayMerger merger(std::move(inputs));
   EXPECT_EQ(Drain(merger), expected);
   EXPECT_TRUE(merger.status().ok());
+}
+
+TEST(KWayMergerTest, MixedStreamKindsKeepBytesAndTieOrder) {
+  // The same sources as vectors, as whole segments and as segments still
+  // arriving: views into a vector, a segment and a growing prefix must
+  // merge to the same bytes in the same tie order as the oracle.
+  Rng rng(23);
+  std::vector<std::vector<std::string>> keys(7);
+  for (auto& source : keys) {
+    const int n = static_cast<int>(rng.Below(60));
+    for (int i = 0; i < n; ++i) {
+      // Ties, shared 8-byte prefixes, embedded zero bytes and empty keys.
+      std::string key = rng.Below(2) == 0 ? "prefix00" : "";
+      key.append(rng.Below(3), static_cast<char>(rng.Below(3)));
+      source.push_back(std::move(key));
+    }
+  }
+  const auto sources = Sources(std::move(keys));
+  std::vector<std::vector<uint8_t>> segments;
+  for (const auto& source : sources) {
+    IFileWriter writer;
+    for (const Record& record : source) writer.Append(record);
+    segments.push_back(writer.Finish());
+  }
+  const auto expected = StableSorted(sources);
+  for (int layout = 0; layout < 3; ++layout) {
+    SCOPED_TRACE(layout);
+    std::vector<std::unique_ptr<RecordStream>> inputs;
+    for (size_t s = 0; s < sources.size(); ++s) {
+      switch ((s + static_cast<size_t>(layout)) % 3) {
+        case 0:
+          inputs.push_back(Stream(sources[s]));
+          break;
+        case 1:
+          inputs.push_back(std::make_unique<SegmentStream>(segments[s]));
+          break;
+        default:
+          inputs.push_back(std::make_unique<SegmentStream>(
+              std::make_shared<PiecewiseSegment>(segments[s], 5)));
+          break;
+      }
+    }
+    KWayMerger merger(std::move(inputs));
+    EXPECT_EQ(Drain(merger), expected);
+    EXPECT_TRUE(merger.status().ok()) << merger.status().ToString();
+  }
+}
+
+TEST(GroupIteratorTest, GroupsAMergeOfSegmentsByView) {
+  // The next group's first record stays a view into a segment between
+  // NextGroup calls: the merge must not move its source until then.
+  std::vector<std::vector<uint8_t>> segments(3);
+  std::map<std::string, std::vector<std::string>> expected;
+  for (int s = 0; s < 3; ++s) {
+    IFileWriter writer;
+    for (int k = 0; k < 20; k += 1 + s) {
+      const std::string key = "key" + std::to_string(100 + k);
+      const std::string value = std::to_string(s) + ":" + std::to_string(k);
+      writer.Append(key, value);
+      expected[key].push_back(value);
+    }
+    segments[static_cast<size_t>(s)] = writer.Finish();
+  }
+  std::vector<std::unique_ptr<RecordStream>> inputs;
+  for (const auto& segment : segments) {
+    inputs.push_back(std::make_unique<SegmentStream>(segment));
+  }
+  KWayMerger merger(std::move(inputs));
+  GroupIterator groups(&merger);
+  std::map<std::string, std::vector<std::string>> got;
+  std::string key;
+  std::vector<std::string> values;
+  while (groups.NextGroup(&key, &values)) {
+    EXPECT_FALSE(got.contains(key)) << key;
+    got[key] = values;
+  }
+  EXPECT_TRUE(groups.status().ok());
+  EXPECT_EQ(got, expected);
 }
 
 TEST(OpenSegmentTest, CompressedSegmentReleasesItsOwnerOnOpen) {
