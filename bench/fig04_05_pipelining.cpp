@@ -2,7 +2,8 @@
 // by the MOFSupplier in serialized per-request mode (HttpServlet-style,
 // Fig. 4) vs. with the two-stage pipelined serve path (Fig. 5): a pool of
 // prefetch threads preading through the fd cache into DataCache buffers,
-// a dedicated send stage, and windowed chunk fetching on the client.
+// each handing its ready chunk straight to the transport's asynchronous
+// send queue (the send stage), and windowed chunk fetching on the client.
 // Sweeps the pipeline depth (prefetch_threads x fetch_window) and reports
 // wall time, throughput, per-request latency, and MOF switches.
 //
@@ -174,8 +175,8 @@ int main() {
   bench::PrintHeader(
       "Figs. 4/5 (real loopback): serialized HttpServlet-style service vs "
       "MOFSupplier two-stage pipelined prefetching",
-      "prefetch pool + fd cache + send stage overlap disk and network; "
-      "windowed chunk fetching removes per-chunk round trips");
+      "prefetch pool + fd cache + transport send queue overlap disk and "
+      "network; windowed chunk fetching removes per-chunk round trips");
   bench::PrintRow({"mode (threads x window)", "wall", "throughput",
                    "mean req latency", "MOF switches", "requests"},
                   24);

@@ -98,7 +98,7 @@ BENCHMARK(BM_TransportThroughput)->Arg(0)->Arg(1);
 
 /// Serve-path direction (server -> client) with large frames: the legacy
 /// copy-into-frame handoff vs the zero-copy ext+lease handoff the
-/// MofSupplier send stage uses. Arg: 0=copy, 1=zero-copy.
+/// MofSupplier's disk threads use. Arg: 0=copy, 1=zero-copy.
 void BM_ServerPushLargeFrame(benchmark::State& state) {
   constexpr size_t kFrameBytes = 1 << 20;
   const bool zerocopy = state.range(0) == 1;

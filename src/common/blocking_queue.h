@@ -1,7 +1,5 @@
-// Bounded multi-producer/multi-consumer blocking queue. The workhorse for
-// handing fetch requests between the event threads and data threads of the
-// TCP transport (§IV-B) and between the prefetch server and transmit side
-// of the MOFSupplier (§III-B).
+// Optionally bounded multi-producer/multi-consumer blocking queue: the
+// thread pool's task queue and the soft-RDMA endpoint's send queue.
 #pragma once
 
 #include <deque>

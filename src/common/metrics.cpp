@@ -61,8 +61,11 @@ std::string JsonLabels(const MetricLabels& labels) {
   std::string out = "{";
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + EscapeValue(labels[i].first) + "\":\"" +
-           EscapeValue(labels[i].second) + "\"";
+    out.append("\"")
+        .append(EscapeValue(labels[i].first))
+        .append("\":\"")
+        .append(EscapeValue(labels[i].second))
+        .append("\"");
   }
   out += "}";
   return out;

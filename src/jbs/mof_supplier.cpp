@@ -67,8 +67,7 @@ MofSupplier::MofSupplier(Options options)
     : options_(options),
       data_cache_(options.buffer_size, options.buffer_count),
       index_cache_(kIndexCacheEntries),
-      fd_cache_(options.fd_cache_entries),
-      send_queue_(options.buffer_count) {
+      fd_cache_(options.fd_cache_entries) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -142,16 +141,14 @@ void MofSupplier::RefreshGauges() const {
   const IndexCache::Stats index = index_cache_.stats();
   set("jbs_mofsupplier_indexcache_hits", static_cast<double>(index.hits));
   set("jbs_mofsupplier_indexcache_misses", static_cast<double>(index.misses));
-  // DataCache occupancy: buffers checked out by the disk stage or waiting
-  // in the send queue.
+  // DataCache occupancy: buffers checked out by the disk stage or still
+  // queued in the transport.
   set("jbs_mofsupplier_datacache_buffers_total",
       static_cast<double>(data_cache_.capacity()));
   set("jbs_mofsupplier_datacache_buffers_in_use",
       static_cast<double>(data_cache_.capacity() - data_cache_.available()));
   // Overload gauge (DESIGN.md §16): disk threads parked on the DataCache.
   set("buffer_pool_waiters", static_cast<double>(data_cache_.waiters()));
-  set("jbs_mofsupplier_send_queue_depth",
-      static_cast<double>(send_queue_.size()));
   set("jbs_mofsupplier_pending_groups",
       static_cast<double>(pending_group_count()));
   {
@@ -191,15 +188,13 @@ Status MofSupplier::Start() {
   handlers.on_disconnect = [this](net::ConnId conn) { OnDisconnect(conn); };
   JBS_RETURN_IF_ERROR(endpoint_->Start(std::move(handlers)));
   // Serialized ablation mode keeps the seed's single disk thread; the
-  // pipelined serve path runs a pool plus the dedicated send stage.
+  // pipelined serve path runs a pool. Either way the transport's own send
+  // queue is the send stage.
   const int disk_threads =
       options_.pipelined ? std::max(1, options_.prefetch_threads) : 1;
   disk_threads_.reserve(static_cast<size_t>(disk_threads));
   for (int i = 0; i < disk_threads; ++i) {
     disk_threads_.emplace_back([this] { DiskLoop(); });
-  }
-  if (options_.pipelined) {
-    send_thread_ = std::thread([this] { SendLoop(); });
   }
   return Status::Ok();
 }
@@ -223,10 +218,6 @@ void MofSupplier::Stop() {
   for (auto& thread : disk_threads_) {
     if (thread.joinable()) thread.join();
   }
-  // Producers are gone: close the stage boundary and let the send thread
-  // drain already-read replies before exiting.
-  send_queue_.Close();
-  if (send_thread_.joinable()) send_thread_.join();
   if (endpoint_) endpoint_->Stop();
   RefreshGauges();
 }
@@ -363,9 +354,9 @@ void MofSupplier::OnDisconnect(net::ConnId conn) {
   }
   admitted_bytes_.fetch_sub(released_bytes, std::memory_order_relaxed);
   if (purged > 0) disconnect_purges_c_->Increment(purged);
-  // Requests already checked out by a disk thread or sitting in the send
-  // queue still flow through; their SendAsync fails against the dead
-  // ConnId and is counted as an error.
+  // Requests already checked out by a disk thread still flow through, and
+  // replies already in the transport's send queue are dropped with the
+  // connection there, returning their leases.
 }
 
 bool MofSupplier::NextBatch(std::vector<PendingRequest>* batch,
@@ -409,17 +400,12 @@ void MofSupplier::DiskLoop() {
   while (NextBatch(&batch, &group_key)) {
     batches_c_->Increment();
     for (const PendingRequest& pending : batch) {
-      if (auto ready = ReadChunk(pending)) {
-        if (options_.pipelined) {
-          // Push only fails once the queue is closed (shutdown); the
-          // dropped reply's lease returns the buffer via its destructor.
-          (void)send_queue_.Push(std::move(*ready));
-        } else {
-          Deliver(std::move(*ready));
-        }
-      }
+      // The reply is posted before the group is released below, so the
+      // next batch of this MOF, on whichever disk thread, queues behind it
+      // in the transport's FIFO: a segment's replies leave in offset order.
+      if (auto ready = ReadChunk(pending)) Deliver(std::move(*ready));
       // Admission byte budget: the request is no longer "inflight" once
-      // the disk stage is done with it, whatever the outcome — replies
+      // the disk stage is done with it, whatever the outcome — raw replies
       // queued past this point are bounded by DataCache buffers instead.
       admitted_bytes_.fetch_sub(pending.request.max_len,
                                 std::memory_order_relaxed);
@@ -599,7 +585,7 @@ std::optional<MofSupplier::ReadyReply> MofSupplier::ReadChunk(
       EncodeCompressed(header, data, &ready)) {
     return ready;
   }
-  // CRC in the disk stage: the hash overlaps the send stage's transmits
+  // CRC in the disk stage: the hash overlaps the transport's transmits
   // the same way the reads do.
   StampChunkCrc(&header, data);
   ready.wire = chunk;
@@ -614,10 +600,6 @@ std::optional<MofSupplier::ReadyReply> MofSupplier::ReadChunk(
       static_cast<const uint8_t*>(lease.get()), static_cast<size_t>(chunk)};
   ready.frame = EncodeDataZeroCopy(header, chunk_view, std::move(lease));
   return ready;
-}
-
-void MofSupplier::SendLoop() {
-  while (auto ready = send_queue_.Pop()) Deliver(std::move(*ready));
 }
 
 void MofSupplier::Deliver(ReadyReply ready) {

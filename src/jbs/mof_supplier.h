@@ -3,26 +3,27 @@
 // grouped by their target MOF and ordered by requested segment; the serve
 // path is a two-stage pipeline:
 //
-//   disk stage — a pool of disk threads pops round-robin batches (one
-//     group checked out per thread at a time, so replies for a
-//     (map, partition) stay in offset order) and turns each request into
-//     a ready reply (ReadChunk): pread into a DataCache pooled buffer
-//     through an LRU fd cache, compress or CRC-stamp, and encode a
-//     zero-copy frame whose lease is that buffer;
-//   send stage — one thread (so every connection's replies stay in
-//     order) that hands the ready frames to the transport's event thread
-//     (Deliver). The chunk bytes are never copied into the frame: the
-//     pooled buffer returns to the DataCache only after the transport has
-//     put its last byte on the wire.
+//   disk stage — a pool of disk threads pops round-robin batches and turns
+//     each request into a ready reply (ReadChunk): pread into a DataCache
+//     pooled buffer through an LRU fd cache, compress or CRC-stamp, and
+//     encode a zero-copy frame whose lease is that buffer. The disk thread
+//     then hands the frame to the transport's asynchronous send (Deliver);
+//   send stage — the transport's own FIFO send queue: the epoll loop's
+//     RunInLoop list (TCP) or the soft-RDMA send thread. The chunk bytes
+//     are never copied into the frame: the pooled buffer returns to the
+//     DataCache only after the transport has put its last byte on the wire.
+//
+// A disk thread checks out one MOF group at a time and posts its batch's
+// replies before it releases the group, so a (map, partition)'s replies
+// enter the FIFO, and leave on the wire, in offset order.
 //
 // Disk reads for request N+1 therefore overlap the network transmit of
 // request N (Fig. 5), and DataCache exhaustion — which includes buffers
 // still in flight on the socket — throttles the disk stage ahead of the
 // network, where the stock HttpServlet serializes read and transmit per
 // request (Fig. 4). With `pipelined = false` (the paper's ablation) one
-// disk thread serves a single FIFO one request at a time and delivers
-// each reply inline, with no send stage: the same ReadChunk and Deliver,
-// serialized.
+// disk thread serves a single FIFO one request at a time: the same
+// ReadChunk and Deliver, serialized.
 #pragma once
 
 #include <atomic>
@@ -35,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/blocking_queue.h"
 #include "common/buffer_pool.h"
 #include "common/fd_cache.h"
 #include "common/metrics.h"
@@ -161,7 +161,7 @@ class MofSupplier final : public mr::ShuffleServer {
 
   void OnFrame(net::ConnId conn, Frame frame) EXCLUDES(mu_);
   /// Drops queued requests from a departed connection so the disk stage
-  /// doesn't read (and the send stage doesn't encode) for a dead peer.
+  /// doesn't read (and the transport doesn't queue) for a dead peer.
   void OnDisconnect(net::ConnId conn) EXCLUDES(mu_);
   void DiskLoop() EXCLUDES(mu_);
   /// Pops the next round-robin batch and checks its group out (busy) so no
@@ -173,12 +173,11 @@ class MofSupplier final : public mr::ShuffleServer {
   /// compress-or-CRC -> zero-copy frame. A failed resolve or read yields
   /// an error reply; nullopt means the DataCache was cancelled (shutdown).
   std::optional<ReadyReply> ReadChunk(const PendingRequest& pending);
-  /// Send stage (or the disk thread itself when serialized): hands one
-  /// reply to the transport and accounts for it — served logical and wire
-  /// bytes and latency from enqueue; a refused send or an error reply
-  /// counts as an error.
+  /// Runs on the disk thread, both modes: hands one reply to the
+  /// transport's asynchronous send and accounts for it — served logical
+  /// and wire bytes and latency from enqueue; a refused send or an error
+  /// reply counts as an error.
   void Deliver(ReadyReply ready);
-  void SendLoop();
   /// Resolves the request to (data path, index entry, chunk length); any
   /// validation failure is returned as the reply's error.
   Status ResolveRequest(const FetchRequest& request, std::string* data_path,
@@ -217,7 +216,7 @@ class MofSupplier final : public mr::ShuffleServer {
   /// Labels shared by all of this supplier's metrics.
   MetricLabels BaseLabels() const;
   /// Re-exports component-owned values (cache hit counters, DataCache
-  /// occupancy, send-queue depth, endpoint byte counts) as push gauges.
+  /// occupancy, endpoint send-queue depth and byte counts) as push gauges.
   /// Called from the stats accessors and Stop(), so dumps taken after
   /// shutdown still carry final values.
   void RefreshGauges() const;
@@ -234,14 +233,12 @@ class MofSupplier final : public mr::ShuffleServer {
   MetricCounter* wire_bytes_wire_c_ = nullptr;
   MetricHistogram* compress_ratio_h_ = nullptr;
 
-  // Serve state shared by the disk and send stages: the MOF data-file
-  // descriptor cache and the per-connection capabilities from the hello
-  // frame (erased on disconnect).
+  // Serve state shared by the disk threads and the event thread: the MOF
+  // data-file descriptor cache and the per-connection capabilities from
+  // the hello frame (erased on disconnect).
   FdCache fd_cache_;
   Mutex caps_mu_;
   std::map<net::ConnId, uint32_t> conn_caps_ GUARDED_BY(caps_mu_);
-  BlockingQueue<ReadyReply> send_queue_;
-  std::thread send_thread_;
 
   // Observability plumbing: pointers into metrics_ (never null; falls back
   // to the owned registry when options don't share one).

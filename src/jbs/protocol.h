@@ -12,7 +12,8 @@
 // the client matches it by (map_task, partition), and a data reply by its
 // offset too; no request id is needed. The supplier keeps each segment's
 // replies in offset order: one disk thread serves a MOF's requests at a
-// time, in (partition, offset) order, and one send thread sends them.
+// time, in (partition, offset) order, and posts them to the transport's
+// FIFO send queue before another thread may take that MOF.
 //
 // Chunking to the transport buffer size is what makes the protocol work
 // unchanged over the verbs backend (pre-posted receive buffers) and what

@@ -69,7 +69,11 @@ Status WriteLines(hdfs::MiniDfs& dfs, const std::string& path,
   return writer->Close();
 }
 
-std::string WordFor(uint64_t rank) { return "w" + std::to_string(rank); }
+std::string WordFor(uint64_t rank) {
+  std::string word(1, 'w');
+  word += std::to_string(rank);
+  return word;
+}
 
 void Tokenize(std::string_view line,
               const std::function<void(std::string_view)>& fn) {
@@ -109,7 +113,10 @@ Status GenerateEdges(hdfs::MiniDfs& dfs, const std::string& path,
     if (emitted++ >= edges) return false;
     const uint64_t src = rng.NextZipf(nodes, 0.8);
     const uint64_t dst = 1 + rng.Below(nodes);
-    line = "n" + std::to_string(src) + " n" + std::to_string(dst);
+    line.assign(1, 'n')
+        .append(std::to_string(src))
+        .append(" n")
+        .append(std::to_string(dst));
     return true;
   });
 }
@@ -124,8 +131,12 @@ Status GenerateTuples(hdfs::MiniDfs& dfs, const std::string& path,
     uint64_t keys[3];
     for (auto& key : keys) key = 1 + rng.Below(key_space);
     std::sort(std::begin(keys), std::end(keys));
-    line = "k" + std::to_string(keys[0]) + " k" + std::to_string(keys[1]) +
-           " k" + std::to_string(keys[2]);
+    line.assign(1, 'k')
+        .append(std::to_string(keys[0]))
+        .append(" k")
+        .append(std::to_string(keys[1]))
+        .append(" k")
+        .append(std::to_string(keys[2]));
     return true;
   });
 }

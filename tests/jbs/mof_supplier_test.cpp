@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <functional>
+#include <map>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -220,8 +221,8 @@ TEST_F(MofSupplierTest, ConcurrentClientsAllServed) {
 
 TEST_F(MofSupplierTest, ServePathCopiesZeroPayloadBytes) {
   // The zero-copy contract end to end: chunk bytes go pread -> pooled
-  // buffer -> sendmsg with no user-space payload copy in between, whether
-  // a send stage or the disk thread itself hands the frame over.
+  // buffer -> sendmsg with no user-space payload copy in between, in both
+  // serve modes.
   ForEachServeMode(4096, {MakeMof(0, 1, 60)}, [&](MofSupplier& supplier) {
     auto conn = transport_->Connect("127.0.0.1", supplier.port());
     ASSERT_TRUE(conn.ok());
@@ -274,6 +275,82 @@ TEST_F(MofSupplierTest, RetransmitSweepIsByteIdenticalAndStamped) {
   EXPECT_GT(first->size(), 4096u);
   EXPECT_EQ(*second, *first);
   EXPECT_EQ(PayloadCopyBytes(), copied_before);
+  supplier.Stop();
+}
+
+TEST_F(MofSupplierTest, WindowedRepliesKeepEverySegmentInOffsetOrder) {
+  // Four disk threads post replies straight to the transport. One
+  // connection keeps a window of requests in flight across every segment
+  // of several MOFs, deep enough that each MOF group holds more than one
+  // batch of a segment's chunks, so the group passes from thread to
+  // thread mid-segment: each segment's replies must still arrive in
+  // offset order and reassemble byte for byte.
+  constexpr int kMofs = 4;
+  constexpr int kPartitions = 3;
+  constexpr uint32_t kAsk = 1000;
+  constexpr size_t kWindow = 48;
+  std::vector<mr::MofHandle> handles;
+  std::map<std::pair<int, int>, std::vector<uint8_t>> expected;
+  for (int m = 0; m < kMofs; ++m) {
+    handles.push_back(MakeMof(m, kPartitions, 60));
+    auto reader = mr::MofReader::Open(handles.back());
+    ASSERT_TRUE(reader.ok());
+    for (int p = 0; p < kPartitions; ++p) {
+      ASSERT_TRUE(reader->ReadSegment(p, expected[{m, p}]).ok());
+    }
+  }
+  // Each MOF's chunk requests walk its segments in order; the MOFs'
+  // request lists are interleaved one request at a time.
+  std::vector<std::vector<FetchRequest>> per_mof(kMofs);
+  for (const auto& [key, bytes] : expected) {
+    for (uint64_t offset = 0; offset < bytes.size(); offset += kAsk) {
+      per_mof[static_cast<size_t>(key.first)].push_back(
+          {key.first, key.second, offset, kAsk});
+    }
+  }
+  size_t total = 0;
+  for (const auto& list : per_mof) total += list.size();
+  std::vector<FetchRequest> requests;
+  for (size_t i = 0; requests.size() < total; ++i) {
+    for (const auto& list : per_mof) {
+      if (i < list.size()) requests.push_back(list[i]);
+    }
+  }
+  ASSERT_GT(requests.size(), expected.size() * 4);
+
+  MofSupplier::Options options;
+  options.transport = transport_.get();
+  options.buffer_size = 2048;
+  options.buffer_count = 8;
+  options.prefetch_threads = 4;
+  MofSupplier supplier(options);
+  ASSERT_TRUE(supplier.Start().ok());
+  for (const mr::MofHandle& handle : handles) {
+    ASSERT_TRUE(supplier.PublishMof(handle).ok());
+  }
+  auto conn = transport_->Connect("127.0.0.1", supplier.port());
+  ASSERT_TRUE(conn.ok());
+
+  std::map<std::pair<int, int>, std::vector<uint8_t>> received;
+  size_t sent = 0;
+  for (size_t replies = 0; replies < requests.size(); ++replies) {
+    while (sent < requests.size() && sent < replies + kWindow) {
+      ASSERT_TRUE((*conn)->Send(EncodeRequest(requests[sent++])).ok());
+    }
+    auto reply = (*conn)->Receive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    std::span<const uint8_t> data;
+    auto header = DecodeData(*reply, &data);
+    ASSERT_TRUE(header.has_value());
+    std::vector<uint8_t>& segment =
+        received[{header->map_task, header->partition}];
+    // In offset order: each reply continues exactly where the previous
+    // reply of its segment ended.
+    ASSERT_EQ(header->offset, segment.size())
+        << "map " << header->map_task << " partition " << header->partition;
+    segment.insert(segment.end(), data.begin(), data.end());
+  }
+  EXPECT_EQ(received, expected);
   supplier.Stop();
 }
 

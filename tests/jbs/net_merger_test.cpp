@@ -420,6 +420,48 @@ TEST_F(NetMergerTest, SegmentPoolWarmsAcrossShufflesAndEmptiesOnStop) {
   EXPECT_EQ(gauge("jbs_netmerger_segment_live_bytes"), 0.0);
 }
 
+TEST_F(NetMergerTest, SupplierConservesLeasesAndBytesInBothServeModes) {
+  // Conservation on a raw config: after a shuffle and Stop(), every
+  // DataCache buffer is back in the pool, the supplier served exactly the
+  // bytes the merger fetched, and no payload byte was copied on the way.
+  // Node 0 serves pipelined, node 1 serialized; each gets its own merger.
+  int node = 0;
+  auto locations = MakeCluster(
+      /*nodes=*/2, /*mofs=*/2, /*partitions=*/2, /*records=*/400,
+      [&](MofSupplier::Options& options) { options.pipelined = node++ == 0; });
+  ASSERT_EQ(suppliers_.size(), 2u);
+  for (int n = 0; n < 2; ++n) {
+    SCOPED_TRACE(n == 0 ? "pipelined" : "serialized");
+    MofSupplier& supplier = *suppliers_[static_cast<size_t>(n)];
+    const MetricLabels labels{{"server", "mofsupplier"}};
+    const auto gauge = [&](const char* name) {
+      return supplier.metrics().GetGauge(name, labels)->value();
+    };
+    (void)supplier.supplier_stats();  // refreshes the gauges
+    const double copied_before = gauge("jbs_serve_bytes_copied_total");
+    std::vector<mr::MofLocation> own;
+    for (const mr::MofLocation& location : locations) {
+      if (location.node == n) own.push_back(location);
+    }
+    auto merger = MakeMerger();
+    for (int p = 0; p < 2; ++p) {
+      auto stream = merger.FetchAndMerge(p, own);
+      ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+      CheckMerged(**stream, p, 2 * 400);
+    }
+    const uint64_t fetched = merger.merger_stats().bytes_fetched;
+    EXPECT_GT(fetched, 2u * 2 * 1500);  // over one chunk per segment
+    merger.Stop();
+    supplier.Stop();
+    EXPECT_EQ(gauge("jbs_mofsupplier_datacache_buffers_in_use"), 0.0);
+    EXPECT_EQ(
+        supplier.metrics().GetCounter("shuffle_bytes_served_total", labels)
+            ->value(),
+        fetched);
+    EXPECT_EQ(gauge("jbs_serve_bytes_copied_total"), copied_before);
+  }
+}
+
 TEST_F(NetMergerTest, StreamsOutliveStopAndTheMerger) {
   // A merge stream holds its segment's mapping, and that mapping's pool:
   // draining it after Stop(), or after the merger is gone, must neither
