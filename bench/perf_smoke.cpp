@@ -12,7 +12,10 @@
 //      byte counts are deterministic, so two invariants are gated: the
 //      compressible workload must at least halve its wire bytes, and the
 //      random workload must ship raw (bail-out) with zero user-space
-//      payload copies on the compression-off pass.
+//      payload copies on the compression-off pass. The supplier compresses
+//      only while its wire is behind, so the compression-on pass serves
+//      over a slow wire (FaultInjectingTransport::SetSlowWire) on which
+//      every eligible chunk is compressed and the byte counts stay fixed.
 //   4. An overload sweep (DESIGN.md §16): offered load at 1x/2x/4x of a
 //      byte-budgeted supplier's capacity (admitted-inflight budget fits a
 //      single chunk; the disk model paces service), recording shed rate
@@ -46,6 +49,7 @@
 #include "jbs/net_merger.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
+#include "transport/fault_injection.h"
 #include "transport/transport.h"
 
 using namespace jbs;
@@ -247,14 +251,20 @@ struct CompressSweepResult {
 
 /// Two full fetch sweeps of `handles` through one supplier with wire
 /// compression `compress_on`; the second repeats the first, as a retrying
-/// reducer would. A sweep that cannot run leaves the reason in `*err`.
+/// reducer would. With compression on the supplier serves over a slow wire
+/// that every reply finds behind (only its backlog signal sees the rate;
+/// no byte is delayed). A sweep that cannot run leaves the reason in
+/// `*err`.
 CompressSweepResult CompressSweepRun(bool compress_on,
                                      const std::vector<mr::MofHandle>& handles,
                                      std::string* err) {
   CompressSweepResult result;
   auto transport = net::MakeTcpTransport();
+  net::FaultInjectingTransport slow_wire(transport.get());
+  slow_wire.SetSlowWire(/*bytes_per_sec=*/256);
   shuffle::MofSupplier::Options options;
-  options.transport = transport.get();
+  options.transport =
+      compress_on ? static_cast<net::Transport*>(&slow_wire) : transport.get();
   options.buffer_size = 32 * 1024;
   options.buffer_count = 64;
   options.wire_compress = compress_on;

@@ -1,7 +1,10 @@
 #include "common/buffer_pool.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <chrono>
+#include <new>
 
 namespace jbs {
 
@@ -46,14 +49,30 @@ void PooledBuffer::Release() {
   size_ = 0;
 }
 
+namespace {
+
+/// The arena is its own anonymous mapping, never heap memory: malloc may
+/// serve a block this size from the heap (glibc's mmap threshold rises
+/// after a large free), and the whole heap block then counts as resident,
+/// while a mapping's pages become resident only once touched. mallopt()
+/// would fix the threshold for the whole host process, so it is not used.
+uint8_t* MapArena(size_t bytes) {
+  void* arena = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (arena == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<uint8_t*>(arena);
+}
+
+}  // namespace
+
 BufferPool::BufferPool(size_t buffer_size, size_t count)
     : buffer_size_(buffer_size),
       count_(count),
-      arena_(new uint8_t[buffer_size * count]) {
+      arena_(MapArena(buffer_size * count)) {
   assert(buffer_size > 0 && count > 0);
   free_list_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    free_list_.push_back(arena_.get() + i * buffer_size);
+    free_list_.push_back(arena_ + i * buffer_size);
   }
 }
 
@@ -63,8 +82,11 @@ BufferPool::~BufferPool() {
   // in-flight Return() whose notify (issued under mu_) has not finished —
   // e.g. a transport thread dropping the last lease while the owner polls
   // available().
-  MutexLock lock(mu_);
-  assert(free_list_.size() == count_);
+  {
+    MutexLock lock(mu_);
+    assert(free_list_.size() == count_);
+  }
+  ::munmap(arena_, buffer_size_ * count_);
 }
 
 PooledBuffer BufferPool::Acquire() {

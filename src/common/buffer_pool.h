@@ -54,7 +54,9 @@ std::shared_ptr<const void> MakeBufferLease(PooledBuffer&& buffer);
 
 class BufferPool {
  public:
-  /// Creates `count` buffers of `buffer_size` bytes each.
+  /// Creates `count` buffers of `buffer_size` bytes each in one anonymous
+  /// mapping: a buffer's pages become resident when first written. Throws
+  /// std::bad_alloc if the mapping fails.
   BufferPool(size_t buffer_size, size_t count);
   ~BufferPool();
 
@@ -95,7 +97,7 @@ class BufferPool {
 
   const size_t buffer_size_;
   const size_t count_;
-  std::unique_ptr<uint8_t[]> arena_;
+  uint8_t* const arena_;  // anonymous mapping of buffer_size_ * count_
 
   mutable Mutex mu_;
   CondVar available_cv_;

@@ -59,7 +59,10 @@ inline constexpr const char* kTransportBufferSize = "jbs.transport.buffer.size";
 inline constexpr const char* kPipelined = "jbs.mofsupplier.pipelined";
 inline constexpr const char* kConsolidate = "jbs.netmerger.consolidate";
 inline constexpr const char* kRoundRobin = "jbs.netmerger.roundrobin";
-// Negotiated wire compression (see DESIGN.md §14).
+// Negotiated wire compression (see DESIGN.md §14): "may compress". The
+// merger advertises the codec and the supplier compresses a chunk only
+// while its connection's send backlog is non-empty, shipping raw to an
+// idle wire.
 inline constexpr const char* kWireCompressEnabled = "jbs.wire.compress.enabled";
 // Map-output segment compression, read by the engine.
 inline constexpr const char* kCompressMapOutput = "mapred.compress.map.output";

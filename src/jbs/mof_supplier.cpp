@@ -92,6 +92,8 @@ MofSupplier::MofSupplier(Options options)
       metrics_->GetCounter("jbs_mofsupplier_chunks_compressed_total", base);
   compress_bailouts_c_ =
       metrics_->GetCounter("jbs_mofsupplier_compress_bailouts_total", base);
+  compress_skipped_idle_c_ = metrics_->GetCounter(
+      "jbs_mofsupplier_compress_skipped_idle_total", base);
   wire_bytes_logical_c_ =
       metrics_->GetCounter("jbs_wire_bytes_logical_total", base);
   wire_bytes_wire_c_ = metrics_->GetCounter("jbs_wire_bytes_wire_total", base);
@@ -509,8 +511,18 @@ bool MofSupplier::WireCompressEligible(const PendingRequest& pending,
                                        uint64_t chunk) const {
   // Segment-compressed MOFs are already dense on disk; double-compressing
   // them burns CPU for nothing, so they always ship as stored.
-  return pending.compress_ok && chunk >= options_.wire_compress_min_bytes &&
-         chunk > 0 && (header.flags & kSegmentCompressed) == 0;
+  if (!pending.compress_ok || chunk < options_.wire_compress_min_bytes ||
+      chunk == 0 || (header.flags & kSegmentCompressed) != 0) {
+    return false;
+  }
+  // Compress only while the wire is behind (DESIGN.md §14): a chunk that
+  // would go straight onto an idle wire gains nothing from fewer bytes, so
+  // it ships raw and skips the codec on both ends.
+  if (endpoint_->Backlog(pending.conn) == 0) {
+    compress_skipped_idle_c_->Increment();
+    return false;
+  }
+  return true;
 }
 
 bool MofSupplier::EncodeCompressed(FetchDataHeader header,

@@ -56,12 +56,16 @@ class MofSupplier final : public mr::ShuffleServer {
     size_t buffer_size = 128 * 1024;      // transport buffer (Fig. 11)
     size_t buffer_count = 64;             // DataCache = size * count
     size_t fd_cache_entries = 128;  // open MOF data-file descriptors
-    // Negotiated wire compression: chunks served to clients that advertised
-    // kCapWireCompression in their hello are LZSS-compressed in the
-    // prefetch stage when at least `wire_compress_min_bytes` long and not
-    // already segment-compressed on disk. Chunks that do not shrink below
-    // 90% of their size ship raw. Off by default: the knob trades supplier
-    // CPU for wire bytes, which only pays on compressible workloads.
+    // Negotiated wire compression: the supplier *may* compress chunks for
+    // clients that advertised kCapWireCompression in their hello. A chunk
+    // is compressed in the disk stage when it is at least
+    // `wire_compress_min_bytes` long, not already segment-compressed on
+    // disk, and its connection's wire still held bytes ahead of it when
+    // its request arrived (ServerEndpoint::Backlog > 0): a chunk bound for
+    // an idle wire ships raw (DESIGN.md §14). Chunks that do not shrink below 90%
+    // of their size ship raw too. Off by default: the codec trades CPU on
+    // both ends for wire bytes, which pays only on compressible data over
+    // a wire slower than the codec.
     bool wire_compress = false;
     uint64_t wire_compress_min_bytes = 4096;
     int prefetch_batch = 4;   // requests served per group per turn
@@ -197,9 +201,11 @@ class MofSupplier final : public mr::ShuffleServer {
   /// included.
   void StampChunkCrc(FetchDataHeader* header,
                      std::span<const uint8_t> data) const;
-  /// True if this chunk should be considered for wire compression: the
-  /// peer advertised the capability, the chunk clears the min-size gate,
-  /// and the segment isn't already block-compressed on disk.
+  /// True if this chunk should be wire-compressed: the peer advertised the
+  /// capability, the chunk clears the min-size gate, the segment isn't
+  /// already block-compressed on disk, and the connection's wire is behind
+  /// (ServerEndpoint::Backlog > 0). An otherwise eligible chunk bound for
+  /// an idle wire counts in compress_skipped_idle.
   bool WireCompressEligible(const PendingRequest& pending,
                             const FetchDataHeader& header,
                             uint64_t chunk) const;
@@ -229,6 +235,7 @@ class MofSupplier final : public mr::ShuffleServer {
 
   MetricCounter* chunks_compressed_c_ = nullptr;
   MetricCounter* compress_bailouts_c_ = nullptr;
+  MetricCounter* compress_skipped_idle_c_ = nullptr;
   MetricCounter* wire_bytes_logical_c_ = nullptr;
   MetricCounter* wire_bytes_wire_c_ = nullptr;
   MetricHistogram* compress_ratio_h_ = nullptr;

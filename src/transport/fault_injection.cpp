@@ -1,6 +1,8 @@
 #include "transport/fault_injection.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "common/failpoints.h"
@@ -101,6 +103,93 @@ class FaultInjectingTransport::FlakyConnection final : public Connection {
   std::shared_ptr<Blackhole> hole_;
   std::atomic<bool> closed_{false};
 };
+
+class FaultInjectingTransport::SlowWireEndpoint final : public ServerEndpoint {
+ public:
+  SlowWireEndpoint(std::unique_ptr<ServerEndpoint> inner,
+                   std::shared_ptr<SlowWire> wire)
+      : inner_(std::move(inner)), wire_(std::move(wire)) {}
+
+  Status Start(Handlers handlers) override {
+    // Requests cross the wire too: charging them is what makes a lone
+    // request's reply find the wire behind.
+    handlers.on_frame = [wire = wire_, on_frame = std::move(handlers.on_frame)](
+                            ConnId conn, Frame frame) {
+      wire->Charge(kFrameHeaderSize + frame.payload_size());
+      if (on_frame) on_frame(conn, std::move(frame));
+    };
+    return inner_->Start(std::move(handlers));
+  }
+
+  uint16_t port() const override { return inner_->port(); }
+
+  Status SendAsync(ConnId conn, Frame frame) override {
+    const uint64_t bytes = kFrameHeaderSize + frame.payload_size();
+    JBS_RETURN_IF_ERROR(inner_->SendAsync(conn, std::move(frame)));
+    wire_->Charge(bytes);
+    return Status::Ok();
+  }
+
+  uint64_t Backlog(ConnId conn) const override {
+    return std::max(wire_->Unpaid(), inner_->Backlog(conn));
+  }
+
+  void Stop() override { inner_->Stop(); }
+  Stats stats() const override { return inner_->stats(); }
+
+ private:
+  std::unique_ptr<ServerEndpoint> inner_;
+  std::shared_ptr<SlowWire> wire_;
+};
+
+namespace {
+
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
+
+void FaultInjectingTransport::SlowWire::Charge(uint64_t bytes) {
+  const double rate = bytes_per_sec.load(std::memory_order_relaxed);
+  if (rate <= 0) return;
+  const auto cost =
+      static_cast<int64_t>(static_cast<double>(bytes) * 1e9 / rate);
+  const int64_t now = SteadyNowNs();
+  int64_t paid_at = paid_at_ns.load(std::memory_order_relaxed);
+  while (!paid_at_ns.compare_exchange_weak(paid_at,
+                                           std::max(paid_at, now) + cost,
+                                           std::memory_order_relaxed)) {
+  }
+}
+
+uint64_t FaultInjectingTransport::SlowWire::Unpaid() const {
+  const double rate = bytes_per_sec.load(std::memory_order_relaxed);
+  if (rate <= 0) return 0;
+  const int64_t ahead =
+      paid_at_ns.load(std::memory_order_relaxed) - SteadyNowNs();
+  // Rounded up: a wire still busy with part of a byte is behind.
+  return ahead > 0 ? static_cast<uint64_t>(
+                         std::ceil(static_cast<double>(ahead) * rate / 1e9))
+                   : 0;
+}
+
+void FaultInjectingTransport::SetSlowWire(double bytes_per_sec) {
+  wire_->bytes_per_sec.store(bytes_per_sec, std::memory_order_relaxed);
+  wire_->paid_at_ns.store(0, std::memory_order_relaxed);
+}
+
+StatusOr<std::unique_ptr<ServerEndpoint>>
+FaultInjectingTransport::CreateServer() {
+  auto endpoint = inner_->CreateServer();
+  JBS_RETURN_IF_ERROR(endpoint.status());
+  // Always wrap, as Connect does: the slow wire may be set after the
+  // endpoint starts.
+  return std::unique_ptr<ServerEndpoint>(std::make_unique<SlowWireEndpoint>(
+      std::move(endpoint).value(), wire_));
+}
 
 Status FaultInjectingTransport::Blackhole::Park(
     const Deadline& deadline, const std::atomic<bool>& closed,

@@ -9,9 +9,14 @@
 //                   e.g. "eio+2" breaks every send after the first two.
 //
 // The failpoints are process-global: they apply to every wrapper and every
-// connection, and HitCount/FireCount are the dial and send counters. Used
-// by the fault-tolerance, deadline and chaos tests; in production code the
-// wrapper is simply not installed.
+// connection, and HitCount/FireCount are the dial and send counters.
+//
+// Server side, one fault: a slow wire (SetSlowWire), whose unpaid bytes
+// every endpoint the wrapper creates reports as its Backlog, the signal the
+// supplier's compress-while-behind rule reads.
+//
+// Used by the fault-tolerance, deadline, chaos and wire-compression tests
+// and perf_smoke; in production code the wrapper is simply not installed.
 #pragma once
 
 #include <atomic>
@@ -68,9 +73,19 @@ class FaultInjectingTransport final : public Transport {
   int chaos_delays() const { return chaos_delays_.load(); }
   int chaos_blackholes() const { return chaos_blackholes_.load(); }
 
-  StatusOr<std::unique_ptr<ServerEndpoint>> CreateServer() override {
-    return inner_->CreateServer();
-  }
+  /// Slow-wire fault: endpoints created through this transport (before or
+  /// after the call) charge every frame they send or receive, header
+  /// included, to one node-wide bucket that pays off `bytes_per_sec`, and
+  /// report the bytes it has not yet paid off as their Backlog (or the
+  /// inner endpoint's backlog, if larger). Bytes still move at the inner
+  /// transport's speed: only the backlog signal sees the slow wire, so
+  /// tests stay fast, and a stop-and-wait client, which never queues one
+  /// reply behind another, still finds the wire behind — its own request
+  /// was charged. 0 (the default) turns the fault off and clears the
+  /// bucket.
+  void SetSlowWire(double bytes_per_sec);
+
+  StatusOr<std::unique_ptr<ServerEndpoint>> CreateServer() override;
 
   using Transport::Connect;
   StatusOr<std::unique_ptr<Connection>> Connect(
@@ -79,6 +94,18 @@ class FaultInjectingTransport final : public Transport {
 
  private:
   class FlakyConnection;
+  class SlowWireEndpoint;
+
+  /// The slow wire's bucket, shared by every endpoint created through this
+  /// transport (they may outlive it). Lock-free: a charge moves the time
+  /// at which the wire will have sent everything charged so far.
+  struct SlowWire {
+    std::atomic<double> bytes_per_sec{0};
+    std::atomic<int64_t> paid_at_ns{0};  // steady_clock
+
+    void Charge(uint64_t bytes);
+    uint64_t Unpaid() const;
+  };
 
   /// Shared park bench for blackholed operations: they wait here for a
   /// deadline, a connection close, or a release broadcast.
@@ -108,6 +135,7 @@ class FaultInjectingTransport final : public Transport {
 
   Transport* inner_;
   std::shared_ptr<Blackhole> blackhole_ = std::make_shared<Blackhole>();
+  std::shared_ptr<SlowWire> wire_ = std::make_shared<SlowWire>();
 
   // Chaos schedule state: the phase list, the cursor, and the seeded RNG
   // all advance together under one mutex so the draw sequence is a pure

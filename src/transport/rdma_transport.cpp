@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "transport/backlog.h"
 #include "transport/soft_rdma.h"
 
 namespace jbs::net {
@@ -196,6 +197,8 @@ class RdmaServerEndpoint final : public ServerEndpoint {
     return Status::Ok();
   }
 
+  uint64_t Backlog(ConnId conn) const override { return backlog_.Get(conn); }
+
   void Stop() override {
     if (!running_.exchange(false)) return;
     server_.Stop();
@@ -206,8 +209,11 @@ class RdmaServerEndpoint final : public ServerEndpoint {
     if (cm_thread_.joinable()) cm_thread_.join();
     if (send_thread_.joinable()) send_thread_.join();
     if (recv_thread_.joinable()) recv_thread_.join();
-    MutexLock lock(mu_);
-    conns_.clear();
+    {
+      MutexLock lock(mu_);
+      conns_.clear();
+    }
+    backlog_.CloseAll();
   }
 
   Stats stats() const override EXCLUDES(stats_mu_) {
@@ -219,20 +225,35 @@ class RdmaServerEndpoint final : public ServerEndpoint {
 
  private:
   struct ConnState {
+    ConnId id;
     // shared_ptr: the send thread keeps the QP alive across a PostSend even
     // if the recv thread drops the connection concurrently.
     std::shared_ptr<QueuePair> qp;
     std::unique_ptr<RecvRing> ring;
   };
 
-  // wr_id layout for the shared recv CQ: high bits = conn, low = buffer.
+  // wr_id layout for the shared recv CQ: high bits = the connection's key,
+  // low = buffer. The key is the id's low 44 bits: its backlog slot and
+  // the low bits of its sequence number, so no two open connections share
+  // one, and conns_ is keyed by it. Every lookup by ConnId then checks the
+  // full id (FindLocked); one by wr_id can only be stale if its slot was
+  // reopened 2^28 times since the receive was posted.
   static constexpr uint64_t kBufferBits = 20;
-  static uint64_t MakeWr(ConnId conn, uint64_t buffer) {
-    return (conn << kBufferBits) | buffer;
+  static uint64_t WrKey(ConnId conn) {
+    return conn & ((1ull << (64 - kBufferBits)) - 1);
   }
-  static ConnId WrConn(uint64_t wr) { return wr >> kBufferBits; }
+  static uint64_t MakeWr(ConnId conn, uint64_t buffer) {
+    return (WrKey(conn) << kBufferBits) | buffer;
+  }
+  static uint64_t WrConnKey(uint64_t wr) { return wr >> kBufferBits; }
   static uint64_t WrBuffer(uint64_t wr) {
     return wr & ((1ull << kBufferBits) - 1);
+  }
+
+  ConnState* FindLocked(ConnId conn) REQUIRES(mu_) {
+    auto it = conns_.find(WrKey(conn));
+    return it == conns_.end() || it->second.id != conn ? nullptr
+                                                       : &it->second;
   }
 
   void CmLoop() {
@@ -242,13 +263,19 @@ class RdmaServerEndpoint final : public ServerEndpoint {
       auto event = channel_.WaitEvent();
       if (!event) return;
       if (event->type != CmEventType::kConnectRequest) continue;
+      const ConnId id = backlog_.Open();
+      if (id == 0) {
+        JBS_WARN << "rdma_accept: connection limit reached";
+        (void)server_.Reject(event->request_id);
+        continue;
+      }
       auto qp = server_.Accept(event->request_id, &pd_, &send_cq_, &recv_cq_,
                                options_.max_message_bytes);
       if (!qp.ok()) {
         JBS_WARN << "rdma_accept failed: " << qp.status().ToString();
+        backlog_.Close(id);
         continue;
       }
-      const ConnId id = event->request_id;
       auto ring = std::make_unique<RecvRing>(&pd_, options_.buffer_size,
                                              options_.buffers_per_connection);
       std::shared_ptr<QueuePair> accepted = std::move(qp).value();
@@ -262,14 +289,17 @@ class RdmaServerEndpoint final : public ServerEndpoint {
       bool ok = true;
       {
         MutexLock lock(mu_);
-        conns_[id] = ConnState{accepted, std::move(ring)};
+        conns_[WrKey(id)] = ConnState{id, accepted, std::move(ring)};
         // Post with conn-qualified wr_ids into the shared CQ.
         for (size_t i = 0; ok && i < options_.buffers_per_connection; ++i) {
           ok = accepted->PostRecv(MakeWr(id, i), ring_ptr->region(i)).ok();
         }
-        if (!ok) conns_.erase(id);
+        if (!ok) conns_.erase(WrKey(id));
       }
-      if (!ok) continue;
+      if (!ok) {
+        backlog_.Close(id);
+        continue;
+      }
       {
         MutexLock lock(stats_mu_);
         ++stats_.connections_accepted;
@@ -282,27 +312,32 @@ class RdmaServerEndpoint final : public ServerEndpoint {
     while (running_.load()) {
       auto wc = recv_cq_.WaitPoll();
       if (!wc) return;
-      const ConnId id = WrConn(wc->wr_id);
+      const uint64_t key = WrConnKey(wc->wr_id);
       if (wc->opcode != WcOpcode::kRecv) continue;
       if (wc->status == WcStatus::kFlushed) {
-        DropConn(id);
+        DropConn(key);
         continue;
       }
       if (wc->status != WcStatus::kSuccess) {
-        DropConn(id);
+        DropConn(key);
         continue;
       }
       Frame frame;
       frame.type = wc->msg_type;
+      ConnId id = 0;
       {
         MutexLock lock(mu_);
-        auto it = conns_.find(id);
+        auto it = conns_.find(key);
         if (it == conns_.end()) continue;
+        id = it->second.id;
         const MemoryRegion& mr =
             it->second.ring->region(WrBuffer(wc->wr_id));
         frame.payload.assign(mr.addr, mr.addr + wc->byte_len);
         it->second.qp->PostRecv(wc->wr_id,
                                 it->second.ring->region(WrBuffer(wc->wr_id)));
+        // A request reads the backlog its reply will find: sample it
+        // before the handler sees the request.
+        backlog_.Set(id, it->second.qp->unacked_send_bytes());
       }
       {
         MutexLock lock(stats_mu_);
@@ -320,9 +355,9 @@ class RdmaServerEndpoint final : public ServerEndpoint {
       std::shared_ptr<QueuePair> qp;
       {
         MutexLock lock(mu_);
-        auto it = conns_.find(conn);
-        if (it == conns_.end()) continue;
-        qp = it->second.qp;
+        ConnState* state = FindLocked(conn);
+        if (state == nullptr) continue;
+        qp = state->qp;
       }
       if (qp->PostSend(next_send_wr_++, frame.type, frame.payload,
                        frame.ext)
@@ -335,15 +370,19 @@ class RdmaServerEndpoint final : public ServerEndpoint {
     }
   }
 
-  void DropConn(ConnId id) {
+  /// Drops the connection whose wr_id key is `key`.
+  void DropConn(uint64_t key) {
     std::shared_ptr<QueuePair> dying;
+    ConnId id = 0;
     {
       MutexLock lock(mu_);
-      auto it = conns_.find(id);
+      auto it = conns_.find(key);
       if (it == conns_.end()) return;
+      id = it->second.id;
       dying = std::move(it->second.qp);
       conns_.erase(it);
     }
+    backlog_.Close(id);
     dying->Disconnect();
     // Do not join here: DropConn runs on the recv thread, and ~QueuePair
     // joins its receiver thread, which is safe (different thread).
@@ -364,10 +403,14 @@ class RdmaServerEndpoint final : public ServerEndpoint {
   std::thread recv_thread_;
   std::thread send_thread_;
   BlockingQueue<std::pair<ConnId, Frame>> send_queue_;
+  // Mints connection ids; the recv thread samples their backlogs and any
+  // thread reads them.
+  BacklogTable backlog_;
   std::atomic<uint64_t> next_send_wr_{1};
 
   mutable Mutex mu_;
-  std::unordered_map<ConnId, ConnState> conns_ GUARDED_BY(mu_);
+  // Keyed by WrKey(id).
+  std::unordered_map<uint64_t, ConnState> conns_ GUARDED_BY(mu_);
   mutable Mutex stats_mu_;
   Stats stats_ GUARDED_BY(stats_mu_);
 };

@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -159,6 +161,12 @@ Status SetNoDelay(int fd) {
     return IoError(Errno("setsockopt(TCP_NODELAY)"));
   }
   return Status::Ok();
+}
+
+uint64_t UnackedSendBytes(int fd) {
+  int bytes = 0;
+  if (::ioctl(fd, SIOCOUTQ, &bytes) != 0 || bytes < 0) return 0;
+  return static_cast<uint64_t>(bytes);
 }
 
 Status SendAll(int fd, std::span<const uint8_t> data,

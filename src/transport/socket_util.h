@@ -55,6 +55,11 @@ Status SetBlocking(int fd);
 /// request/response pattern stalls on delayed ACKs.
 Status SetNoDelay(int fd);
 
+/// Bytes written to `fd` that the peer has not acknowledged yet (unsent
+/// bytes included): the kernel's share of a send backlog, SIOCOUTQ. 0 if
+/// the query fails.
+uint64_t UnackedSendBytes(int fd);
+
 /// Blocks until `fd` is readable (resp. writable), the deadline passes
 /// (kDeadlineExceeded), or the fd errors. poll(2)-based; EINTR retried.
 JBS_BLOCKING Status WaitReadable(int fd, const Deadline& deadline);

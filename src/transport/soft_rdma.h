@@ -143,6 +143,11 @@ class QueuePair {
 
   State state() const;
   uint64_t bytes_sent() const { return bytes_sent_; }
+  /// Sent bytes the peer has not acknowledged yet: a send completes once
+  /// the socket takes it, so these are the QP's bytes still on the wire.
+  uint64_t unacked_send_bytes() const {
+    return UnackedSendBytes(socket_.get());
+  }
   uint64_t bytes_received() const { return bytes_received_; }
   size_t posted_recvs() const;
 

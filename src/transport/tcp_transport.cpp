@@ -14,7 +14,10 @@
 // that accepts, reads and writes every connection. Connection state (the
 // decoder and outbound queue) is only ever touched from that loop thread,
 // so the per-byte path takes no locks; the counters are relaxed atomics so
-// stats() can read them from any thread.
+// stats() can read them from any thread. The loop thread samples each
+// connection's send backlog into a BacklogTable slot when a request
+// arrives and when a write would block: the bytes the peer has not
+// acknowledged plus the bytes queued behind the blocked write.
 #include "transport/tcp_transport.h"
 
 #include <sys/socket.h>
@@ -34,6 +37,7 @@
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "transport/backlog.h"
 #include "transport/event_loop.h"
 #include "transport/socket_util.h"
 
@@ -183,6 +187,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
     auto enqueue = [this, conn, out = std::move(out)]() mutable {
       auto it = conns_.find(conn);
       if (it == conns_.end()) return;  // conn gone; lease drops here
+      it->second.unsent += out.size();
       it->second.out_queue.push_back(std::move(out));
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
       queued_frames_.fetch_add(1, std::memory_order_relaxed);
@@ -200,10 +205,13 @@ class TcpServerEndpoint final : public ServerEndpoint {
     return Status::Ok();
   }
 
+  uint64_t Backlog(ConnId conn) const override { return backlog_.Get(conn); }
+
   void Stop() override {
     if (stopped_.exchange(true)) return;
     loop_.Stop();
     conns_.clear();  // drops every queued OutFrame and its lease
+    backlog_.CloseAll();
     listen_fd_.Reset();
   }
 
@@ -238,6 +246,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
     Fd fd;
     FrameDecoder decoder;
     std::deque<OutFrame> out_queue;
+    uint64_t unsent = 0;  // bytes in out_queue that no sendmsg took yet
     bool want_write = false;
     bool peer_half_closed = false;  // client sent FIN; drain replies first
     ConnState(Fd fd_in, size_t max_frame)
@@ -254,8 +263,13 @@ class TcpServerEndpoint final : public ServerEndpoint {
         JBS_WARN << "accept: " << std::strerror(errno);
         return;
       }
+      const ConnId id = backlog_.Open();
+      if (id == 0) {
+        JBS_WARN << "accept: connection limit reached";
+        Fd refused(raw);  // closed on scope exit
+        continue;
+      }
       (void)SetNoDelay(raw);
-      const ConnId id = next_conn_id_++;
       auto [it, inserted] = conns_.emplace(
           id, ConnState(Fd(raw), options_.max_frame_bytes));
       Status st = loop_.Add(it->second.fd.get(), /*read=*/true,
@@ -264,6 +278,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
                             });
       if (!st.ok()) {
         conns_.erase(it);
+        backlog_.Close(id);
         continue;
       }
       connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -287,6 +302,11 @@ class TcpServerEndpoint final : public ServerEndpoint {
     auto it = conns_.find(id);
     if (it == conns_.end()) return false;
     ConnState& state = it->second;
+    // A request's reply will queue behind what the wire still holds: sample
+    // that before the handler sees the request. The request's segment has
+    // acknowledged every byte the peer received, so a peer that keeps up
+    // reads 0 here.
+    SampleBacklog(id, state);
     uint8_t chunk[64 * 1024];
     for (;;) {
       const ssize_t n = ::recv(state.fd.get(), chunk, sizeof(chunk), 0);
@@ -374,6 +394,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
         return;
       }
       bytes_sent_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+      state.unsent -= static_cast<uint64_t>(n);
       // Advance `sent` across the queue and retire finished frames.
       size_t written = static_cast<size_t>(n);
       while (written > 0 && !state.out_queue.empty()) {
@@ -391,6 +412,9 @@ class TcpServerEndpoint final : public ServerEndpoint {
       CloseConn(id);
       return;
     }
+    // A socket that would block is the wire falling behind: tell the disk
+    // threads now rather than at the next request.
+    if (state.unsent > 0) SampleBacklog(id, state);
     const bool need_write = !state.out_queue.empty();
     if (need_write != state.want_write) {
       state.want_write = need_write;
@@ -399,12 +423,22 @@ class TcpServerEndpoint final : public ServerEndpoint {
     }
   }
 
+  /// Publishes `id`'s backlog for Backlog(): the bytes written to the
+  /// socket that the peer has not acknowledged, plus the bytes the last
+  /// flush left queued because the socket would block. Frames the loop
+  /// has not tried to write yet are not counted: it writes them within
+  /// its next turn, so they say nothing about the wire.
+  void SampleBacklog(ConnId id, const ConnState& state) {
+    backlog_.Set(id, UnackedSendBytes(state.fd.get()) + state.unsent);
+  }
+
   void CloseConn(ConnId id) {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
     queued_frames_.fetch_sub(it->second.out_queue.size(),
                              std::memory_order_relaxed);
     loop_.Remove(it->second.fd.get());
+    backlog_.Close(id);
     conns_.erase(it);  // queued OutFrames die here, releasing leases
     if (handlers_.on_disconnect) handlers_.on_disconnect(id);
   }
@@ -414,7 +448,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
   EventLoop loop_;
   // Loop thread only.
   std::unordered_map<ConnId, ConnState> conns_;
-  ConnId next_conn_id_ = 1;
   Fd listen_fd_;
   uint16_t port_ = 0;
   // Relaxed atomics so stats() can read them off the loop thread.
@@ -425,6 +458,9 @@ class TcpServerEndpoint final : public ServerEndpoint {
   // Frames enqueued but not fully written.
   std::atomic<uint64_t> queued_frames_{0};
   std::atomic<bool> stopped_{false};
+  // Mints connection ids; the loop thread samples their backlogs and any
+  // thread reads them.
+  BacklogTable backlog_;
 };
 
 class TcpTransport final : public Transport {

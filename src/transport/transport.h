@@ -25,8 +25,9 @@
 
 namespace jbs::net {
 
-/// Identifies one accepted connection within a ServerEndpoint: a sequence
-/// number, never reused while the endpoint lives.
+/// Identifies one accepted connection within a ServerEndpoint: never 0 and
+/// never reused while the endpoint lives. Its low bits name the
+/// connection's backlog slot (transport/backlog.h).
 using ConnId = uint64_t;
 
 /// Client-side connection: framed, blocking. Send is safe from multiple
@@ -117,6 +118,19 @@ class ServerEndpoint {
     frame.lease = std::move(lease);
     return SendAsync(conn, std::move(frame));
   }
+
+  /// The bytes `conn`'s wire still had ahead of the next reply when the
+  /// endpoint last sampled it: bytes handed to the socket that the peer
+  /// has not acknowledged (SIOCOUTQ), plus, on TCP, the bytes queued
+  /// behind a write that would block. Frames SendAsync accepted that the
+  /// I/O thread has not tried to write yet do not count. The I/O thread
+  /// samples it as each incoming frame arrives, before the handler runs
+  /// (and on TCP also when a write would block), so a request's handler
+  /// and whoever serves it later see the wire as the request found it.
+  /// 0 for a closed or unknown connection and after Stop(). Safe from any
+  /// thread, O(1), with no lock and no syscall; the supplier reads it on
+  /// the disk thread for every chunk (DESIGN.md §14).
+  virtual uint64_t Backlog(ConnId conn) const = 0;
 
   /// Stops the event thread and closes all connections.
   virtual void Stop() = 0;

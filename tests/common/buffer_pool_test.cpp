@@ -1,10 +1,16 @@
 #include "common/buffer_pool.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdlib>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -106,6 +112,75 @@ TEST(BufferPoolTest, ConcurrentChurnKeepsInvariant) {
   EXPECT_EQ(total.load(), 2000u);
   EXPECT_EQ(pool.available(), 8u);  // everything returned
   EXPECT_EQ(pool.stats().acquires, 2000u);
+}
+
+/// This process's resident set in KiB (VmRSS in /proc/self/status).
+size_t ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
+}
+
+TEST(BufferPoolTest, OnlyTouchedBuffersBecomeResident) {
+  // The arena is its own mapping, so a pool costs resident memory only for
+  // the buffers that get written, whatever malloc's state.
+  const size_t before = ResidentKiB();
+  ASSERT_GT(before, 0u);
+  BufferPool pool(128 * 1024, 512);  // 64 MiB
+  {
+    PooledBuffer buffer = pool.Acquire();
+    std::memset(buffer.data(), 0xAB, buffer.capacity());
+  }
+  const size_t after = ResidentKiB();
+  EXPECT_LT(after, before + 4 * 1024);
+}
+
+/// Resident pages among the `len` bytes at `data` (mincore).
+size_t ResidentPages(const uint8_t* data, size_t len) {
+  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t start = reinterpret_cast<uintptr_t>(data) & ~(page - 1);
+  const uintptr_t end = reinterpret_cast<uintptr_t>(data) + len;
+  std::vector<unsigned char> pages((end - start + page - 1) / page);
+  if (::mincore(reinterpret_cast<void*>(start), end - start, pages.data()) !=
+      0) {
+    ADD_FAILURE() << "mincore failed";
+    return 0;
+  }
+  size_t resident = 0;
+  for (unsigned char flags : pages) resident += flags & 1;
+  return resident;
+}
+
+/// Mallocs, writes and frees `bytes`, in a way the compiler cannot elide.
+void TouchAndFree(size_t bytes) {
+  void* block = std::malloc(bytes);
+  ASSERT_NE(block, nullptr);
+  std::memset(block, 0x5C, bytes);
+  asm volatile("" : : "r"(block) : "memory");
+  std::free(block);
+}
+
+TEST(BufferPoolTest, ArenaNeverReusesTouchedHeapPages) {
+  // The heap case behind a pool that counts as resident in full: freeing
+  // a 16 MiB mapped block raises glibc's mmap threshold past 8 MiB, and a
+  // 12 MiB block written and freed after it leaves written pages at the
+  // top of the heap (below the raised trim threshold). A DataCache-sized
+  // arena (8 MiB) taken from malloc would reuse those pages, resident
+  // before the pool writes a byte; the pool's own mapping never does.
+  TouchAndFree(16 * 1024 * 1024);
+  TouchAndFree(12 * 1024 * 1024);
+  BufferPool pool(128 * 1024, 64);
+  std::vector<PooledBuffer> buffers;
+  for (size_t i = 0; i < pool.capacity(); ++i) buffers.push_back(pool.Acquire());
+  std::memset(buffers[0].data(), 0xAB, buffers[0].capacity());
+  size_t resident = 0;
+  for (size_t i = 1; i < buffers.size(); ++i) {
+    resident += ResidentPages(buffers[i].data(), buffers[i].capacity());
+  }
+  EXPECT_EQ(resident, 0u);
 }
 
 }  // namespace

@@ -32,6 +32,10 @@ using namespace std::chrono_literals;
 constexpr int kNodes = 3;
 constexpr int kMaps = 9;
 constexpr int kRecordsPerMap = 400;
+// Each supplier node's slow wire (bytes/s): slow enough that every reply
+// finds it behind, so every eligible chunk goes out compressed. Only the
+// supplier's backlog signal sees the rate; no byte is delayed.
+constexpr double kSlowWireBytesPerSec = 256;
 
 uint64_t ChaosSeed() {
   if (const char* env = std::getenv("JBS_CHAOS_SEED")) {
@@ -56,6 +60,11 @@ class ChaosE2ETest : public ::testing::Test {
     fs::create_directories(dir_);
     transport_ = net::MakeTcpTransport();
     flaky_ = std::make_unique<net::FaultInjectingTransport>(transport_.get());
+    for (int n = 0; n < kNodes; ++n) {
+      wires_.push_back(
+          std::make_unique<net::FaultInjectingTransport>(transport_.get()));
+      wires_.back()->SetSlowWire(kSlowWireBytesPerSec);
+    }
     BuildMofs();
     published_.resize(kNodes);
     suppliers_.resize(kNodes);
@@ -98,10 +107,13 @@ class ChaosE2ETest : public ::testing::Test {
   /// MOFs. A restarted supplier binds a fresh port.
   void Boot(int node) {
     shuffle::MofSupplier::Options options;
-    options.transport = transport_.get();  // server side is healthy
-    // Whole harness runs with negotiated wire compression on: every chaos
-    // phase then also corrupts *compressed* chunks, and the CRC (folded
-    // over the compressed payload) must catch those before decompression.
+    // Server side is healthy apart from its slow wire.
+    options.transport = wires_[node].get();
+    // Whole harness runs with negotiated wire compression on, over a wire
+    // slow enough that the supplier compresses every eligible chunk: every
+    // chaos phase then also corrupts *compressed* chunks, and the CRC
+    // (folded over the compressed payload) must catch those before
+    // decompression.
     options.wire_compress = true;
     options.wire_compress_min_bytes = 256;  // chunk_size 1024 -> eligible
     auto supplier = std::make_unique<shuffle::MofSupplier>(options);
@@ -154,6 +166,7 @@ class ChaosE2ETest : public ::testing::Test {
   fs::path dir_;
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<net::FaultInjectingTransport> flaky_;
+  std::vector<std::unique_ptr<net::FaultInjectingTransport>> wires_;
   std::vector<mr::MofHandle> handles_;
   std::vector<std::vector<int>> published_;  // node -> map tasks it serves
   std::vector<std::unique_ptr<shuffle::MofSupplier>> suppliers_;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "common/failpoints.h"
@@ -219,6 +222,49 @@ TEST_F(FaultInjectionTest, BreaksConnectionAfterKSends) {
   EXPECT_FALSE((*conn)->alive());
   EXPECT_FALSE((*conn)->Send(f).ok());  // stays broken
   EXPECT_EQ(failpoints::FireCount("faults.send"), 1u);
+}
+
+TEST_F(FaultInjectionTest, SlowWireReportsItsUnpaidBytesAsBacklog) {
+  // 1 KB/s: the request and the echo, ~210 bytes with headers, keep the
+  // wire busy for ~200 ms although both crossed loopback at once.
+  flaky_->SetSlowWire(1000);
+  auto server = flaky_->CreateServer();
+  ASSERT_TRUE(server.ok());
+  ServerEndpoint& endpoint = **server;
+  std::atomic<ConnId> peer{0};
+  std::atomic<uint64_t> backlog_at_request{0};
+  ServerEndpoint::Handlers handlers;
+  handlers.on_frame = [&](ConnId conn, Frame frame) {
+    peer = conn;
+    backlog_at_request = endpoint.Backlog(conn);
+    (void)endpoint.SendAsync(conn, std::move(frame));
+  };
+  ASSERT_TRUE(endpoint.Start(handlers).ok());
+
+  auto conn = inner_->Connect("127.0.0.1", endpoint.port());
+  ASSERT_TRUE(conn.ok());
+  Frame f;
+  f.type = 1;
+  f.payload.assign(100, 0x5A);
+  ASSERT_TRUE((*conn)->Send(f).ok());
+  auto reply = (*conn)->Receive();
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->payload, f.payload);  // bytes still move at full speed
+  // The request itself was charged before its handler ran, so even a
+  // stop-and-wait request finds the wire behind.
+  EXPECT_GT(backlog_at_request.load(), 0u);
+  EXPECT_GT(endpoint.Backlog(peer), 100u);
+
+  // Off: the endpoint reports the inner TCP endpoint's backlog, which
+  // the request found empty (its client had read every earlier byte).
+  flaky_->SetSlowWire(0);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (endpoint.Backlog(peer) != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(endpoint.Backlog(peer), 0u);
+  endpoint.Stop();
 }
 
 }  // namespace
