@@ -198,6 +198,59 @@ void BM_KWayMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_KWayMerge)->Arg(4)->Arg(16)->Arg(64);
 
+// The merge as the shuffle runs it: 65,536 records of a 10 B random
+// printable key and a 90 B value (perfbench small_4sup's record shape),
+// split into `fan_in` sorted IFile segments, each read in place by a
+// SegmentStream, drained through NextView only.
+constexpr int kMergeRecords = 1 << 16;
+
+std::vector<std::vector<uint8_t>> MergeSegments(int fan_in) {
+  Rng rng(7);
+  std::vector<std::vector<uint8_t>> segments;
+  for (int s = 0; s < fan_in; ++s) {
+    std::vector<std::string> keys(static_cast<size_t>(kMergeRecords / fan_in));
+    for (auto& key : keys) {
+      key.resize(10);
+      for (char& c : key) c = static_cast<char>(' ' + rng.Below(95));
+    }
+    std::sort(keys.begin(), keys.end());
+    mr::IFileWriter writer;
+    const std::string value(90, 'v');
+    for (const auto& key : keys) writer.Append(key, value);
+    segments.push_back(writer.Finish());
+  }
+  return segments;
+}
+
+void BM_IFileDecodeView(benchmark::State& state) {
+  // The decode alone, for the merge below: one segment of the same
+  // records, read in place.
+  const auto segment = MergeSegments(1).front();
+  for (auto _ : state) {
+    mr::IFileReader reader(segment);
+    mr::RecordView view;
+    while (reader.NextView(&view)) benchmark::DoNotOptimize(view.key.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kMergeRecords);
+}
+BENCHMARK(BM_IFileDecodeView);
+
+void BM_KWayMergeSegments(benchmark::State& state) {
+  const auto segments = MergeSegments(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<mr::RecordStream>> sources;
+    for (const auto& segment : segments) {
+      sources.push_back(std::make_unique<mr::SegmentStream>(
+          std::span<const uint8_t>(segment)));
+    }
+    mr::KWayMerger merger(std::move(sources));
+    mr::RecordView view;
+    while (merger.NextView(&view)) benchmark::DoNotOptimize(view.key.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kMergeRecords);
+}
+BENCHMARK(BM_KWayMergeSegments)->Arg(2)->Arg(8)->Arg(32);
+
 void BM_FrameDecoder(benchmark::State& state) {
   std::vector<uint8_t> wire;
   Frame frame;

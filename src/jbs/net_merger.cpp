@@ -62,6 +62,12 @@ bool IsPushback(const Status& status) {
 /// when a reader waits.
 class NetMerger::SegmentFetch {
  public:
+  /// `waits` and `wait_us` count the merge's waits for this segment's
+  /// bytes: only those that block, so a merge that finds bytes pays
+  /// nothing.
+  SegmentFetch(MetricCounter* waits, MetricCounter* wait_us)
+      : waits_(waits), wait_us_(wait_us) {}
+
   /// The first chunk has committed: keeps `buffer` for the opener.
   void Land(std::shared_ptr<SegmentBuffer> buffer, bool compressed)
       EXCLUDES(mu_) {
@@ -100,11 +106,19 @@ class NetMerger::SegmentFetch {
 
   Status AwaitMore(const SegmentBuffer& buffer, uint64_t have) EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    while (buffer.size() <= have && !ended_) {
-      reader_waiting_ = true;
-      cv_.Wait(lock);
+    if (buffer.size() <= have && !ended_) {
+      const auto start = std::chrono::steady_clock::now();
+      do {
+        reader_waiting_ = true;
+        cv_.Wait(lock);
+      } while (buffer.size() <= have && !ended_);
+      reader_waiting_ = false;
+      waits_->Increment();
+      wait_us_->Increment(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
     }
-    reader_waiting_ = false;
     if (buffer.size() > have) return Status::Ok();
     return status_.ok() ? Internal("segment ended at " + std::to_string(have) +
                                    " of " + std::to_string(buffer.capacity()) +
@@ -130,6 +144,8 @@ class NetMerger::SegmentFetch {
   bool ended_ GUARDED_BY(mu_) = false;
   Status status_ GUARDED_BY(mu_);
   std::atomic<bool> abandoned_{false};
+  MetricCounter* const waits_;
+  MetricCounter* const wait_us_;
 };
 
 /// A merge stream's input: the segment's mapping, read while the fetch
@@ -226,6 +242,12 @@ NetMerger::NetMerger(Options options)
   // into a segment instead of received in place.
   bytes_copied_c_ =
       metrics_->GetCounter("jbs_netmerger_bytes_copied_total", base);
+  // The merge's waits for a segment's next bytes, and their time: a
+  // fetch-bound shuffle waits long, a merge-bound one hardly at all.
+  merge_waits_c_ =
+      metrics_->GetCounter("jbs_netmerger_merge_waits_total", base);
+  merge_wait_us_c_ =
+      metrics_->GetCounter("jbs_netmerger_merge_wait_us_total", base);
   health_ = std::make_unique<NodeHealthTracker>(
       NodeHealthTracker::Options{
           options_.health_suspect_after, options_.health_penalize_after,
@@ -407,7 +429,8 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
       task.partition = partition;
       task.fetch_id = fetch_id;
       task.context = context;
-      task.fetch = std::make_shared<SegmentFetch>();
+      task.fetch =
+          std::make_shared<SegmentFetch>(merge_waits_c_, merge_wait_us_c_);
       task.alternates = replica.alternates;
       fetches.push_back(task.fetch);
       // Initial routing: prefer the first replica not currently serving a

@@ -350,6 +350,8 @@ class NetMerger final : public mr::ShuffleClient {
   MetricCounter* failovers_c_ = nullptr;
   MetricCounter* pushback_c_ = nullptr;
   MetricCounter* bytes_copied_c_ = nullptr;
+  MetricCounter* merge_waits_c_ = nullptr;
+  MetricCounter* merge_wait_us_c_ = nullptr;
   MetricHistogram* fetch_latency_ms_h_ = nullptr;
   MetricHistogram* fetch_attempts_h_ = nullptr;
 

@@ -92,54 +92,77 @@ KWayMerger::KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs)
     : inputs_(std::move(inputs)),
       heads_(inputs_.size()),
       live_(inputs_.size()),
-      tree_(inputs_.size(), Entry{0, kNobody}) {}
+      prefix_(inputs_.size()),
+      source_(inputs_.size(), kNobody) {}
 
-bool KWayMerger::Before(const Entry& a, const Entry& b) const {
-  if (a.prefix != b.prefix) [[likely]] return a.prefix < b.prefix;
-  if (live_[a.source] != live_[b.source]) return live_[a.source] != 0;
-  if (live_[a.source]) {
-    const int cmp = heads_[a.source].key.compare(heads_[b.source].key);
+inline bool KWayMerger::Before(uint64_t a_prefix, size_t a, uint64_t b_prefix,
+                               size_t b) const {
+  if (a_prefix != b_prefix) [[likely]] return a_prefix < b_prefix;
+  return TieBefore(a, b);
+}
+
+bool KWayMerger::TieBefore(size_t a, size_t b) const {
+  if (live_[a] != live_[b]) return live_[a] != 0;
+  if (live_[a]) {
+    const int cmp = heads_[a].key.compare(heads_[b].key);
     if (cmp != 0) return cmp < 0;
   }
-  return a.source < b.source;
+  return a < b;
 }
 
-KWayMerger::Entry KWayMerger::Refill(size_t source) {
+// Refill and Replay are forced inline: with them, NextView is one
+// function around one loop, and the winner never leaves registers.
+[[gnu::always_inline]] inline uint64_t KWayMerger::Refill(size_t source) {
   live_[source] = inputs_[source]->NextView(&heads_[source]);
-  if (live_[source]) return {KeyPrefix(heads_[source].key), source};
+  if (live_[source]) return KeyPrefix(heads_[source].key);
   if (!inputs_[source]->status().ok()) status_ = inputs_[source]->status();
-  return {UINT64_MAX, source};
+  return UINT64_MAX;
 }
 
-void KWayMerger::Replay(Entry winner) {
+[[gnu::always_inline]] inline void KWayMerger::Replay(uint64_t prefix,
+                                                     size_t source) {
   // Climbs from the source's leaf, playing the stored loser at each node.
   // Random keys make each match a coin toss, so the swap is done with
   // masks rather than a branch the CPU would mispredict half the time.
-  for (size_t n = (tree_.size() + winner.source) / 2; n >= 1; n /= 2) {
-    const Entry loser = tree_[n];
-    const uint64_t mask = 0 - static_cast<uint64_t>(Before(loser, winner));
-    const uint64_t prefix = (loser.prefix ^ winner.prefix) & mask;
-    const size_t source = (loser.source ^ winner.source) & mask;
-    tree_[n] = {loser.prefix ^ prefix, loser.source ^ source};
-    winner = {winner.prefix ^ prefix, winner.source ^ source};
+  // The winner stays in two registers all the way up.
+  for (size_t n = (source_.size() + source) / 2; n >= 1; n /= 2) {
+    const uint64_t loser_prefix = prefix_[n];
+    const size_t loser = source_[n];
+    const uint64_t mask =
+        0 - static_cast<uint64_t>(Before(loser_prefix, loser, prefix, source));
+    const uint64_t prefix_flip = (loser_prefix ^ prefix) & mask;
+    const size_t source_flip = (loser ^ source) & mask;
+    prefix_[n] = loser_prefix ^ prefix_flip;
+    source_[n] = loser ^ source_flip;
+    prefix ^= prefix_flip;
+    source ^= source_flip;
   }
-  tree_[0] = winner;
+  prefix_[0] = prefix;
+  source_[0] = source;
 }
 
 void KWayMerger::Prime() {
   // Every source climbs in turn. The first climber to reach a node parks
   // there and waits for the winner of the node's other subtree.
   for (size_t source = 0; source < inputs_.size() && status_.ok(); ++source) {
-    Entry winner = Refill(source);
-    size_t n = (tree_.size() + source) / 2;
+    uint64_t prefix = Refill(source);
+    size_t winner = source;
+    size_t n = (source_.size() + source) / 2;
     for (; n >= 1; n /= 2) {
-      if (tree_[n].source == kNobody) {
-        tree_[n] = winner;
+      if (source_[n] == kNobody) {
+        prefix_[n] = prefix;
+        source_[n] = winner;
         break;
       }
-      if (Before(tree_[n], winner)) std::swap(tree_[n], winner);
+      if (Before(prefix_[n], source_[n], prefix, winner)) {
+        std::swap(prefix_[n], prefix);
+        std::swap(source_[n], winner);
+      }
     }
-    if (n == 0) tree_[0] = winner;
+    if (n == 0) {
+      prefix_[0] = prefix;
+      source_[0] = winner;
+    }
   }
 }
 
@@ -151,11 +174,11 @@ bool KWayMerger::NextView(RecordView* view) {
     if (!status_.ok()) return false;
   } else if (handed_out_ != kNobody) {
     // The caller is done with the last view: only now may its source move.
-    Replay(Refill(handed_out_));
+    Replay(Refill(handed_out_), handed_out_);
     handed_out_ = kNobody;
     if (!status_.ok()) return false;
   }
-  const size_t winner = tree_[0].source;
+  const size_t winner = source_[0];
   if (!live_[winner]) return false;
   *view = heads_[winner];
   handed_out_ = winner;

@@ -122,6 +122,15 @@ class VectorStream final : public RecordStream {
 /// view goes to the caller as is, and the winner's source is advanced
 /// (which ends that view) only on the next call. The first source error
 /// ends the stream.
+///
+/// The per-record path is NextView → Refill (the source's NextView, then
+/// its head's prefix) → Replay, and every shuffle's merge runs it. A tree
+/// node is two words, the prefix and the source, kept in two parallel
+/// arrays and carried through Replay as two scalars, never as a pair: a
+/// 16-byte pair passed in two registers is spilled as two 8-byte stores
+/// and may be reloaded (once vectorised) as one 16-byte load, which the
+/// CPU cannot forward from two stores, so it stalls on every record
+/// (DESIGN.md §9).
 class KWayMerger final : public RecordStream {
  public:
   explicit KWayMerger(std::vector<std::unique_ptr<RecordStream>> inputs);
@@ -132,21 +141,19 @@ class KWayMerger final : public RecordStream {
  private:
   static constexpr size_t kNobody = SIZE_MAX;
 
-  /// A source's place in the tree: its head key's first 8 bytes as a
-  /// big-endian number (zero-padded, all ones once exhausted), which
-  /// orders like the key unless equal, and the source.
-  struct Entry {
-    uint64_t prefix;
-    size_t source;
-  };
-
-  /// True if `a`'s head sorts before `b`'s: by prefix, then exhausted
-  /// sources last, then by full key, then by source index.
-  bool Before(const Entry& a, const Entry& b) const;
-  /// Reads the source's next head view into heads_[source].
-  Entry Refill(size_t source);
-  /// Replays the source's leaf-to-root path; the winner lands in tree_[0].
-  void Replay(Entry winner);
+  /// True if source `a`'s head (prefix `a_prefix`) sorts before source
+  /// `b`'s: by prefix, then exhausted sources last, then by full key,
+  /// then by source index.
+  bool Before(uint64_t a_prefix, size_t a, uint64_t b_prefix,
+              size_t b) const;
+  /// Before, for heads whose prefixes are equal.
+  bool TieBefore(size_t a, size_t b) const;
+  /// Reads the source's next head view into heads_[source]; its prefix:
+  /// the head key's first 8 bytes as a big-endian number (zero-padded,
+  /// all ones once exhausted), which orders like the key unless equal.
+  uint64_t Refill(size_t source);
+  /// Replays the source's leaf-to-root path; the winner lands in node 0.
+  void Replay(uint64_t prefix, size_t source);
   /// Builds the tree from every source's first head.
   void Prime();
 
@@ -155,8 +162,9 @@ class KWayMerger final : public RecordStream {
   std::vector<char> live_;
   // Source i is leaf k + i; internal node n (1 <= n < k) holds the loser
   // of the match played there (source kNobody before priming reaches it),
-  // and tree_[0] the overall winner.
-  std::vector<Entry> tree_;
+  // and node 0 the overall winner. Node n is prefix_[n] and source_[n].
+  std::vector<uint64_t> prefix_;
+  std::vector<size_t> source_;
   // The source whose head the last call handed out: advanced on the next.
   size_t handed_out_ = kNobody;
   Status status_;

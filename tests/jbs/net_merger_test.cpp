@@ -1012,6 +1012,48 @@ TEST_F(NetMergerTest, FirstRecordsComeOutWhileChunksAreStillArriving) {
   merger.Stop();
 }
 
+TEST_F(NetMergerTest, MergeWaitsCountOnlyTheWaitsThatBlock) {
+  // One segment per partition, several chunks each, off a slow disk.
+  auto locations = MakeCluster(/*nodes=*/1, /*mofs=*/1, /*partitions=*/2,
+                               /*records=*/900, SlowDisk);
+  NetMerger::Options options;
+  options.transport = transport_.get();
+  options.chunk_size = 4000;
+  NetMerger merger(options);
+  const MetricLabels labels{{"client", "netmerger"}};
+  MetricCounter* waits =
+      merger.metrics().GetCounter("jbs_netmerger_merge_waits_total", labels);
+  MetricCounter* wait_us = merger.metrics().GetCounter(
+      "jbs_netmerger_merge_wait_us_total", labels);
+
+  // Partition 0 is drained only once its segment has landed whole: the
+  // merge never waits for a byte.
+  auto landed = merger.FetchAndMerge(0, locations);
+  ASSERT_TRUE(landed.ok()) << landed.status().ToString();
+  const auto merged = [&] {
+    for (const TraceEntry& entry : merger.trace().Snapshot()) {
+      if (entry.event == TraceEvent::kMerged) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 1000 && !merged(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(merged());
+  CheckMerged(**landed, 0, 900);
+  EXPECT_EQ(waits->value(), 0u);
+  EXPECT_EQ(wait_us->value(), 0u);
+
+  // Partition 1 is drained as it arrives: its chunks after the first come
+  // off the disk milliseconds apart, and the merge waits for them.
+  auto arriving = merger.FetchAndMerge(1, locations);
+  ASSERT_TRUE(arriving.ok()) << arriving.status().ToString();
+  CheckMerged(**arriving, 1, 900);
+  EXPECT_GT(waits->value(), 0u);
+  EXPECT_GT(wait_us->value(), 0u);
+  merger.Stop();
+}
+
 TEST_F(NetMergerTest, DroppedStreamReleasesItsMappingsOnceItsFetchesEnd) {
   auto locations = MakeCluster(/*nodes=*/1, /*mofs=*/2, /*partitions=*/1,
                                /*records=*/5000, SlowDisk);

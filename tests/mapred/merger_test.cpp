@@ -522,6 +522,57 @@ TEST(KWayMergerTest, MixedStreamKindsKeepBytesAndTieOrder) {
   }
 }
 
+TEST(KWayMergerTest, SegmentStreamsMatchAStableSortAtEveryFanIn) {
+  // The shuffle's own input type at fan-ins 1 to 64, whole and arriving
+  // in random cuts, against a stable sort by (key, source index).
+  using namespace std::string_literals;
+  // Bases shorter than 8 bytes, and bases sharing their first 8 bytes;
+  // tails of zero bytes and a small alphabet, so keys repeat within and
+  // across sources.
+  const std::string bases[] = {""s, "a"s, "prefix0"s, "prefix00"s,
+                               "prefix00a"s};
+  const char tails[] = {'\0', '\1', 'a', '\xff'};
+  Rng rng(29);
+  for (size_t k = 1; k <= 64; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    std::vector<std::vector<std::string>> keys(k);
+    for (auto& source : keys) {
+      const size_t n = rng.Below(4) == 0 ? 0 : rng.Below(40);  // some empty
+      for (size_t i = 0; i < n; ++i) {
+        std::string key = bases[rng.Below(std::size(bases))];
+        for (size_t t = rng.Below(4); t > 0; --t) {
+          key.push_back(tails[rng.Below(std::size(tails))]);
+        }
+        source.push_back(std::move(key));
+      }
+    }
+    const auto sources = Sources(std::move(keys));
+    std::vector<std::vector<uint8_t>> segments;
+    for (const auto& source : sources) {
+      IFileWriter writer;
+      for (const Record& record : source) writer.Append(record);
+      segments.push_back(writer.Finish());
+    }
+    const auto expected = StableSorted(sources);
+    for (const bool arriving : {false, true}) {
+      SCOPED_TRACE(arriving ? "arriving" : "whole");
+      std::vector<std::unique_ptr<RecordStream>> inputs;
+      for (const auto& segment : segments) {
+        if (arriving) {
+          auto cuts =
+              std::make_shared<PiecewiseSegment>(segment, 1 + rng.Below(200));
+          inputs.push_back(std::make_unique<SegmentStream>(std::move(cuts)));
+        } else {
+          inputs.push_back(std::make_unique<SegmentStream>(segment));
+        }
+      }
+      KWayMerger merger(std::move(inputs));
+      EXPECT_EQ(Drain(merger), expected);
+      EXPECT_TRUE(merger.status().ok()) << merger.status().ToString();
+    }
+  }
+}
+
 TEST(GroupIteratorTest, GroupsAMergeOfSegmentsByView) {
   // The next group's first record stays a view into a segment between
   // NextGroup calls: the merge must not move its source until then.
